@@ -51,10 +51,10 @@ conformance:
 # /refine (the repeat with shuffled gate statements); every repeat must be a
 # cache hit with a body byte-identical to the cold run, and a concurrent
 # identical burst must share exactly one engine run (see internal/reqcache
-# and DESIGN.md §13). Runs under the race detector: the cache and batcher
-# fan out on the shared engine pool.
+# and DESIGN.md §13). Runs under the race detector: the cache fans out on
+# the shared engine pool.
 cache-conformance:
-	$(GO) test -race -run 'TestCacheEquivalenceTable|TestCacheConformance|TestSingleflight|TestCancelledLeader|TestAlias|TestBatchedEqualsUnbatched' \
+	$(GO) test -race -run 'TestCacheEquivalenceTable|TestCacheConformance|TestSingleflight|TestCancelledLeader|TestAlias' \
 		./internal/service ./internal/reqcache
 
 # Fault-injection suite: deterministic chaos tests that force solver
@@ -123,15 +123,15 @@ cover:
 
 # Performance trajectory point (ROADMAP item 5b): full-STA throughput,
 # incremental edit latency vs. cone size, ITR-in-ATPG wall-clock, the
-# service sustained-QPS section (cold vs hot cache, batched vs unbatched),
+# service sustained-QPS section (cold vs hot cache),
 # the characterisation section (single-process vs in-process sharded
 # vs networked campaign over loopback HTTP — wall-clocks, bytes uploaded,
 # retries observed, byte-identity re-proved for both) and the durable-
 # session section (journaled delta ack overhead, restart replay vs script
 # length with/without snapshots), with machine/commit metadata,
-# schema-validated into BENCH_5.json.
+# schema-validated into BENCH_6.json.
 bench:
-	$(GO) run ./cmd/bench -out BENCH_5.json
+	$(GO) run ./cmd/bench -out BENCH_6.json
 
 # Harness-rot guard: the same harness on tiny circuits, schema-validated
 # and discarded. Seconds-scale; safe for CI.

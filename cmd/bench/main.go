@@ -8,8 +8,8 @@
 //   - ITR-in-ATPG campaign wall-clock, persistent-graph deltas vs. the
 //     pre-refactor from-scratch refinement per decision step,
 //   - timingd sustained throughput: QPS and p50/p99 latency under concurrent
-//     HTTP load for cold vs hot content-addressed cache and unbatched vs
-//     micro-batched tiny requests (see internal/reqcache, internal/batch),
+//     HTTP load for cold vs hot content-addressed cache (see
+//     internal/reqcache),
 //   - characterisation wall-clock and solver points/sec, single-process vs
 //     the in-process sharded coordinator/worker campaign (internal/shard) vs
 //     the networked campaign over loopback HTTP (internal/shardnet — remote
@@ -32,7 +32,7 @@
 //
 // Usage:
 //
-//	bench [-out BENCH_4.json] [-jobs N] [-reps N] [-edits N] [-faults N] [-smoke]
+//	bench [-out BENCH_6.json] [-jobs N] [-reps N] [-edits N] [-faults N] [-smoke]
 package main
 
 import (
@@ -71,7 +71,9 @@ import (
 // v5 adds the `session` section (durable delta-STA sessions: journaled
 // per-delta ack overhead, restart replay wall-clock vs edit-script length
 // with/without snapshot compaction, byte-identity of recovered windows).
-const Schema = "sstiming-bench/5"
+// v6 drops the unbatched/batched `service` scenarios and the
+// `batched_over_unbatched` ratio with the micro-batcher they measured.
+const Schema = "sstiming-bench/6"
 
 // Report is the top-level BENCH_N.json document.
 type Report struct {
@@ -156,7 +158,7 @@ type ATPGITR struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_5.json", "output report path")
+	out := flag.String("out", "BENCH_6.json", "output report path")
 	jobs := flag.Int("jobs", 0, "engine worker pool width (0 = all CPUs)")
 	reps := flag.Int("reps", 5, "full-STA repetitions per circuit")
 	edits := flag.Int("edits", 200, "incremental edits measured on the target circuit")
@@ -221,9 +223,8 @@ func main() {
 		fatal("service bench: %v", err)
 	}
 	rep.Service = sb
-	fmt.Fprintf(os.Stderr, "service   cold %8.0f qps  hot %8.0f qps (%.1fx)  unbatched %8.0f qps  batched %8.0f qps (%.2fx)\n",
-		sb.Scenarios[0].QPS, sb.Scenarios[1].QPS, sb.HotOverCold,
-		sb.Scenarios[2].QPS, sb.Scenarios[3].QPS, sb.BatchedOverUnbatched)
+	fmt.Fprintf(os.Stderr, "service   cold %8.0f qps  hot %8.0f qps (%.1fx)\n",
+		sb.Scenarios[0].QPS, sb.Scenarios[1].QPS, sb.HotOverCold)
 
 	ch, err := benchCharacterization(*jobs, *smoke)
 	if err != nil {
@@ -580,8 +581,8 @@ func validate(r *Report, full bool) error {
 		return fmt.Errorf("incremental ATPG outcomes diverged from full recompute")
 	}
 	sb := &r.Service
-	if len(sb.Scenarios) != 4 {
-		return fmt.Errorf("service section has %d scenarios, want 4", len(sb.Scenarios))
+	if len(sb.Scenarios) != 2 {
+		return fmt.Errorf("service section has %d scenarios, want 2", len(sb.Scenarios))
 	}
 	for _, sc := range sb.Scenarios {
 		if sc.Name == "" || sc.Requests <= 0 || sc.Clients <= 0 ||
@@ -589,7 +590,7 @@ func validate(r *Report, full bool) error {
 			return fmt.Errorf("degenerate service scenario %+v", sc)
 		}
 	}
-	if sb.HotOverCold <= 0 || sb.BatchedOverUnbatched <= 0 {
+	if sb.HotOverCold <= 0 {
 		return fmt.Errorf("degenerate service ratios %+v", sb)
 	}
 	if full && sb.HotOverCold < 5 {

@@ -1,9 +1,9 @@
 // Service-layer sustained-load benchmark: boots an in-process timingd
 // (internal/service) behind httptest, drives it with concurrent HTTP
-// clients, and records sustained QPS and tail latency for four scenarios —
-// cold cache vs hot cache on the same circuit, and unbatched vs
-// micro-batched tiny requests. The hot/cold ratio is the content-addressed
-// cache's headline number and is gated (>= 5x) in full runs by validate.
+// clients, and records sustained QPS and tail latency for two scenarios —
+// cold cache vs hot cache on the same circuit. The hot/cold ratio is the
+// content-addressed cache's headline number and is gated (>= 5x) in full
+// runs by validate.
 package main
 
 import (
@@ -38,14 +38,12 @@ type ServiceScenario struct {
 	P50Ms      float64 `json:"p50_ms"`
 	P99Ms      float64 `json:"p99_ms"`
 	CacheHits  int64   `json:"cache_hits"`
-	Batches    int64   `json:"batches"`
 }
 
 // ServiceBench is the daemon throughput section of the report.
 type ServiceBench struct {
-	Scenarios            []ServiceScenario `json:"scenarios"`
-	HotOverCold          float64           `json:"hot_over_cold"`
-	BatchedOverUnbatched float64           `json:"batched_over_unbatched"`
+	Scenarios   []ServiceScenario `json:"scenarios"`
+	HotOverCold float64           `json:"hot_over_cold"`
 }
 
 // runServiceScenario boots a fresh daemon with the given options, posts the
@@ -148,52 +146,35 @@ func runServiceScenario(name string, c *netlist.Circuit, lib *core.Library,
 		P50Ms:      ms(pct(0.50)),
 		P99Ms:      ms(pct(0.99)),
 		CacheHits:  met.Get(engine.CacheHits),
-		Batches:    met.Get(engine.SvcBatches),
 	}, nil
 }
 
-// benchService measures the four daemon scenarios. The cache pair runs a
-// mid-size circuit where an engine run costs real milliseconds; the batch
-// pair runs a tiny circuit where per-request queue overhead dominates and
-// coalescing can pay.
+// benchService measures the two daemon scenarios on a mid-size circuit
+// where an engine run costs real milliseconds.
 func benchService(lib *core.Library, jobs int, smoke bool) (ServiceBench, error) {
-	cacheName, batchName := "c432", "c17"
-	clients, coldReqs, hotReqs, batchReqs := 8, 64, 2000, 600
+	name := "c432"
+	clients, coldReqs, hotReqs := 8, 64, 2000
 	if smoke {
-		cacheName = "c17"
-		clients, coldReqs, hotReqs, batchReqs = 4, 8, 32, 24
+		name = "c17"
+		clients, coldReqs, hotReqs = 4, 8, 32
 	}
-	cacheCirc, batchCirc := mustCircuit(cacheName), mustCircuit(batchName)
+	circ := mustCircuit(name)
 
-	cold, err := runServiceScenario("cold-cache", cacheCirc, lib,
+	cold, err := runServiceScenario("cold-cache", circ, lib,
 		service.Options{Workers: jobs}, clients, coldReqs, 1)
 	if err != nil {
 		return ServiceBench{}, err
 	}
-	hot, err := runServiceScenario("hot-cache", cacheCirc, lib,
+	hot, err := runServiceScenario("hot-cache", circ, lib,
 		service.Options{Workers: jobs, CacheEntries: 512, CacheBytes: 64 << 20},
 		clients, hotReqs, 1)
 	if err != nil {
 		return ServiceBench{}, err
 	}
-	unbatched, err := runServiceScenario("unbatched", batchCirc, lib,
-		service.Options{Workers: jobs}, clients, batchReqs, 1)
-	if err != nil {
-		return ServiceBench{}, err
-	}
-	batched, err := runServiceScenario("batched", batchCirc, lib,
-		service.Options{Workers: jobs, BatchSize: 8, BatchWait: 500 * time.Microsecond},
-		clients, batchReqs, 1)
-	if err != nil {
-		return ServiceBench{}, err
-	}
 
-	sb := ServiceBench{Scenarios: []ServiceScenario{cold, hot, unbatched, batched}}
+	sb := ServiceBench{Scenarios: []ServiceScenario{cold, hot}}
 	if cold.QPS > 0 {
 		sb.HotOverCold = hot.QPS / cold.QPS
-	}
-	if unbatched.QPS > 0 {
-		sb.BatchedOverUnbatched = batched.QPS / unbatched.QPS
 	}
 	return sb, nil
 }

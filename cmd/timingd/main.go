@@ -7,7 +7,6 @@
 //	timingd [-addr :8080] [-lib lib.json] [-strict-lib] [-jobs N]
 //	        [-queue-depth N] [-timeout 30s] [-drain 15s] [-max-gates N]
 //	        [-cache-entries N] [-cache-bytes N] [-cache-max-entry-bytes N]
-//	        [-batch-size N] [-batch-wait D]
 //	        [-max-sessions N] [-session-ttl 15m]
 //	        [-session-dir DIR] [-session-snapshot-every N]
 //	        [-session-snapshot-bytes N] [-stats] [-selfcheck]
@@ -85,8 +84,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 512, "content-addressed analysis cache entry cap (0 = caching disabled)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "analysis cache byte budget (0 = no byte bound)")
 	cacheMaxEntryBytes := flag.Int64("cache-max-entry-bytes", 4<<20, "per-response cache admission cap: larger responses are served but never cached (0 = no per-entry bound)")
-	batchSize := flag.Int("batch-size", 0, "micro-batch occupancy for small /analyze jobs (< 2 = batching disabled)")
-	batchWait := flag.Duration("batch-wait", 0, "max time a non-full micro-batch collects (0 = default 2ms)")
 	maxSessions := flag.Int("max-sessions", 0, "live delta-STA sessions before LRU eviction (0 = default 64, -1 = unlimited)")
 	sessionTTL := flag.Duration("session-ttl", 0, "idle session expiry (0 = default 15m, negative = never)")
 	sessionDir := flag.String("session-dir", "", "directory for durable session journals (empty = in-memory sessions)")
@@ -117,8 +114,6 @@ func main() {
 		CacheEntries:         *cacheEntries,
 		CacheBytes:           *cacheBytes,
 		CacheMaxEntryBytes:   *cacheMaxEntryBytes,
-		BatchSize:            *batchSize,
-		BatchWait:            *batchWait,
 		MaxSessions:          *maxSessions,
 		SessionIdleTTL:       *sessionTTL,
 		SessionDir:           *sessionDir,

@@ -134,11 +134,6 @@ const (
 	// CacheInvalidations counts cache entries dropped because the serving
 	// library's fingerprint changed under a hot reload.
 	CacheInvalidations
-	// SvcBatches counts micro-batches dispatched to the engine pool.
-	SvcBatches
-	// SvcBatchItems counts analysis requests that travelled inside a
-	// micro-batch (batch occupancy = items/batches).
-	SvcBatchItems
 	// CacheOversized counts analysis responses served but refused cache
 	// admission because they alone exceeded the per-entry byte cap.
 	CacheOversized
@@ -229,8 +224,6 @@ var counterNames = [numCounters]string{
 	CacheCoalesced:        "service/cache_coalesced",
 	CacheEvictions:        "service/cache_evictions",
 	CacheInvalidations:    "service/cache_invalidations",
-	SvcBatches:            "service/batches",
-	SvcBatchItems:         "service/batch_items",
 	CacheOversized:        "service/cache_oversized",
 	ShardLeases:           "shard/leases_granted",
 	ShardExpired:          "shard/leases_expired",

@@ -79,6 +79,8 @@ type LineInfo = twindow.LineInfo
 // Result is the outcome of a refinement.
 type Result struct {
 	Circuit *netlist.Circuit
+	// Mode is the delay model the windows were refined under.
+	Mode sta.Mode
 	// Cube is the implied two-frame assignment.
 	Cube nineval.Cube
 	// Lines holds refined timing per net.
@@ -139,6 +141,7 @@ func Refine(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Result, error
 func FromGraph(g *tgraph.Graph) *Result {
 	res := &Result{
 		Circuit: g.Circuit(),
+		Mode:    g.Mode(),
 		Cube:    g.ImpliedCube().Clone(),
 		Lines:   make(map[string]*LineInfo, g.NumLines()),
 	}
@@ -147,6 +150,38 @@ func FromGraph(g *tgraph.Graph) *Result {
 		res.Lines[net] = &cp
 	})
 	return res
+}
+
+// RequiredTimes performs the state-aware backward traversal — the pass
+// shared with sta (twindow.Backward), fed the refined transition states:
+// required windows propagate only along arcs whose transitions are still
+// possible, the minimum arc delay exploits simultaneous switching (under
+// ModeProposed) only with partners that can still transition, and a line
+// direction with state -1 receives no required window.
+func (r *Result) RequiredTimes(cons sta.Constraint, lib *core.Library) map[string]*sta.LineRequired {
+	return r.backward(lib).RequiredTimes(cons)
+}
+
+// CheckViolations compares the refined arrival windows against the required
+// windows under the PO constraint. Only defined (state != -1) directions
+// are checked; the order is that of sta.Result.CheckViolations.
+func (r *Result) CheckViolations(cons sta.Constraint, lib *core.Library) []sta.Violation {
+	return r.backward(lib).CheckViolations(cons)
+}
+
+func (r *Result) backward(lib *core.Library) twindow.Backward {
+	return twindow.Backward{
+		Circuit: r.Circuit,
+		Lib:     lib,
+		Mode:    r.Mode,
+		Line: func(net string) (LineInfo, bool) {
+			li, ok := r.Lines[net]
+			if !ok {
+				return LineInfo{}, false
+			}
+			return *li, true
+		},
+	}
 }
 
 // ctxErr folds a fired context into the solver error taxonomy.

@@ -10,36 +10,122 @@ import (
 	"sstiming/internal/sta"
 )
 
+// TestRequiredEmptyCubeMatchesSTA: STA is ITR under the empty cube, so the
+// shared backward pass must give both the same required map (key set
+// included) and the same violations, bit for bit, under either delay model.
 func TestRequiredEmptyCubeMatchesSTA(t *testing.T) {
 	lib := prechar.MustLibrary()
-	c := benchgen.C17()
-	cons := sta.Constraint{MinTime: 0, MaxTime: 5e-9}
+	for _, mode := range []sta.Mode{sta.ModeProposed, sta.ModePinToPin} {
+		for _, name := range []string{"c17", "c432", "c880"} {
+			t.Run(mode.String()+"/"+name, func(t *testing.T) {
+				c, err := benchgen.Load(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				staRes, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				itrRes, err := Refine(c, nineval.Cube{}, Options{Lib: lib, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cons := tightConstraint(staRes)
 
+				staReq, itrReq := staRes.RequiredTimes(cons), itrRes.RequiredTimes(cons, lib)
+				if len(staReq) != len(itrReq) {
+					t.Errorf("required maps hold %d (sta) vs %d (itr) nets", len(staReq), len(itrReq))
+				}
+				for net, sr := range staReq {
+					ir, ok := itrReq[net]
+					if !ok {
+						t.Errorf("ITR required missing net %s", net)
+						continue
+					}
+					if *sr != *ir {
+						t.Errorf("%s: required differs: sta %+v itr %+v", net, *sr, *ir)
+					}
+				}
+
+				staV, itrV := staRes.CheckViolations(cons), itrRes.CheckViolations(cons, lib)
+				if len(staV) == 0 {
+					t.Fatal("constraint should produce violations")
+				}
+				if !equalViolations(staV, itrV) {
+					t.Errorf("violations differ:\n  sta %v\n  itr %v", staV, itrV)
+				}
+			})
+		}
+	}
+}
+
+// TestViolationOrderDeterministic: repeated CheckViolations calls on one
+// result return identical slices, in the total order slack, net, rising
+// before falling, setup before hold.
+func TestViolationOrderDeterministic(t *testing.T) {
+	lib := prechar.MustLibrary()
+	c, err := benchgen.Load("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
 	staRes, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: sta.ModeProposed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	staReq := staRes.RequiredTimes(cons)
-
 	itrRes, err := Refine(c, nineval.Cube{}, Options{Lib: lib, Mode: sta.ModeProposed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	itrReq := itrRes.RequiredTimes(cons, lib)
+	cons := tightConstraint(staRes)
+	for name, check := range map[string]func() []sta.Violation{
+		"sta": func() []sta.Violation { return staRes.CheckViolations(cons) },
+		"itr": func() []sta.Violation { return itrRes.CheckViolations(cons, lib) },
+	} {
+		first := check()
+		if len(first) < 2 {
+			t.Fatalf("%s: want several violations, got %d", name, len(first))
+		}
+		for i := 1; i < len(first); i++ {
+			if !ordered(first[i-1], first[i]) {
+				t.Fatalf("%s: violations %d and %d out of order: %+v, %+v", name, i-1, i, first[i-1], first[i])
+			}
+		}
+		for rep := 0; rep < 20; rep++ {
+			if again := check(); !equalViolations(first, again) {
+				t.Fatalf("%s: call %d returned a different slice", name, rep+2)
+			}
+		}
+	}
+}
 
-	for net, sr := range staReq {
-		ir, ok := itrReq[net]
-		if !ok {
-			t.Fatalf("ITR required missing net %s", net)
+// tightConstraint derives a PO constraint that some lines violate.
+func tightConstraint(r *sta.Result) sta.Constraint {
+	return sta.Constraint{MinTime: 1.05 * r.MinPOArrival(), MaxTime: 0.95 * r.MaxPOArrival()}
+}
+
+func equalViolations(a, b []sta.Violation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
-		if math.Abs(sr.Rise.QL-ir.Rise.QL) > 1e-15 || math.Abs(sr.Fall.QL-ir.Fall.QL) > 1e-15 {
-			t.Errorf("%s: QL differ: sta (%g,%g) itr (%g,%g)",
-				net, sr.Rise.QL, sr.Fall.QL, ir.Rise.QL, ir.Fall.QL)
-		}
-		if math.Abs(sr.Rise.QS-ir.Rise.QS) > 1e-15 || math.Abs(sr.Fall.QS-ir.Fall.QS) > 1e-15 {
-			t.Errorf("%s: QS differ: sta (%g,%g) itr (%g,%g)",
-				net, sr.Rise.QS, sr.Fall.QS, ir.Rise.QS, ir.Fall.QS)
-		}
+	}
+	return true
+}
+
+// ordered reports whether a strictly precedes b in the violation order.
+func ordered(a, b sta.Violation) bool {
+	switch {
+	case a.Slack != b.Slack:
+		return a.Slack < b.Slack
+	case a.Net != b.Net:
+		return a.Net < b.Net
+	case a.Rising != b.Rising:
+		return a.Rising
+	default:
+		return a.Setup && !b.Setup
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sstiming/internal/batch"
 	"sstiming/internal/conformance"
 	"sstiming/internal/engine"
 	"sstiming/internal/itr"
@@ -294,26 +293,6 @@ func (s *Server) checkGateBudget(c *netlist.Circuit) error {
 	return nil
 }
 
-// execute routes one analysis job to the engine: through the micro-batcher
-// when batching is enabled and the circuit is small enough to coalesce, else
-// straight through admission control. Batch-layer refusals are translated
-// into the service taxonomy: a full pending buffer is the same shed/429 the
-// job queue answers.
-func (s *Server) execute(ctx context.Context, gates int, fn func(ctx context.Context) error) error {
-	if s.batcher != nil && (s.opts.MaxBatchGates < 0 || gates <= s.opts.MaxBatchGates) {
-		if s.draining.Load() {
-			return fmt.Errorf("%w: draining", engine.ErrPoolClosed)
-		}
-		err := s.batcher.Do(ctx, fn)
-		if errors.Is(err, batch.ErrFull) {
-			s.met.Add(engine.SvcShed, 1)
-			return fmt.Errorf("%w: %v", ErrShedLoad, err)
-		}
-		return err
-	}
-	return s.submit(ctx, fn)
-}
-
 // cached runs compute through the content-addressed cache when enabled;
 // without a cache every call is its own cold run.
 func (s *Server) cached(ctx context.Context, key reqcache.Key, fp string,
@@ -325,10 +304,10 @@ func (s *Server) cached(ctx context.Context, key reqcache.Key, fp string,
 	return s.cache.Do(ctx, key, fp, compute)
 }
 
-// asJobError normalizes raw context errors surfacing from the cache and
-// batch layers (a singleflight follower whose deadline fired while waiting,
-// an item that expired while batched) into the service taxonomy: a deadline
-// is a 504 no matter which layer noticed it first.
+// asJobError normalizes raw context errors surfacing from the cache layer
+// (a singleflight follower whose deadline fired while waiting) into the
+// service taxonomy: a deadline is a 504 no matter which layer noticed it
+// first.
 func asJobError(err error) error {
 	if err == nil || errors.Is(err, spice.ErrCancelled) {
 		return err
@@ -365,10 +344,9 @@ func boolPart(b bool) string {
 // size-checked (bad input never consumes a cache flight or a queue slot)
 // and addressed by the canonical netlist plus every response-relevant
 // option under the serving library's fingerprint; only a canonical miss
-// runs the engine — through the micro-batcher for small circuits when
-// batching is enabled. The X-Cache header reports hit/miss/coalesced; a
-// cached response is byte-identical to the cold run modulo the re-stamped
-// request_id and elapsed_ms.
+// runs the engine, through admission control. The X-Cache header reports
+// hit/miss/coalesced; a cached response is byte-identical to the cold run
+// modulo the re-stamped request_id and elapsed_ms.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	id := RequestID(r.Context())
 	start := time.Now()
@@ -414,7 +392,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		string(reqcache.CanonicalNetlist(c)))
 	val, status, err := s.cached(ctx, key, ls.fp, func(ctx context.Context) (any, int64, error) {
 		var out *AnalyzeResponse
-		err := s.execute(ctx, c.NumGates(), func(ctx context.Context) error {
+		err := s.submit(ctx, func(ctx context.Context) error {
 			res, err := sta.Analyze(c, sta.Options{
 				Lib:         ls.lib,
 				Mode:        mode,
@@ -472,9 +450,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // handleRefine serves POST /refine: one ITR job, content-addressed like
 // /analyze — the raw-level alias answers a byte-identical re-post without
 // parsing, and the canonical address adds the canonical cube and net filter
-// to the canonical netlist. Refine jobs do not ride the micro-batcher
-// (coalescing targets bursts of small STA requests); a miss submits
-// straight through admission control.
+// to the canonical netlist; a miss submits through admission control.
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	id := RequestID(r.Context())
 	start := time.Now()
@@ -762,9 +738,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_ = s.met.WriteText(w)
 	s.inst.WriteLatencies(w)
-	if s.bstats != nil {
-		s.bstats.writeText(w)
-	}
 	fmt.Fprintf(w, "service/breaker_state %q\n", s.breaker.State().String())
 	fmt.Fprintf(w, "service/inflight %d\n", s.queue.Inflight())
 	if s.cache != nil {

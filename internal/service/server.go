@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sstiming/internal/batch"
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
 	"sstiming/internal/reqcache"
@@ -112,20 +111,6 @@ type Options struct {
 	// one pathological windows dump cannot evict the whole working set.
 	// <= 0 means no per-entry bound. Only meaningful with CacheEntries > 0.
 	CacheMaxEntryBytes int64
-	// BatchSize enables request micro-batching (internal/batch) on
-	// /analyze at this batch occupancy: small jobs arriving within
-	// BatchWait of each other share one engine-pool submission. A value
-	// below 2 disables batching (the zero value preserves the unbatched
-	// request path exactly).
-	BatchSize int
-	// BatchWait bounds how long a non-full batch collects before
-	// dispatching; <= 0 selects the batcher's 2ms default.
-	BatchWait time.Duration
-	// MaxBatchGates routes only netlists at or below this gate count
-	// through the batcher — large jobs gain nothing from coalescing and
-	// would hold small ones hostage. Zero selects 256; negative batches
-	// every size.
-	MaxBatchGates int
 	// SessionDir enables crash-recoverable sessions: every timing session
 	// journals its creation and deltas to a write-ahead log under this
 	// directory (internal/sessionlog), deltas are acknowledged only after
@@ -176,9 +161,6 @@ func (o *Options) fill() error {
 	if o.MaxConformanceSeeds <= 0 {
 		o.MaxConformanceSeeds = 16
 	}
-	if o.MaxBatchGates == 0 {
-		o.MaxBatchGates = 256
-	}
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 64
 	}
@@ -219,8 +201,6 @@ type Server struct {
 	breaker  *breaker
 	sessions *sessionStore
 	cache    *reqcache.Cache // nil when CacheEntries <= 0
-	batcher  *batch.Batcher  // nil when BatchSize < 2
-	bstats   *batchStats
 	mux      *http.ServeMux
 	inst     *Instrumenter
 
@@ -252,23 +232,6 @@ func New(opts Options) (*Server, error) {
 	if opts.CacheEntries > 0 {
 		s.cache = reqcache.New(opts.CacheEntries, opts.CacheBytes, opts.Metrics)
 		s.cache.SetMaxEntryBytes(opts.CacheMaxEntryBytes)
-	}
-	if opts.BatchSize >= 2 {
-		s.bstats = &batchStats{}
-		s.batcher, err = batch.New(batch.Options{
-			Size:    opts.BatchSize,
-			MaxWait: opts.BatchWait,
-			// The batch submission enters the queue directly, not through
-			// s.submit: Drain flushes the final partial batch after the
-			// draining flag is up but before the queue closes, and those
-			// already-admitted items must still reach a worker.
-			Submit:  s.queue.Submit,
-			Observe: s.bstats.observe,
-			Metrics: opts.Metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	s.mux.Handle("POST /analyze", s.instrument("analyze", s.handleAnalyze))
 	s.mux.Handle("POST /refine", s.instrument("refine", s.handleRefine))
@@ -355,25 +318,14 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain performs the graceful-shutdown sequence: first readiness fails and
 // new jobs are refused, then the call blocks until every in-flight job
-// finished or ctx fires. The batcher drains before the queue — its final
-// partial batch must flush into a still-open queue, because a batched item
-// that was admitted before the drain began is owed a real answer. Safe to
-// call more than once.
+// finished or ctx fires. Safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	var firstErr error
-	if s.batcher != nil {
-		if err := s.batcher.Drain(ctx); err != nil {
-			firstErr = err
-		}
-	}
-	if err := s.queue.Drain(ctx); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	err := s.queue.Drain(ctx)
 	// With every in-flight delta finished, close the session journals so
 	// their last frames are flushed file handles, not dangling ones — the
 	// logs stay on disk and the next boot's RecoverSessions resurrects the
 	// sessions.
 	s.sessions.closeLogs()
-	return firstErr
+	return err
 }

@@ -47,7 +47,7 @@ func (r *Result) CriticalPath(net string, rising bool) ([]PathStep, error) {
 			return path, nil
 		}
 		g := &c.Gates[gi]
-		cell, ok := r.libCell(g)
+		cell, ok := r.lib.Cell(g.CellName())
 		if !ok {
 			return nil, fmt.Errorf("sta: no cell for gate %q", g.Output)
 		}

@@ -41,6 +41,7 @@ import (
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
 	"sstiming/internal/netlist"
+	"sstiming/internal/nineval"
 	"sstiming/internal/tgraph"
 	"sstiming/internal/twindow"
 )
@@ -71,6 +72,20 @@ type PITiming = twindow.PITiming
 // DefaultPITiming is the default stimulus: transitions released at t = 0
 // with a 0.2 ns input ramp.
 func DefaultPITiming() PITiming { return twindow.DefaultPITiming() }
+
+// Required is the per-direction required-time window of a line: the output
+// must not be reached before QS (hold-style lower bound) and must be reached
+// by QL (setup-style upper bound).
+type Required = twindow.Required
+
+// LineRequired pairs the directional required windows of one line.
+type LineRequired = twindow.LineRequired
+
+// Constraint is the timing requirement applied at every primary output.
+type Constraint = twindow.Constraint
+
+// Violation reports one timing check failure.
+type Violation = twindow.Violation
 
 // Options configures an analysis.
 type Options struct {
@@ -110,8 +125,7 @@ type Result struct {
 	Mode    Mode
 	Lines   map[string]*LineTiming
 
-	lib       *core.Library
-	cellCache map[string]*core.CellModel
+	lib *core.Library
 }
 
 // Analyze runs forward window propagation over the circuit: it builds a
@@ -203,4 +217,36 @@ func (r *Result) MaxPOArrival() float64 {
 		}
 	}
 	return max
+}
+
+// RequiredTimes performs the backward traversal of Section 4 and returns
+// the required-time windows for every line. It runs the backward pass
+// shared with itr (twindow.Backward) on lines whose transition states are
+// all SMaybe — STA as the S = 0 special case of ITR.
+func (r *Result) RequiredTimes(cons Constraint) map[string]*LineRequired {
+	return r.backward().RequiredTimes(cons)
+}
+
+// CheckViolations compares the arrival windows against the required windows
+// derived from the PO constraint and returns every failing line, ordered by
+// slack (most negative first), then net, rising before falling, setup
+// before hold.
+func (r *Result) CheckViolations(cons Constraint) []Violation {
+	return r.backward().CheckViolations(cons)
+}
+
+func (r *Result) backward() twindow.Backward {
+	return twindow.Backward{
+		Circuit: r.Circuit,
+		Lib:     r.lib,
+		Mode:    r.Mode,
+		Line: func(net string) (twindow.LineInfo, bool) {
+			lt, ok := r.Lines[net]
+			if !ok {
+				return twindow.LineInfo{}, false
+			}
+			return twindow.LineInfo{Value: nineval.VXX, SRise: nineval.SMaybe, SFall: nineval.SMaybe,
+				Rise: lt.Rise, Fall: lt.Fall}, true
+		},
+	}
 }

@@ -16,6 +16,10 @@
 // which every line carries the unspecified value xx (every transition state
 // is SMaybe), exactly as the paper defines STA as the S_tr = 0 special case
 // of ITR.
+//
+// The backward pass (Backward: required times and violation checks) follows
+// the same rule: one state-aware traversal serves both sta and itr, and STA
+// feeds it all-SMaybe lines.
 package twindow
 
 import (
