@@ -61,11 +61,12 @@ cache-conformance:
 # non-convergence, NaN poisoning and worker panics, then assert the
 # recovery ladder, graceful degradation and error taxonomy hold — under
 # the race detector, since recovery paths run on the parallel engine pool
-# (see DESIGN.md "Robustness & failure handling").
+# (see DESIGN.md "Robustness & failure handling"). The shard package's
+# chaos tests run once, in shard-chaos.
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/spice ./internal/charlib \
 		./internal/conformance ./internal/faultinject ./internal/engine \
-		./internal/tgraph ./internal/service ./internal/shard
+		./internal/tgraph ./internal/service
 
 # Store crash-safety suite: kill a characterisation campaign mid-cell
 # (deterministically, inside its own checkpoint), tear the journal tail,

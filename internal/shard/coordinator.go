@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"sstiming/internal/core"
 )
@@ -22,67 +21,23 @@ func Run(opts Options) (*core.Library, *Report, error) {
 
 	ctx := opts.Charlib.Ctx
 
-	// The sweeper expires dead leases and wakes workers whose backoff has
-	// elapsed. Its tick bounds how quickly both are noticed.
-	sweepEvery := opts.LeaseTTL / 8
-	if sweepEvery > time.Second {
-		sweepEvery = time.Second
-	}
-	if sweepEvery < time.Millisecond {
-		sweepEvery = time.Millisecond
-	}
-	sweepDone := make(chan struct{})
-	var sweepWG sync.WaitGroup
-	// Cancellation watcher: workers blocked in Acquire only re-check the
-	// context when woken, so a cancel must broadcast.
-	if ctx.Done() != nil {
-		sweepWG.Add(1)
-		go func() {
-			defer sweepWG.Done()
-			select {
-			case <-ctx.Done():
-				t.cond.Broadcast()
-			case <-sweepDone:
-			}
-		}()
-	}
-	sweepWG.Add(1)
-	go func() {
-		defer sweepWG.Done()
-		tick := time.NewTicker(sweepEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sweepDone:
-				return
-			case <-tick.C:
-				t.Sweep()
-			}
-		}
-	}()
-
-	// Workers: each loops acquiring leases until the campaign is resolved.
-	// Run waits for every worker — including hung ones submitting late,
-	// discardable completions — so a campaign's counters are deterministic
-	// and no goroutine outlives the call.
+	// Workers: each runs the shared worker loop against the tracker until
+	// the campaign is resolved. Run waits for every worker — including hung
+	// ones submitting late, discardable completions — so a campaign's
+	// counters are deterministic and no goroutine outlives the call. The
+	// tracker never fails a call, so a worker stops early only when ctx
+	// fires, which is checked below.
+	stopSweeper := t.StartSweeper()
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			for {
-				g := t.Acquire(ctx)
-				if g == nil {
-					return
-				}
-				t.runLease(ctx, id, g.Spec, g.Attempt, g.Deadline)
-			}
-		}(w)
+			_ = Work(ctx, t, opts)
+		}()
 	}
 	wg.Wait()
-	close(sweepDone)
-	sweepWG.Wait()
-	t.cond.Broadcast()
+	stopSweeper()
 
 	if err := ctx.Err(); err != nil {
 		return nil, t.Snapshot(), fmt.Errorf("shard: campaign cancelled: %w", err)

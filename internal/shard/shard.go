@@ -62,6 +62,10 @@ var (
 	// ErrUnknownShard marks a worker asked to run a shard the campaign
 	// meta does not list.
 	ErrUnknownShard = errors.New("shard: unknown shard id")
+	// ErrRejected marks a completion claim the coordinator resolved
+	// against the worker (the artefact failed verification or could not be
+	// promoted); the shard is retried.
+	ErrRejected = errors.New("shard: completion rejected")
 )
 
 // Spec identifies one shard: a contiguous cell range of the campaign.
@@ -177,8 +181,6 @@ type Options struct {
 	// LeaseTTL bounds how long a worker may hold a shard without
 	// heartbeating before the coordinator reassigns it; 0 selects 2m.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the worker heartbeat period; 0 selects LeaseTTL/4.
-	HeartbeatEvery time.Duration
 	// MaxAttempts is the per-shard lease budget (first attempt included);
 	// 0 selects 3. A shard still incomplete after MaxAttempts leases is
 	// quarantined.
@@ -229,9 +231,6 @@ func (o *Options) fill() error {
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 2 * time.Minute
-	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = o.LeaseTTL / 4
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3

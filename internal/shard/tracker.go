@@ -73,20 +73,21 @@ type shardState struct {
 }
 
 // Grant is one lease: the shard spec, the attempt generation the lease was
-// granted at, and the deadline by which the holder must heartbeat or
+// granted at, and the lease TTL within which the holder must heartbeat or
 // complete.
 type Grant struct {
-	Spec     Spec
-	Attempt  int
-	Deadline time.Time
+	Spec    Spec
+	Attempt int
+	TTL     time.Duration
 }
 
 // Tracker is the campaign lease state machine: it owns the shard table,
 // grants and expires leases, verifies and promotes artefacts, and merges the
 // result. It is the single source of campaign truth shared by the in-process
-// coordinator (Run) and the networked one (internal/shardnet) — both drive
-// the identical verify-before-accept path, so the robustness contract does
-// not depend on the transport.
+// coordinator (Run), whose workers call it directly as their Coordinator,
+// and the networked one (internal/shardnet) — both drive the identical
+// verify-before-accept path, so the robustness contract does not depend on
+// the transport.
 type Tracker struct {
 	opts  Options
 	fp    store.Fingerprint
@@ -228,21 +229,19 @@ func (t *Tracker) AttemptDir(id string, attempt int) string {
 	return attemptDir(t.opts.Dir, id, attempt)
 }
 
-// Acquire blocks until a shard is grantable or the campaign is resolved
-// (every shard completed or quarantined), returning nil in the latter case.
-func (t *Tracker) Acquire(ctx context.Context) *Grant {
+// Lease blocks until a shard is grantable, returning nil once the campaign
+// is resolved (every shard completed or quarantined) and ctx's error once
+// ctx fires.
+func (t *Tracker) Lease(ctx context.Context) (*Grant, error) {
+	defer t.wakeOnDone(ctx)()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if ctx.Err() != nil {
-			return nil
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		g, _, done := t.tryAcquireLocked()
-		if g != nil {
-			return g
-		}
-		if done {
-			return nil
+		if g, _, done := t.tryAcquireLocked(); g != nil || done {
+			return g, nil
 		}
 		t.cond.Wait()
 	}
@@ -294,7 +293,7 @@ func (t *Tracker) tryAcquireLocked() (*Grant, time.Duration, bool) {
 				t.opts.Metrics.Add(engine.ShardRetries, 1)
 			}
 			t.opts.Progress("shard %s: lease granted (attempt %d)", st.spec.ID, st.attempts)
-			return &Grant{Spec: st.spec, Attempt: st.attempts, Deadline: st.deadline}, 0, false
+			return &Grant{Spec: st.spec, Attempt: st.attempts, TTL: t.opts.LeaseTTL}, 0, false
 		}
 	}
 	if resolved == len(t.shards) {
@@ -306,11 +305,37 @@ func (t *Tracker) tryAcquireLocked() (*Grant, time.Duration, bool) {
 	return nil, wait, false
 }
 
-// Sweep expires leases whose holders stopped heartbeating and wakes waiters
-// whose shards left backoff. The campaign owner (in-process Run or the
-// networked coordinator) calls it periodically; its period bounds how
-// quickly vanished workers are noticed.
-func (t *Tracker) Sweep() {
+// StartSweeper starts the lease sweeper: every LeaseTTL/8, clamped to
+// [1ms, 1s], it expires leases whose holders stopped heartbeating and wakes
+// waiters whose shards left backoff, so its period bounds how quickly both
+// are noticed. The campaign owner (in-process Run or the networked
+// coordinator) calls the returned stop, which returns once the sweeper has
+// exited.
+func (t *Tracker) StartSweeper() (stop func()) {
+	every := min(max(t.opts.LeaseTTL/8, time.Millisecond), time.Second)
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				t.sweep()
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
+}
+
+// sweep is one sweeper pass.
+func (t *Tracker) sweep() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := time.Now()
@@ -336,21 +361,21 @@ func (t *Tracker) Sweep() {
 	}
 }
 
-// Heartbeat extends the lease of one attempt. It reports whether the lease
-// is still held at that generation — a false return tells the worker its
-// work can at best become a late, idempotently-handled completion.
-func (t *Tracker) Heartbeat(index, attempt int) bool {
+// Heartbeat extends g's lease. It reports whether the lease is still held at
+// that generation — false tells the worker its work can at best become a
+// late, idempotently-handled completion. It never fails.
+func (t *Tracker) Heartbeat(_ context.Context, g Grant) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if index < 0 || index >= len(t.shards) {
-		return false
+	if g.Spec.Index < 0 || g.Spec.Index >= len(t.shards) {
+		return false, nil
 	}
-	st := t.shards[index]
-	if st.status != StatusLeased || st.attempts != attempt {
-		return false
+	st := t.shards[g.Spec.Index]
+	if st.status != StatusLeased || st.attempts != g.Attempt {
+		return false, nil
 	}
 	st.deadline = time.Now().Add(t.opts.LeaseTTL)
-	return true
+	return true, nil
 }
 
 // LeaseHeld reports whether the lease at (index, attempt) is currently
@@ -366,26 +391,23 @@ func (t *Tracker) LeaseHeld(index, attempt int) bool {
 	return st.status == StatusLeased && st.attempts == attempt
 }
 
-// Complete handles a completion claim for one attempt: the staged artefact
-// is read and fully verified, and only then promoted. Correctness never
+// Complete handles a completion claim for one attempt: the artefact bytes
+// are fully verified, and only then promoted. Correctness never
 // trusts the lease — a verified artefact from an expired lease is accepted
 // if the shard is still open, and any completion for an already-resolved
 // shard is discarded idempotently (CompleteDuplicate), which is also what
 // absorbs a retried completion whose first acknowledgement was lost on the
 // network. A failed verification only penalises the shard's current lease
 // when this claim IS that lease; a stale corrupt claim must not clobber a
-// live reassignment.
-func (t *Tracker) Complete(index, attempt int) (CompleteStatus, error) {
+// live reassignment. Every rejection error wraps ErrRejected.
+func (t *Tracker) Complete(_ context.Context, g Grant, b []byte) (CompleteStatus, error) {
+	index, attempt := g.Spec.Index, g.Attempt
 	if index < 0 || index >= len(t.shards) {
-		return CompleteRejected, fmt.Errorf("%w: shard index %d", ErrUnknownShard, index)
+		return CompleteRejected, fmt.Errorf("%w: %w: shard index %d", ErrRejected, ErrUnknownShard, index)
 	}
 	st := t.shards[index]
 	spec := st.spec
-	staged := filepath.Join(attemptDir(t.opts.Dir, spec.ID, attempt), artifactName)
-	b, err := os.ReadFile(staged)
-	if err == nil {
-		_, err = decodeArtifact(b, t.fp, spec)
-	}
+	_, err := decodeArtifact(b, t.fp, spec)
 
 	t.mu.Lock()
 	if st.status == StatusCompleted || st.status == StatusQuarantined {
@@ -407,14 +429,14 @@ func (t *Tracker) Complete(index, attempt int) (CompleteStatus, error) {
 		}
 		t.cond.Broadcast()
 		t.mu.Unlock()
-		return CompleteRejected, err
+		return CompleteRejected, fmt.Errorf("%w: %w", ErrRejected, err)
 	}
 	t.mu.Unlock()
 
 	// Promote outside the lock (it fsyncs). At most one promotion can win:
 	// every racing completion re-checks status under the lock below.
 	if perr := store.AtomicWrite(promotedPath(t.opts.Dir, spec.ID), b); perr != nil {
-		perr = fmt.Errorf("promoting artifact: %w", perr)
+		perr = fmt.Errorf("%w: promoting artifact: %w", ErrRejected, perr)
 		t.mu.Lock()
 		if st.status == StatusLeased && st.attempts == attempt {
 			t.failLocked(st, perr)
@@ -447,22 +469,23 @@ func (t *Tracker) Complete(index, attempt int) (CompleteStatus, error) {
 // Fail handles a worker-reported attempt failure (the worker is alive but
 // its attempt produced no stageable artefact). Stale reports — the lease
 // already expired or the shard resolved another way — are absorbed
-// idempotently.
-func (t *Tracker) Fail(index, attempt int, err error) {
+// idempotently. It never fails.
+func (t *Tracker) Fail(_ context.Context, g Grant, cause error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if index < 0 || index >= len(t.shards) {
-		return
+	if g.Spec.Index < 0 || g.Spec.Index >= len(t.shards) {
+		return nil
 	}
-	st := t.shards[index]
-	if st.status != StatusLeased || st.attempts != attempt {
+	st := t.shards[g.Spec.Index]
+	if st.status != StatusLeased || st.attempts != g.Attempt {
 		// The sweeper already expired this lease (or the shard resolved
 		// some other way); nothing to do.
-		return
+		return nil
 	}
-	t.opts.Progress("shard %s: attempt %d failed: %v", st.spec.ID, attempt, err)
-	t.failLocked(st, err)
+	t.opts.Progress("shard %s: attempt %d failed: %v", st.spec.ID, g.Attempt, cause)
+	t.failLocked(st, cause)
 	t.cond.Broadcast()
+	return nil
 }
 
 // failLocked returns a shard to the pending pool with exponential backoff,
@@ -500,19 +523,9 @@ func (t *Tracker) Resolved() bool {
 }
 
 // WaitResolved blocks until the campaign resolves or ctx fires. The caller
-// must keep Sweep ticking — expiry is what resolves vanished workers.
+// must keep the sweeper running — expiry is what resolves vanished workers.
 func (t *Tracker) WaitResolved(ctx context.Context) error {
-	stop := make(chan struct{})
-	defer close(stop)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				t.cond.Broadcast()
-			case <-stop:
-			}
-		}()
-	}
+	defer t.wakeOnDone(ctx)()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for !t.resolvedLocked() {
@@ -522,6 +535,17 @@ func (t *Tracker) WaitResolved(ctx context.Context) error {
 		t.cond.Wait()
 	}
 	return nil
+}
+
+// wakeOnDone makes ctx firing wake every waiter on the tracker's condition,
+// since waiters re-check ctx only when woken. Call the returned stop once
+// done waiting.
+func (t *Tracker) wakeOnDone(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
+		t.mu.Lock()
+		t.cond.Broadcast()
+		t.mu.Unlock()
+	})
 }
 
 // Snapshot copies the campaign report.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,9 +18,33 @@ import (
 // journalDirName is the per-attempt write-ahead journal directory.
 const journalDirName = "journal"
 
-// runLease executes one lease attempt on an in-process worker: heartbeat
-// while working, stage the artefact, submit the completion. Injected faults
-// reshape the attempt into the failure the chaos suite is proving against:
+// Coordinator is the campaign side of the worker loop (Work): the four calls
+// a worker makes against the lease state machine. The in-process Tracker
+// implements it directly; shardnet implements it over HTTP. The loop joins
+// its heartbeat goroutine before it calls Complete, Fail or Lease again, so
+// Heartbeat is the only call that can overlap another, and only with the
+// attempt it renews.
+type Coordinator interface {
+	// Lease blocks until a shard is granted, returning nil once the
+	// campaign is resolved.
+	Lease(ctx context.Context) (*Grant, error)
+	// Heartbeat renews g's lease; false means the lease is gone.
+	Heartbeat(ctx context.Context, g Grant) (held bool, err error)
+	// Complete claims g with its staged artefact bytes. A claim the
+	// coordinator resolved against the worker returns an error wrapping
+	// ErrRejected; any other error means the claim's fate is unknown.
+	Complete(ctx context.Context, g Grant, artefact []byte) (CompleteStatus, error)
+	// Fail reports that g's attempt produced no artefact.
+	Fail(ctx context.Context, g Grant, cause error) error
+}
+
+// Work is the campaign worker loop, shared by in-process workers (Run) and
+// remote ones (shardnet.RunWorker): lease a shard, heartbeat it every TTL/4
+// while characterising it, then complete or fail the lease, until the
+// campaign is resolved (nil) or a coordinator call fails (its error).
+//
+// Injected faults (opts.Fault) reshape an attempt into the failure the chaos
+// suites prove against, identically in both modes:
 //
 //	kill    — the worker dies after its first durable checkpoint: no
 //	          completion, no failure report; only the expiring lease tells
@@ -28,73 +53,103 @@ const journalDirName = "journal"
 //	          finishes, then the worker sleeps past its lease before
 //	          submitting a late completion the coordinator must handle
 //	          idempotently.
-//	corrupt — the staged artefact bytes are damaged; verification must
-//	          reject the completion and retry the shard.
-func (t *Tracker) runLease(ctx context.Context, workerID int, spec Spec, attempt int, deadline time.Time) {
-	fault := t.opts.Fault.Decide(spec.Index, attempt)
+//	corrupt — the artefact bytes are damaged before they are claimed;
+//	          verification must reject the completion and retry the shard.
+//
+// A lost lease stops the heartbeats but not the attempt: its completion is
+// still claimed, and the coordinator accepts it if the shard is open or
+// discards it as a duplicate.
+func Work(ctx context.Context, c Coordinator, opts Options) error {
+	if err := opts.fill(); err != nil {
+		return err
+	}
+	fp := Fingerprint(opts.Charlib)
+	for {
+		g, err := c.Lease(ctx)
+		if err != nil || g == nil {
+			return err
+		}
+		if err := workLease(ctx, c, opts, fp, *g); err != nil {
+			return err
+		}
+	}
+}
+
+// workLease runs one granted attempt end to end.
+func workLease(ctx context.Context, c Coordinator, opts Options, fp store.Fingerprint, g Grant) error {
+	lateAt := time.Now().Add(g.TTL + g.TTL/2)
+	fault := opts.Fault.Decide(g.Spec.Index, g.Attempt)
 	if fault != faultinject.ShardFaultNone {
-		t.opts.Progress("shard %s: injecting %s (attempt %d, worker %d)", spec.ID, fault, attempt, workerID)
+		opts.Progress("shard %s: injecting %s (attempt %d)", g.Spec.ID, fault, g.Attempt)
 	}
 
-	hbStop := make(chan struct{})
+	hbCtx, stopHeartbeat := context.WithCancel(ctx)
+	defer stopHeartbeat()
 	var hbWG sync.WaitGroup
 	if fault != faultinject.ShardFaultHang {
 		hbWG.Add(1)
 		go func() {
 			defer hbWG.Done()
-			tick := time.NewTicker(t.opts.HeartbeatEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-tick.C:
-					if !t.Heartbeat(spec.Index, attempt) {
-						return // lease lost; stop renewing
-					}
-				}
-			}
+			heartbeat(hbCtx, c, g)
 		}()
 	}
-
-	err := runShardWork(ctx, t.opts, t.fp, spec, attempt, fault)
-	close(hbStop)
+	b, err := runShardWork(ctx, opts, fp, g.Spec, g.Attempt, fault)
+	stopHeartbeat()
 	hbWG.Wait()
 
-	if fault == faultinject.ShardFaultKill {
-		return // dead workers don't report
-	}
-	if err != nil {
-		t.Fail(spec.Index, attempt, err)
-		return
+	switch {
+	case fault == faultinject.ShardFaultKill:
+		return nil // dead workers don't report
+	case err != nil && ctx.Err() != nil:
+		return ctx.Err()
+	case err != nil:
+		return c.Fail(ctx, g, err)
 	}
 	if fault == faultinject.ShardFaultHang {
-		// Wake up well after the lease expired (half a TTL past the
-		// deadline, several sweeper passes) so the completion is genuinely
-		// late and a reassigned attempt has had time to start.
-		late := time.Until(deadline) + t.opts.LeaseTTL/2
-		contextSleep(ctx, late)
+		// Wake up well after the lease expired (half a TTL past it, several
+		// sweeper passes) so the completion is genuinely late and a
+		// reassigned attempt has had time to start.
+		contextSleep(ctx, time.Until(lateAt))
 	}
-	t.Complete(spec.Index, attempt)
+	if _, err := c.Complete(ctx, g, b); err != nil && !errors.Is(err, ErrRejected) {
+		return err
+	}
+	return nil
 }
 
-// runShardWork characterises one shard for one lease attempt and stages the
-// artefact at shards/<id>/a<attempt>/shard.json. Every completed cell is
-// write-ahead journaled (store.Journal) in the attempt's own directory, and
-// the journals of all earlier attempts are replayed read-only first — a
-// crashed or killed attempt costs at most the cell that was in flight, and
-// a hung-but-alive previous attempt can keep appending to its own journal
-// without corrupting this one.
-func runShardWork(ctx context.Context, opts Options, fp store.Fingerprint, spec Spec, attempt int, fault faultinject.ShardFault) error {
+// heartbeat renews g every TTL/4 until ctx ends or the lease is lost.
+func heartbeat(ctx context.Context, c Coordinator, g Grant) {
+	tick := time.NewTicker(max(g.TTL/4, time.Millisecond))
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			if held, err := c.Heartbeat(ctx, g); err != nil || !held {
+				return
+			}
+		}
+	}
+}
+
+// runShardWork characterises one shard for one lease attempt, stages the
+// artefact at shards/<id>/a<attempt>/shard.json under opts.Dir and returns
+// its bytes. Every completed cell is write-ahead journaled (store.Journal)
+// in the attempt's own directory, and the journals of all earlier attempts
+// are replayed read-only first — a crashed or killed attempt costs at most
+// the cell that was in flight, and a hung-but-alive previous attempt can
+// keep appending to its own journal without corrupting this one.
+func runShardWork(ctx context.Context, opts Options, fp store.Fingerprint, spec Spec, attempt int, fault faultinject.ShardFault) ([]byte, error) {
 	cfgs, err := configsFor(opts.Charlib, spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sfp := shardFingerprint(fp, spec)
 
 	adir := attemptDir(opts.Dir, spec.ID, attempt)
 	if err := os.MkdirAll(adir, 0o755); err != nil {
-		return fmt.Errorf("shard: creating attempt dir: %w", err)
+		return nil, fmt.Errorf("shard: creating attempt dir: %w", err)
 	}
 
 	// Salvage prior attempts. Unreadable or stale journals are skipped, not
@@ -112,7 +167,7 @@ func runShardWork(ctx context.Context, opts Options, fp store.Fingerprint, spec 
 
 	j, err := store.CreateJournal(filepath.Join(adir, journalDirName), sfp)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer j.Close()
 
@@ -146,15 +201,21 @@ func runShardWork(ctx context.Context, opts Options, fp store.Fingerprint, spec 
 
 	lib, err := charlib.Characterize(shardOpts)
 	if fault == faultinject.ShardFaultKill {
-		return fmt.Errorf("shard %s attempt %d: worker killed mid-shard (fault injection)", spec.ID, attempt)
+		return nil, fmt.Errorf("shard %s attempt %d: worker killed mid-shard (fault injection)", spec.ID, attempt)
 	}
 	if err != nil {
-		return fmt.Errorf("shard %s attempt %d: %w", spec.ID, attempt, err)
+		return nil, fmt.Errorf("shard %s attempt %d: %w", spec.ID, attempt, err)
 	}
 
 	b, err := encodeArtifact(fp, spec, lib.Cells)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	// An honest worker verifies what it ships; a corrupt-fault worker then
+	// damages it, so the coordinator's verify-before-accept path is the one
+	// that must catch the damage.
+	if _, err := decodeArtifact(b, fp, spec); err != nil {
+		return nil, err
 	}
 	if fault == faultinject.ShardFaultCorrupt {
 		// Damage a run of bytes mid-file. Whatever they land on — structure,
@@ -163,41 +224,22 @@ func runShardWork(ctx context.Context, opts Options, fp store.Fingerprint, spec 
 			b[off+i] ^= 0x5a
 		}
 	}
-	return store.AtomicWrite(filepath.Join(adir, artifactName), b)
+	if err := store.AtomicWrite(filepath.Join(adir, artifactName), b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // RunAttempt characterises one shard for one lease attempt against a work
 // directory laid out like a campaign directory (opts.Dir), stages the
-// artefact there, verifies it, and returns the staged bytes. Remote workers
-// run it against a private local work directory and stream the returned
-// bytes to the coordinator; injected worker faults (opts.Fault) apply
-// exactly as they do in-process, so the corrupt-artefact path is exercised
-// end to end over the wire.
+// artefact there and returns the staged bytes, verified unless opts.Fault
+// corrupted them.
 func RunAttempt(opts Options, spec Spec, attempt int) ([]byte, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	fp := Fingerprint(opts.Charlib)
-	fault := opts.Fault.Decide(spec.Index, attempt)
-	if fault != faultinject.ShardFaultNone {
-		opts.Progress("shard %s: injecting %s (attempt %d)", spec.ID, fault, attempt)
-	}
-	if err := runShardWork(opts.Charlib.Ctx, opts, fp, spec, attempt, fault); err != nil {
-		return nil, err
-	}
-	b, err := os.ReadFile(filepath.Join(attemptDir(opts.Dir, spec.ID, attempt), artifactName))
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading staged artifact: %w", err)
-	}
-	if fault != faultinject.ShardFaultCorrupt {
-		// An honest worker verifies before shipping; a corrupt-fault worker
-		// ships the damage so the coordinator's verify-before-accept path is
-		// the one that must catch it.
-		if _, err := decodeArtifact(b, fp, spec); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return runShardWork(opts.Charlib.Ctx, opts, Fingerprint(opts.Charlib), spec, attempt,
+		opts.Fault.Decide(spec.Index, attempt))
 }
 
 // NextAttemptGen returns the next free attempt generation for a shard: one
@@ -307,15 +349,9 @@ func RunWorker(opts Options, shardID string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownShard, shardID)
 	}
 
-	attempt := NextAttemptGen(opts.Dir, spec.ID)
-
-	ctx := opts.Charlib.Ctx
-	if err := runShardWork(ctx, opts, fp, *spec, attempt, opts.Fault.Decide(spec.Index, attempt)); err != nil {
-		return err
-	}
-	staged, err := os.ReadFile(filepath.Join(attemptDir(opts.Dir, spec.ID, attempt), artifactName))
+	staged, err := RunAttempt(opts, *spec, NextAttemptGen(opts.Dir, spec.ID))
 	if err != nil {
-		return fmt.Errorf("shard: reading staged artifact: %w", err)
+		return err
 	}
 	if _, err := decodeArtifact(staged, fp, *spec); err != nil {
 		return err

@@ -14,6 +14,7 @@ import (
 
 	"sstiming/internal/engine"
 	"sstiming/internal/faultinject"
+	"sstiming/internal/shard"
 )
 
 // The net-chaos suite (make net-chaos): every test runs a real coordinator
@@ -328,5 +329,88 @@ func TestNetChaosCoordinatorRestart(t *testing.T) {
 	}
 	if len(rep2.Quarantined) != 0 {
 		t.Fatalf("restart quarantined shards: %+v", rep2.Quarantined)
+	}
+}
+
+// TestNetChaosWorkerFaults drives the worker-level faults of the in-process
+// shard-chaos suite (faultinject.ShardPlan kill, hang, corrupt) through real
+// HTTP workers. Each row must reach the coordinator report counts its
+// in-process twin asserts (TestShardChaosKill/Hang/Corrupt) and publish the
+// byte-identical library: the fault semantics live in the shared worker loop,
+// not in the transport.
+func TestNetChaosWorkerFaults(t *testing.T) {
+	wantLib, wantMan := singleProcessBaseline(t)
+	for _, tc := range []struct {
+		name       string
+		fault      faultinject.ShardFault
+		shardCells int // 1: three shards, every first attempt faulted; 3: one shard
+		workers    int
+		check      func(*shard.Report) string
+	}{
+		{"kill", faultinject.ShardFaultKill, 1, 3, func(r *shard.Report) string {
+			if r.Expired != 3 || r.Retries != 3 || r.Completed != 3 {
+				return "want expired/retries/completed 3/3/3 (killed workers never report)"
+			}
+			return ""
+		}},
+		{"hang", faultinject.ShardFaultHang, 3, 2, func(r *shard.Report) string {
+			if r.Expired != 1 || r.Completed != 1 || r.DuplicatesDiscarded != 1 || r.Retries != 1 {
+				return "want expired/completed/duplicates/retries 1/1/1/1 (hung workers stop heartbeating)"
+			}
+			return ""
+		}},
+		{"corrupt", faultinject.ShardFaultCorrupt, 1, 3, func(r *shard.Report) string {
+			if r.CorruptArtifacts != 3 || r.Retries != 3 || r.Expired != 0 {
+				return "want corrupt/retries/expired 3/3/0 (corruption is caught at the claim)"
+			}
+			return ""
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := chaosSeed(t, 17)
+			plan := faultinject.NewShardPlan(seed, 0, 0, 0)
+			for i := 0; i < 3/tc.shardCells; i++ {
+				plan.Force(i, 1, tc.fault)
+			}
+			out := filepath.Join(t.TempDir(), "lib.json")
+			copts := coordinatorOptions(t, out)
+			copts.ShardCells = tc.shardCells
+			srv, ln := startCoordinator(t, copts, "")
+			base := "http://" + ln.Addr().String()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			var wg sync.WaitGroup
+			for i := 0; i < tc.workers; i++ {
+				opts := workerOptions(t, base, fmt.Sprintf("w%d", i), seed+int64(i), nil)
+				opts.Shard.ShardCells = tc.shardCells
+				opts.Shard.Fault = plan
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := RunWorker(ctx, opts); err != nil {
+						t.Errorf("worker %s: %v", opts.Name, err)
+					}
+				}()
+			}
+			if err := srv.WaitResolved(ctx); err != nil {
+				t.Fatalf("campaign did not resolve: %v", err)
+			}
+			wg.Wait()
+			if _, err := srv.MergeAndPublish(); err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			requireIdenticalPublish(t, out, wantLib, wantMan)
+			rep := srv.Report()
+			if len(rep.Quarantined) != 0 {
+				t.Fatalf("transient faults must not quarantine: %+v", rep)
+			}
+			if msg := tc.check(rep); msg != "" {
+				t.Fatalf("report %+v: %s", rep, msg)
+			}
+		})
 	}
 }

@@ -34,7 +34,7 @@ var serverEndpoints = []string{"campaign", "lease", "heartbeat", "artifact", "co
 // ServerOptions configures a campaign coordinator server.
 type ServerOptions struct {
 	// Shard is the campaign configuration (exactly the in-process Run
-	// options; Workers/HeartbeatEvery are unused — workers are remote).
+	// options; Workers is unused — workers are remote).
 	// Set Shard.Resume to resume a coordinator over an existing campaign
 	// directory after a restart.
 	Shard shard.Options
@@ -81,10 +81,9 @@ type Server struct {
 	uploads   map[string]*upload       // shardID/attempt -> upload state
 	workers   map[string]bool          // worker name -> last lease reply was Done
 
-	sweepStop chan struct{}
-	sweepWG   sync.WaitGroup
-	httpSrv   *http.Server
-	serveErr  chan error
+	stopSweeper func()
+	httpSrv     *http.Server
+	serveErr    chan error
 }
 
 // NewServer prepares a coordinator over a campaign directory. With
@@ -125,7 +124,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		completes: make(map[string]CompleteReply),
 		uploads:   make(map[string]*upload),
 		workers:   make(map[string]bool),
-		sweepStop: make(chan struct{}),
 		serveErr:  make(chan error, 1),
 	}
 	s.info, err = EncodeMessage(&CampaignInfo{
@@ -156,27 +154,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // returns immediately; Shutdown stops both.
 func (s *Server) Start(l net.Listener) {
 	s.httpSrv = &http.Server{Handler: s.mux}
-	sweepEvery := s.tr.LeaseTTL() / 8
-	if sweepEvery > time.Second {
-		sweepEvery = time.Second
-	}
-	if sweepEvery < time.Millisecond {
-		sweepEvery = time.Millisecond
-	}
-	s.sweepWG.Add(1)
-	go func() {
-		defer s.sweepWG.Done()
-		t := time.NewTicker(sweepEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.sweepStop:
-				return
-			case <-t.C:
-				s.tr.Sweep()
-			}
-		}
-	}()
+	s.stopSweeper = s.tr.StartSweeper()
 	go func() {
 		if err := s.httpSrv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			select {
@@ -194,8 +172,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
 	}
-	close(s.sweepStop)
-	s.sweepWG.Wait()
+	if s.stopSweeper != nil {
+		s.stopSweeper()
+	}
 	select {
 	case serr := <-s.serveErr:
 		if err == nil {
@@ -359,7 +338,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		ShardID:    g.Spec.ID,
 		Index:      g.Spec.Index,
 		Attempt:    g.Attempt,
-		LeaseTTLMs: s.tr.LeaseTTL().Milliseconds(),
+		LeaseTTLMs: g.TTL.Milliseconds(),
 	}
 	s.mu.Lock()
 	s.grants[req.IdempotencyKey] = grantEntry{grant: grant}
@@ -374,13 +353,24 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !s.readMessage(w, r, &req) {
 		return
 	}
-	idx, ok := s.tr.IndexOf(req.ShardID)
+	g, ok := s.grantFor(w, req.ShardID, req.Attempt)
 	if !ok {
-		s.writeErr(w, http.StatusNotFound, "unknown-shard",
-			fmt.Errorf("%w: %q", shard.ErrUnknownShard, req.ShardID), 0)
 		return
 	}
-	writeReply(w, http.StatusOK, &HeartbeatReply{Held: s.tr.Heartbeat(idx, req.Attempt)})
+	held, _ := s.tr.Heartbeat(r.Context(), g) // the tracker never fails a heartbeat
+	writeReply(w, http.StatusOK, &HeartbeatReply{Held: held})
+}
+
+// grantFor resolves a wire (shard, attempt) pair to the tracker grant it
+// names, answering 404 for a shard the campaign does not list.
+func (s *Server) grantFor(w http.ResponseWriter, shardID string, attempt int) (shard.Grant, bool) {
+	idx, ok := s.tr.IndexOf(shardID)
+	if !ok {
+		s.writeErr(w, http.StatusNotFound, "unknown-shard",
+			fmt.Errorf("%w: %q", shard.ErrUnknownShard, shardID), 0)
+		return shard.Grant{}, false
+	}
+	return shard.Grant{Spec: s.tr.Specs()[idx], Attempt: attempt}, true
 }
 
 // uploadFor returns the upload state for one attempt, rebuilding its size
@@ -433,9 +423,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w: artifact upload needs a non-negative offset", ErrBadMessage), 0)
 		return
 	}
-	if _, ok := s.tr.IndexOf(shardID); !ok {
-		s.writeErr(w, http.StatusNotFound, "unknown-shard",
-			fmt.Errorf("%w: %q", shard.ErrUnknownShard, shardID), 0)
+	if _, ok := s.grantFor(w, shardID, attempt); !ok {
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxChunkBytes+1))
@@ -509,10 +497,8 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Unlock()
-	idx, ok := s.tr.IndexOf(req.ShardID)
+	g, ok := s.grantFor(w, req.ShardID, req.Attempt)
 	if !ok {
-		s.writeErr(w, http.StatusNotFound, "unknown-shard",
-			fmt.Errorf("%w: %q", shard.ErrUnknownShard, req.ShardID), 0)
 		return
 	}
 
@@ -551,7 +537,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	status, cerr := s.tr.Complete(idx, req.Attempt)
+	status, cerr := s.tr.Complete(r.Context(), g, b)
 	reply := CompleteReply{Status: status.String()}
 	if cerr != nil && status == shard.CompleteRejected {
 		reply.Reason = cerr.Error()
@@ -569,17 +555,15 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	if !s.readMessage(w, r, &req) {
 		return
 	}
-	idx, ok := s.tr.IndexOf(req.ShardID)
+	g, ok := s.grantFor(w, req.ShardID, req.Attempt)
 	if !ok {
-		s.writeErr(w, http.StatusNotFound, "unknown-shard",
-			fmt.Errorf("%w: %q", shard.ErrUnknownShard, req.ShardID), 0)
 		return
 	}
 	reason := req.Reason
 	if reason == "" {
 		reason = "worker reported failure"
 	}
-	s.tr.Fail(idx, req.Attempt, errors.New(reason))
+	_ = s.tr.Fail(r.Context(), g, errors.New(reason)) // the tracker never fails a report
 	writeReply(w, http.StatusOK, &OKReply{OK: true})
 }
 

@@ -3,10 +3,13 @@ package shardnet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,4 +245,50 @@ func TestNetCampaignClean(t *testing.T) {
 	if total != rep.Shards {
 		t.Fatalf("workers completed %d shards, campaign has %d", total, rep.Shards)
 	}
+}
+
+// dropHeartbeats fails every heartbeat exchange on the wire.
+type dropHeartbeats struct{}
+
+func (dropHeartbeats) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/heartbeat") {
+		return nil, errors.New("heartbeat dropped")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWorkerExitOnLeaseLost: a worker whose heartbeats never arrive loses
+// its lease, still finishes and claims the attempt (the open shard accepts
+// it), and only then stops with ErrLeaseLost instead of leasing again.
+func TestWorkerExitOnLeaseLost(t *testing.T) {
+	wantLib, wantMan := singleProcessBaseline(t)
+	out := filepath.Join(t.TempDir(), "lib.json")
+	copts := coordinatorOptions(t, out)
+	copts.ShardCells = 3 // one shard, long enough to outlast a heartbeat period
+	srv, ln := startCoordinator(t, copts, "")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	opts := workerOptions(t, "http://"+ln.Addr().String(), "w0", 1, nil)
+	opts.Shard.ShardCells = 3
+	opts.Client.Transport = dropHeartbeats{}
+	opts.Client.MaxAttempts = 2
+	opts.ExitOnLeaseLost = true
+	rep, err := RunWorker(ctx, opts)
+	if !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("worker error = %v, want ErrLeaseLost", err)
+	}
+	if rep.LeaseLost != 1 || rep.Completed != 1 {
+		t.Fatalf("worker report %+v: want the lost lease's attempt claimed and accepted", rep)
+	}
+	if err := srv.WaitResolved(ctx); err != nil {
+		t.Fatalf("campaign did not resolve: %v", err)
+	}
+	if _, err := srv.MergeAndPublish(); err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	requireIdenticalPublish(t, out, wantLib, wantMan)
 }

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sstiming/internal/shard"
@@ -27,10 +25,10 @@ type WorkerOptions struct {
 	// Name identifies this worker in lease requests and logs; "" selects
 	// "worker".
 	Name string
-	// ExitOnLeaseLost makes the worker return ErrLeaseLost as soon as one
-	// of its leases is reassigned, instead of continuing with the next
-	// lease — the mode a supervisor uses to restart workers intelligently
-	// (exit code 2 in cmd/characterize).
+	// ExitOnLeaseLost makes the worker return ErrLeaseLost once one of its
+	// leases was reassigned (after claiming that lease's attempt), instead
+	// of continuing with the next lease — the mode a supervisor uses to
+	// restart workers intelligently (exit code 2 in cmd/characterize).
 	ExitOnLeaseLost bool
 	// Progress, when non-nil, receives one line per worker event.
 	Progress func(format string, args ...any)
@@ -82,182 +80,127 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (*WorkerReport, error) {
 	if err := shard.ComparePlan(opts.Shard, info.Fingerprint, info.Shards); err != nil {
 		return rep, fmt.Errorf("%w: %v", ErrFatal, err)
 	}
+	return rep, shard.Work(ctx, &remote{c: client, opts: opts, rep: rep, specs: info.Shards}, opts.Shard)
+}
 
-	leaseSeq := 0
+// remote is the shard.Coordinator a networked worker loop talks to: each
+// call is one wire exchange (or, for Complete, the upload+claim exchange)
+// under an idempotency key, with the worker's report kept alongside.
+type remote struct {
+	c     *Client
+	opts  WorkerOptions
+	rep   *WorkerReport
+	specs []shard.Spec // the advertised plan, equal to the worker's own
+	seq   int          // lease requests issued, for their idempotency keys
+	lost  *shard.Grant // last lease reassigned under this worker
+}
+
+// Lease polls for a grant, sleeping out the coordinator's retry hints.
+func (w *remote) Lease(ctx context.Context) (*shard.Grant, error) {
+	if g := w.lost; g != nil && w.opts.ExitOnLeaseLost {
+		return nil, fmt.Errorf("%w: shard %s attempt %d reassigned", ErrLeaseLost, g.Spec.ID, g.Attempt)
+	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return rep, err
+			return nil, err
 		}
-		leaseSeq++
-		key := fmt.Sprintf("%s-l%06d", opts.Name, leaseSeq)
-		reply, err := client.Lease(ctx, opts.Name, key)
+		w.seq++
+		reply, err := w.c.Lease(ctx, w.opts.Name, fmt.Sprintf("%s-l%06d", w.opts.Name, w.seq))
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 		if reply.Done {
-			opts.Progress("%s: campaign resolved, exiting", opts.Name)
-			return rep, nil
+			w.opts.Progress("%s: campaign resolved, exiting", w.opts.Name)
+			return nil, nil
 		}
-		if reply.Grant == nil {
-			wait := time.Duration(reply.RetryAfterMs) * time.Millisecond
-			if wait <= 0 {
-				wait = 50 * time.Millisecond
+		if g := reply.Grant; g != nil {
+			// ComparePlan already pinned the table; an unknown grant means
+			// a confused coordinator.
+			if g.Index < 0 || g.Index >= len(w.specs) || w.specs[g.Index].ID != g.ShardID {
+				return nil, fmt.Errorf("%w: grant names unknown shard %q", ErrFatal, g.ShardID)
 			}
-			select {
-			case <-ctx.Done():
-				return rep, ctx.Err()
-			case <-time.After(wait):
-			}
-			continue
+			w.rep.Leases++
+			w.opts.Progress("%s: leased shard %s (attempt %d)", w.opts.Name, g.ShardID, g.Attempt)
+			return &shard.Grant{
+				Spec:    w.specs[g.Index],
+				Attempt: g.Attempt,
+				TTL:     time.Duration(g.LeaseTTLMs) * time.Millisecond,
+			}, nil
 		}
-
-		rep.Leases++
-		lost, err := runOneLease(ctx, client, opts, rep, reply.Grant)
-		if err != nil {
-			return rep, err
+		wait := time.Duration(reply.RetryAfterMs) * time.Millisecond
+		if wait <= 0 {
+			wait = 50 * time.Millisecond
 		}
-		if lost && opts.ExitOnLeaseLost {
-			return rep, fmt.Errorf("%w: shard %s attempt %d reassigned",
-				ErrLeaseLost, reply.Grant.ShardID, reply.Grant.Attempt)
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(wait):
 		}
 	}
 }
 
-// runOneLease executes one granted lease end to end: heartbeat in the
-// background, characterise locally, upload, claim completion. It reports
-// whether the lease was lost; only transport-fatal conditions return an
-// error.
-func runOneLease(ctx context.Context, client *Client, opts WorkerOptions, rep *WorkerReport, grant *LeaseGrant) (lost bool, err error) {
-	opts.Progress("%s: leased shard %s (attempt %d)", opts.Name, grant.ShardID, grant.Attempt)
-	spec, ok := specFor(opts.Shard, grant)
-	if !ok {
-		// ComparePlan already pinned the table; an unknown grant means a
-		// confused coordinator.
-		return false, fmt.Errorf("%w: grant names unknown shard %q", ErrFatal, grant.ShardID)
+// Heartbeat renews the lease. Held=false, or a heartbeat that cannot reach
+// the coordinator past its whole retry budget, counts the lease as lost.
+func (w *remote) Heartbeat(ctx context.Context, g shard.Grant) (bool, error) {
+	held, err := w.c.Heartbeat(ctx, g.Spec.ID, g.Attempt)
+	if ctx.Err() != nil || (err == nil && held) {
+		return held, err
 	}
-
-	// Heartbeat for as long as the attempt runs. Held=false — or a
-	// heartbeat that cannot reach the coordinator past its whole retry
-	// budget — cancels the attempt: its lease will be (or already was)
-	// reassigned, and finishing the characterisation would only produce a
-	// late duplicate.
-	attemptCtx, cancelAttempt := context.WithCancel(ctx)
-	defer cancelAttempt()
-	var leaseLost atomic.Bool
-	hbEvery := time.Duration(grant.LeaseTTLMs) * time.Millisecond / 4
-	if hbEvery < time.Millisecond {
-		hbEvery = time.Millisecond
+	if err != nil {
+		w.opts.Progress("%s: heartbeat for %s/%d undeliverable: %v", w.opts.Name, g.Spec.ID, g.Attempt, err)
 	}
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		t := time.NewTicker(hbEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				held, herr := client.Heartbeat(attemptCtx, grant.ShardID, grant.Attempt)
-				if herr != nil {
-					if attemptCtx.Err() != nil {
-						return
-					}
-					opts.Progress("%s: heartbeat for %s/%d undeliverable: %v",
-						opts.Name, grant.ShardID, grant.Attempt, herr)
-					leaseLost.Store(true)
-					cancelAttempt()
-					return
-				}
-				if !held {
-					opts.Progress("%s: lease on %s/%d lost", opts.Name, grant.ShardID, grant.Attempt)
-					leaseLost.Store(true)
-					cancelAttempt()
-					return
-				}
-			}
-		}
-	}()
+	w.opts.Progress("%s: lease on %s/%d lost", w.opts.Name, g.Spec.ID, g.Attempt)
+	w.rep.LeaseLost++
+	w.lost = &g
+	return held, err
+}
 
-	shardOpts := opts.Shard
-	shardOpts.Charlib.Ctx = attemptCtx
-	artefact, runErr := shard.RunAttempt(shardOpts, spec, grant.Attempt)
-	close(hbStop)
-	hbWG.Wait()
-
-	if runErr != nil {
-		if leaseLost.Load() {
-			rep.LeaseLost++
-			// No failure report: the coordinator already expired this
-			// lease, and a stale report would be absorbed anyway.
-			return true, nil
-		}
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		rep.Failed++
-		opts.Progress("%s: attempt %s/%d failed: %v", opts.Name, grant.ShardID, grant.Attempt, runErr)
-		if ferr := client.Fail(ctx, grant.ShardID, grant.Attempt, runErr.Error()); ferr != nil {
-			return false, ferr
-		}
-		return false, nil
-	}
-
-	// Upload + claim. A lease lost during upload is NOT a reason to stop:
-	// the claim is still submitted, and the coordinator either accepts the
-	// verified artefact (shard still open) or absorbs it as a duplicate —
-	// the resurrected-worker path, exercised for real.
+// Complete uploads the artefact and claims it. The claim is submitted even
+// when the lease was lost: the coordinator either accepts the verified
+// artefact (shard still open) or absorbs it as a duplicate.
+func (w *remote) Complete(ctx context.Context, g shard.Grant, artefact []byte) (shard.CompleteStatus, error) {
 	sum := sha256.Sum256(artefact)
 	claim := &CompleteRequest{
-		ShardID:        grant.ShardID,
-		Attempt:        grant.Attempt,
+		ShardID:        g.Spec.ID,
+		Attempt:        g.Attempt,
 		Size:           int64(len(artefact)),
 		SHA256:         hex.EncodeToString(sum[:]),
-		IdempotencyKey: fmt.Sprintf("%s-c-%s-a%d", opts.Name, grant.ShardID, grant.Attempt),
+		IdempotencyKey: fmt.Sprintf("%s-c-%s-a%d", w.opts.Name, g.Spec.ID, g.Attempt),
 	}
 	// upload-incomplete claims re-upload and re-claim: bounded by the
 	// artefact's chunk count plus slack, not unbounded.
 	for round := 0; ; round++ {
-		if err := client.UploadArtifact(ctx, grant.ShardID, grant.Attempt, artefact); err != nil {
-			return leaseLost.Load(), err
+		if err := w.c.UploadArtifact(ctx, g.Spec.ID, g.Attempt, artefact); err != nil {
+			return shard.CompleteRejected, err
 		}
-		reply, cerr := client.Complete(ctx, claim)
-		if cerr != nil {
-			if errors.Is(cerr, errUploadIncomplete) && round < 3 {
-				opts.Progress("%s: claim for %s/%d needs re-upload: %v",
-					opts.Name, grant.ShardID, grant.Attempt, cerr)
+		reply, err := w.c.Complete(ctx, claim)
+		if err != nil {
+			if errors.Is(err, errUploadIncomplete) && round < 3 {
+				w.opts.Progress("%s: claim for %s/%d needs re-upload: %v", w.opts.Name, g.Spec.ID, g.Attempt, err)
 				continue
 			}
-			return leaseLost.Load(), cerr
+			return shard.CompleteRejected, err
 		}
 		switch reply.Status {
 		case "accepted":
-			rep.Completed++
-			opts.Progress("%s: shard %s completed (attempt %d)", opts.Name, grant.ShardID, grant.Attempt)
+			w.rep.Completed++
+			w.opts.Progress("%s: shard %s completed (attempt %d)", w.opts.Name, g.Spec.ID, g.Attempt)
+			return shard.CompleteAccepted, nil
 		case "duplicate":
-			rep.Duplicates++
-			opts.Progress("%s: shard %s claim was a duplicate (attempt %d)", opts.Name, grant.ShardID, grant.Attempt)
+			w.rep.Duplicates++
+			w.opts.Progress("%s: shard %s claim was a duplicate (attempt %d)", w.opts.Name, g.Spec.ID, g.Attempt)
+			return shard.CompleteDuplicate, nil
 		default:
-			rep.Rejected++
-			opts.Progress("%s: shard %s claim rejected (attempt %d): %s",
-				opts.Name, grant.ShardID, grant.Attempt, reply.Reason)
+			w.rep.Rejected++
+			w.opts.Progress("%s: shard %s claim rejected (attempt %d): %s", w.opts.Name, g.Spec.ID, g.Attempt, reply.Reason)
+			return shard.CompleteRejected, fmt.Errorf("%w: %s", shard.ErrRejected, reply.Reason)
 		}
-		return leaseLost.Load(), nil
 	}
 }
 
-// specFor resolves a grant to the worker's locally-derived spec.
-func specFor(opts shard.Options, grant *LeaseGrant) (shard.Spec, bool) {
-	specs, err := shard.PlanFor(opts)
-	if err != nil {
-		return shard.Spec{}, false
-	}
-	for _, s := range specs {
-		if s.ID == grant.ShardID && s.Index == grant.Index {
-			return s, true
-		}
-	}
-	return shard.Spec{}, false
+// Fail reports a worker-side attempt failure.
+func (w *remote) Fail(ctx context.Context, g shard.Grant, cause error) error {
+	w.rep.Failed++
+	w.opts.Progress("%s: attempt %s/%d failed: %v", w.opts.Name, g.Spec.ID, g.Attempt, cause)
+	return w.c.Fail(ctx, g.Spec.ID, g.Attempt, cause.Error())
 }
