@@ -143,9 +143,11 @@ bench-smoke:
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
-# Engine scaling: characterisation wall-clock vs worker count.
+# Engine scaling vs worker count: characterisation wall-clock, and the
+# level-parallel c7552 timing-graph build (time and allocations).
 bench-parallel:
 	$(GO) test -run '^$$' -bench=CharacterizeParallel -benchtime=3x .
+	$(GO) test -run '^$$' -bench=BuildParallel -benchmem .
 
 clean:
 	$(GO) clean ./...

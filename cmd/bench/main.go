@@ -52,6 +52,7 @@ import (
 	"sstiming/internal/atpg"
 	"sstiming/internal/benchgen"
 	"sstiming/internal/core"
+	"sstiming/internal/engine"
 	"sstiming/internal/netlist"
 	"sstiming/internal/prechar"
 	"sstiming/internal/sta"
@@ -165,6 +166,8 @@ func main() {
 	faults := flag.Int("faults", 12, "crosstalk faults in the ATPG comparison")
 	smoke := flag.Bool("smoke", false, "seconds-scale run on tiny circuits; validate schema and discard")
 	flag.Parse()
+	// The analysis layers run Jobs <= 1 serially; "all CPUs" is resolved here.
+	*jobs = engine.Workers(*jobs)
 
 	lib := prechar.MustLibrary()
 

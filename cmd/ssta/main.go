@@ -35,6 +35,8 @@ func main() {
 	windows := flag.Bool("windows", false, "print per-line timing windows")
 	sdfOut := flag.String("sdf", "", "write the circuit's pin-to-pin delays to this SDF file")
 	flag.Parse()
+	// The analysis layers run Jobs <= 1 serially; "all CPUs" is resolved here.
+	*jobs = engine.Workers(*jobs)
 
 	var met *engine.Metrics
 	if *stats {

@@ -82,7 +82,8 @@ func main() {
 	if *pinToPin {
 		mode = logicsim.ModePinToPin
 	}
-	opts := logicsim.Options{Lib: lib, Mode: mode, Jobs: *jobs, Metrics: met}
+	// logicsim runs Jobs <= 1 serially; "all CPUs" is resolved here.
+	opts := logicsim.Options{Lib: lib, Mode: mode, Jobs: engine.Workers(*jobs), Metrics: met}
 
 	var res *logicsim.Result
 	if *faultStr != "" {

@@ -129,8 +129,8 @@ type Options struct {
 	// Aborted.
 	Ctx context.Context
 	// Jobs bounds the engine worker pool RunCampaign uses to target
-	// faults concurrently; zero or one runs serially. Per-fault results
-	// are independent of the worker count.
+	// faults concurrently; one runs serially, zero or less selects
+	// GOMAXPROCS. Per-fault results are independent of the worker count.
 	Jobs int
 	// CampaignBudget, when positive, bounds the total backtracks summed
 	// over all faults of RunCampaign; once exhausted the remaining

@@ -203,6 +203,15 @@ func Safely(fn func() error) error {
 // independent of scheduling. On failure Run cancels outstanding jobs and
 // reports the lowest-indexed real job error it observed (never the
 // cancellation noise of jobs stopped by someone else's failure).
+//
+// Scheduling: min(workers, n) workers — the calling goroutine plus
+// workers-1 started ones — claim contiguous index chunks from one atomic
+// counter. A chunk is a quarter of the remaining indices' fair share,
+// capped at maxChunk, so early claims are coarse and the tail hands out
+// single indices for balance. Per call Run makes one derived context and
+// one recovery frame per worker; per job it does only the claim arithmetic
+// and a non-blocking cancellation check, which keeps a fan-out of
+// microsecond jobs (one STA level) at the CPU cost of a serial loop.
 func Run(ctx context.Context, workers, n int, job func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -210,7 +219,8 @@ func Run(ctx context.Context, workers, n int, job func(ctx context.Context, i in
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if Workers(workers) == 1 || n == 1 {
+	w := min(Workers(workers), n)
+	if w == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -222,40 +232,110 @@ func Run(ctx context.Context, workers, n int, job func(ctx context.Context, i in
 		return nil
 	}
 
-	errs := make([]error, n)
-	p := NewPool(ctx, workers)
-	for i := 0; i < n; i++ {
-		i := i
-		submitErr := p.Go(func(ctx context.Context) error {
-			errs[i] = protect(ctx, func(ctx context.Context) error { return job(ctx, i) })
-			return errs[i]
-		})
-		if submitErr != nil {
-			// The pool context is cancelled (a job failed, or the caller's
-			// context fired); further submissions would all be rejected too.
-			break
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	r := runner{ctx: ctx, cancel: cancel, done: ctx.Done(), job: job, n: int64(n), w: int64(w), firstReal: -1, firstAny: -1}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			r.work()
+		}()
+	}
+	r.work()
+	wg.Wait()
+	return r.result()
+}
+
+// maxChunk bounds one claim, so a run of slow jobs at one end of a large
+// range cannot pin a big share of the work on one worker.
+const maxChunk = 64
+
+// runner is the shared state of one parallel Run.
+type runner struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   <-chan struct{}
+	job    func(ctx context.Context, i int) error
+	n, w   int64
+	next   atomic.Int64
+	halted atomic.Bool // a worker saw the context done before finishing
+
+	mu                  sync.Mutex
+	firstReal, firstAny int64 // lowest failing index; -1 when none
+	realErr, anyErr     error
+}
+
+// claim reserves the next chunk of indices; ok is false once all are taken.
+func (r *runner) claim() (lo, hi int64, ok bool) {
+	for {
+		lo = r.next.Load()
+		if lo >= r.n {
+			return 0, 0, false
+		}
+		size := min(max((r.n-lo)/(4*r.w), 1), maxChunk)
+		if r.next.CompareAndSwap(lo, lo+size) {
+			return lo, lo + size, true
 		}
 	}
-	poolErr := p.Wait()
-	if poolErr == nil {
-		return nil
-	}
-	// Deterministic selection: lowest index wins, and a real job failure
-	// beats a context-cancellation error caused by someone else failing.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
+}
+
+// work runs claimed chunks until the indices run out, the context is done,
+// or a job fails. A panic ends this worker after recording it against the
+// index that raised it.
+func (r *runner) work() {
+	i := int64(-1)
+	defer func() {
+		if v := recover(); v != nil {
+			r.fail(i, &PanicError{Value: v, Stack: debug.Stack()})
 		}
-		if first == nil {
-			first = err
+	}()
+	for {
+		lo, hi, ok := r.claim()
+		if !ok {
+			return
 		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return err
+		for i = lo; i < hi; i++ {
+			select {
+			case <-r.done:
+				r.halted.Store(true)
+				return
+			default:
+			}
+			if err := r.job(r.ctx, int(i)); err != nil {
+				r.fail(i, err)
+				return
+			}
 		}
 	}
-	if first != nil {
-		return first
+}
+
+// fail records a job error and cancels the fan-out.
+func (r *runner) fail(i int64, err error) {
+	r.mu.Lock()
+	if r.firstAny < 0 || i < r.firstAny {
+		r.firstAny, r.anyErr = i, err
 	}
-	return poolErr
+	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) &&
+		(r.firstReal < 0 || i < r.firstReal) {
+		r.firstReal, r.realErr = i, err
+	}
+	r.mu.Unlock()
+	r.cancel()
+}
+
+// result selects the error to report: the lowest-indexed real job failure
+// beats cancellation noise; a fan-out stopped by the caller's context
+// reports that context's error.
+func (r *runner) result() error {
+	switch {
+	case r.realErr != nil:
+		return r.realErr
+	case r.anyErr != nil:
+		return r.anyErr
+	case r.halted.Load():
+		return r.ctx.Err()
+	}
+	return nil
 }

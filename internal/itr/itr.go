@@ -137,7 +137,8 @@ func Refine(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Result, error
 
 // FromGraph snapshots a persistent timing graph's current line states as a
 // refinement Result. The snapshot is a copy: later graph edits do not
-// disturb it.
+// disturb it. The map's values point into one slice, so the copy costs the
+// map plus one allocation.
 func FromGraph(g *tgraph.Graph) *Result {
 	res := &Result{
 		Circuit: g.Circuit(),
@@ -145,9 +146,10 @@ func FromGraph(g *tgraph.Graph) *Result {
 		Cube:    g.ImpliedCube().Clone(),
 		Lines:   make(map[string]*LineInfo, g.NumLines()),
 	}
+	lis := make([]LineInfo, 0, g.NumLines())
 	g.Lines(func(net string, li twindow.LineInfo) {
-		cp := li
-		res.Lines[net] = &cp
+		lis = append(lis, li)
+		res.Lines[net] = &lis[len(lis)-1]
 	})
 	return res
 }

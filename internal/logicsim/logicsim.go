@@ -171,7 +171,7 @@ func Simulate(c *netlist.Circuit, v1, v2 Vector, opts Options) (*Result, error) 
 			return nil, fmt.Errorf("logicsim: %w", err)
 		}
 		outs := make([]gateOut, len(lv))
-		if engine.Workers(opts.Jobs) == 1 || len(lv) == 1 {
+		if opts.Jobs <= 1 || len(lv) == 1 {
 			for i, gi := range lv {
 				var err error
 				if outs[i], err = evalGate(gi); err != nil {

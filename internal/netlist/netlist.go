@@ -112,13 +112,38 @@ type Gate struct {
 // CellName returns the library cell name implementing this gate
 // ("INV", "NAND2", "NOR3", ...). Buffers map to "INV" timing-wise (the
 // closest library cell; logic evaluation still treats them as buffers).
+// Names of up to maxNamedArity inputs come from a static table, so the
+// per-gate library lookups of the timing passes allocate nothing.
 func (g *Gate) CellName() string {
+	n := len(g.Inputs)
 	switch g.Kind {
 	case Inv, Buf:
 		return "INV"
+	case Nand:
+		if n <= maxNamedArity {
+			return nandNames[n]
+		}
+		return fmt.Sprintf("NAND%d", n)
+	case Nor:
+		if n <= maxNamedArity {
+			return norNames[n]
+		}
+		return fmt.Sprintf("NOR%d", n)
 	default:
-		return fmt.Sprintf("%s%d", map[GateKind]string{Nand: "NAND", Nor: "NOR"}[g.Kind], len(g.Inputs))
+		return fmt.Sprintf("%d", n)
 	}
+}
+
+// maxNamedArity is the widest gate whose cell name is precomputed.
+const maxNamedArity = 16
+
+var nandNames, norNames = cellNames("NAND"), cellNames("NOR")
+
+func cellNames(prefix string) (names [maxNamedArity + 1]string) {
+	for n := range names {
+		names[n] = fmt.Sprintf("%s%d", prefix, n)
+	}
+	return names
 }
 
 // Circuit is a combinational gate-level circuit.
@@ -132,12 +157,18 @@ type Circuit struct {
 	// Gates are the gate instances.
 	Gates []Gate
 
-	driver  map[string]int   // net -> driving gate index (absent for PIs)
-	fanout  map[string][]int // net -> consuming gate indices
-	order   []int            // topologically sorted gate indices
-	level   []int            // per-gate logic level
-	isPI    map[string]bool
-	builtOK bool // Build succeeded since the last mutation
+	// Build interns every net to a dense ID: primary inputs take
+	// 0..len(PIs)-1 in declaration order, gate i's output takes
+	// len(PIs)+i. A net's driving gate and whether it is a primary input
+	// follow from the ID alone; the other indexes are arrays over IDs.
+	ids      map[string]int32 // net name -> net ID
+	inOff    []int32          // gate i's input IDs: inIDs[inOff[i]:inOff[i+1]]
+	inIDs    []int32
+	fanOff   []int32 // net id's consumers: fanGates[fanOff[id]:fanOff[id+1]]
+	fanGates []int
+	order    []int // topologically sorted gate indices
+	level    []int // per-gate logic level
+	builtOK  bool  // Build succeeded since the last mutation
 }
 
 // New creates an empty circuit with the given name.
@@ -166,27 +197,28 @@ func (c *Circuit) AddGate(kind GateKind, output string, inputs ...string) int {
 }
 
 func (c *Circuit) invalidate() {
-	c.driver = nil
-	c.fanout = nil
+	c.ids = nil
+	c.inOff, c.inIDs = nil, nil
+	c.fanOff, c.fanGates = nil, nil
 	c.order = nil
 	c.level = nil
-	c.isPI = nil
 	c.builtOK = false
 }
 
-// Build validates the circuit structure, indexes drivers/fanouts and
-// computes a topological order. It must be called (directly or via Parse)
-// before the traversal accessors are used.
+// Build validates the circuit structure, interns nets to dense IDs,
+// indexes fan-outs and computes a topological order. It must be called
+// (directly or via Parse) before the traversal accessors are used.
 func (c *Circuit) Build() error {
-	c.driver = make(map[string]int, len(c.Gates))
-	c.fanout = make(map[string][]int)
-	c.isPI = make(map[string]bool, len(c.PIs))
-	for _, pi := range c.PIs {
-		if c.isPI[pi] {
+	c.builtOK = false
+	nPI := len(c.PIs)
+	c.ids = make(map[string]int32, nPI+len(c.Gates))
+	for i, pi := range c.PIs {
+		if _, dup := c.ids[pi]; dup {
 			return fmt.Errorf("netlist: %s: duplicate primary input %q", c.Name, pi)
 		}
-		c.isPI[pi] = true
+		c.ids[pi] = int32(i)
 	}
+	pins := 0
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		g.ID = i
@@ -196,38 +228,55 @@ func (c *Circuit) Build() error {
 		if (g.Kind == Inv || g.Kind == Buf) && len(g.Inputs) != 1 {
 			return fmt.Errorf("netlist: %s: %v gate %q must have exactly 1 input", c.Name, g.Kind, g.Output)
 		}
-		if _, dup := c.driver[g.Output]; dup {
+		if id, dup := c.ids[g.Output]; dup {
+			if int(id) < nPI {
+				return fmt.Errorf("netlist: %s: net %q is both a primary input and gate output", c.Name, g.Output)
+			}
 			return fmt.Errorf("netlist: %s: net %q has multiple drivers", c.Name, g.Output)
 		}
-		if c.isPI[g.Output] {
-			return fmt.Errorf("netlist: %s: net %q is both a primary input and gate output", c.Name, g.Output)
-		}
-		c.driver[g.Output] = i
+		c.ids[g.Output] = int32(nPI + i)
+		pins += len(g.Inputs)
 	}
+	nNets := nPI + len(c.Gates)
+	c.inOff = make([]int32, len(c.Gates)+1)
+	c.inIDs = make([]int32, 0, pins)
+	c.fanOff = make([]int32, nNets+1)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		for _, in := range g.Inputs {
-			if !c.isPI[in] {
-				if _, ok := c.driver[in]; !ok {
-					return fmt.Errorf("netlist: %s: gate %q input %q is undriven", c.Name, g.Output, in)
-				}
+			id, ok := c.ids[in]
+			if !ok {
+				return fmt.Errorf("netlist: %s: gate %q input %q is undriven", c.Name, g.Output, in)
 			}
-			c.fanout[in] = append(c.fanout[in], i)
+			c.inIDs = append(c.inIDs, id)
+			c.fanOff[id+1]++
 		}
+		c.inOff[i+1] = int32(len(c.inIDs))
 	}
 	for _, po := range c.POs {
-		if !c.isPI[po] {
-			if _, ok := c.driver[po]; !ok {
-				return fmt.Errorf("netlist: %s: primary output %q is undriven", c.Name, po)
-			}
+		if _, ok := c.ids[po]; !ok {
+			return fmt.Errorf("netlist: %s: primary output %q is undriven", c.Name, po)
+		}
+	}
+	// Fan-out lists in CSR form, each in gate order (a gate reading a net
+	// on two pins appears twice, as it loads the net twice).
+	for id := 0; id < nNets; id++ {
+		c.fanOff[id+1] += c.fanOff[id]
+	}
+	c.fanGates = make([]int, pins)
+	fill := append([]int32(nil), c.fanOff[:nNets]...)
+	for i := range c.Gates {
+		for _, id := range c.inputIDs(i) {
+			c.fanGates[fill[id]] = i
+			fill[id]++
 		}
 	}
 
 	// Kahn topological sort over gates.
 	indeg := make([]int, len(c.Gates))
 	for i := range c.Gates {
-		for _, in := range c.Gates[i].Inputs {
-			if _, ok := c.driver[in]; ok {
+		for _, id := range c.inputIDs(i) {
+			if int(id) >= nPI {
 				indeg[i]++
 			}
 		}
@@ -245,13 +294,13 @@ func (c *Circuit) Build() error {
 		queue = queue[1:]
 		c.order = append(c.order, i)
 		lvl := 0
-		for _, in := range c.Gates[i].Inputs {
-			if d, ok := c.driver[in]; ok && c.level[d]+1 > lvl {
+		for _, id := range c.inputIDs(i) {
+			if d := int(id) - nPI; d >= 0 && c.level[d]+1 > lvl {
 				lvl = c.level[d] + 1
 			}
 		}
 		c.level[i] = lvl
-		for _, succ := range c.fanout[c.Gates[i].Output] {
+		for _, succ := range c.fanout(nPI + i) {
 			indeg[succ]--
 			if indeg[succ] == 0 {
 				queue = append(queue, succ)
@@ -324,36 +373,81 @@ func (c *Circuit) Depth() int {
 // Driver returns the gate index driving the net and whether one exists
 // (false for primary inputs).
 func (c *Circuit) Driver(net string) (int, bool) {
-	if !c.built() {
+	id, ok := c.NetID(net)
+	if !ok || id < len(c.PIs) {
 		return 0, false
 	}
-	i, ok := c.driver[net]
-	return i, ok
+	return id - len(c.PIs), true
 }
 
 // Fanout returns the gate indices consuming the net.
 func (c *Circuit) Fanout(net string) []int {
-	if !c.built() {
+	id, ok := c.NetID(net)
+	if !ok {
 		return nil
 	}
-	return c.fanout[net]
+	return c.NetFanout(id)
 }
 
 // FanoutCount returns the number of gate inputs the net drives; nets feeding
 // primary outputs count at least 1 (the implicit output load).
 func (c *Circuit) FanoutCount(net string) int {
-	if !c.built() {
-		return 1
-	}
-	n := len(c.fanout[net])
-	if n == 0 {
-		return 1
-	}
-	return n
+	return max(len(c.Fanout(net)), 1)
 }
 
 // IsPI reports whether the net is a primary input.
-func (c *Circuit) IsPI(net string) bool { return c.built() && c.isPI[net] }
+func (c *Circuit) IsPI(net string) bool {
+	id, ok := c.NetID(net)
+	return ok && id < len(c.PIs)
+}
+
+// NumNets returns the number of nets, len(PIs) + len(Gates): the bound of
+// the dense net IDs.
+func (c *Circuit) NumNets() int { return len(c.PIs) + len(c.Gates) }
+
+// NetID returns the dense ID of a net (see Build for the numbering) and
+// whether the circuit has such a net.
+func (c *Circuit) NetID(net string) (int, bool) {
+	if !c.built() {
+		return 0, false
+	}
+	id, ok := c.ids[net]
+	return int(id), ok
+}
+
+// NetName returns the name of the net with the given ID.
+func (c *Circuit) NetName(id int) string {
+	if id < len(c.PIs) {
+		return c.PIs[id]
+	}
+	return c.Gates[id-len(c.PIs)].Output
+}
+
+// GateInputIDs returns the net IDs of gate i's inputs, in pin order
+// (shared; do not mutate).
+func (c *Circuit) GateInputIDs(i int) []int32 {
+	if !c.built() {
+		return nil
+	}
+	return c.inputIDs(i)
+}
+
+func (c *Circuit) inputIDs(i int) []int32 {
+	return c.inIDs[c.inOff[i]:c.inOff[i+1]:c.inOff[i+1]]
+}
+
+// NetFanout returns the gate indices consuming the net with the given ID
+// (shared; do not mutate).
+func (c *Circuit) NetFanout(id int) []int {
+	if !c.built() {
+		return nil
+	}
+	return c.fanout(id)
+}
+
+func (c *Circuit) fanout(id int) []int {
+	return c.fanGates[c.fanOff[id]:c.fanOff[id+1]:c.fanOff[id+1]]
+}
 
 // Nets returns all net names (PIs and gate outputs), sorted.
 func (c *Circuit) Nets() []string {
@@ -392,7 +486,7 @@ func (c *Circuit) SwapGateKind(net string, kind GateKind) (GateKind, error) {
 			return 0, err
 		}
 	}
-	gi, ok := c.driver[net]
+	gi, ok := c.Driver(net)
 	if !ok {
 		return 0, fmt.Errorf("netlist: %s: net %q has no driving gate", c.Name, net)
 	}

@@ -158,7 +158,8 @@ func Analyze(c *netlist.Circuit, opts Options) (*Result, error) {
 // FromGraph snapshots a persistent timing graph's current windows as an
 // analysis Result, so graph holders get path extraction, required times and
 // violation checks without a fresh full analysis. The snapshot is a copy:
-// later graph edits do not disturb it.
+// later graph edits do not disturb it. The map's values point into one
+// slice, so the copy costs the map plus one allocation.
 func FromGraph(g *tgraph.Graph) *Result {
 	res := &Result{
 		Circuit: g.Circuit(),
@@ -166,8 +167,10 @@ func FromGraph(g *tgraph.Graph) *Result {
 		Lines:   make(map[string]*LineTiming, g.NumLines()),
 		lib:     g.Lib(),
 	}
+	lts := make([]LineTiming, 0, g.NumLines())
 	g.Lines(func(net string, li twindow.LineInfo) {
-		res.Lines[net] = &LineTiming{Rise: li.Rise, Fall: li.Fall}
+		lts = append(lts, LineTiming{Rise: li.Rise, Fall: li.Fall})
+		res.Lines[net] = &lts[len(lts)-1]
 	})
 	return res
 }

@@ -1,0 +1,131 @@
+package tgraph
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"runtime"
+	"testing"
+
+	"sstiming/internal/benchgen"
+	"sstiming/internal/nineval"
+	"sstiming/internal/prechar"
+	"sstiming/internal/twindow"
+)
+
+// TestUnknownNetRejected: a cube naming a net outside the circuit is
+// refused with ErrUnknownNet and leaves no timing line behind — the graph
+// keeps exactly one line per net, so its snapshot still restores.
+func TestUnknownNetRejected(t *testing.T) {
+	lib := prechar.MustLibrary()
+	c, err := benchgen.Load("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Lib: lib}
+	bad := nineval.Cube{c.PIs[0]: nineval.V01, "no_such_net": nineval.V01}
+	if _, err := NewWithCube(c, bad, opts); !errors.Is(err, ErrUnknownNet) {
+		t.Fatalf("NewWithCube: err = %v, want ErrUnknownNet", err)
+	}
+	g, err := New(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := g.SetCube(ctx, bad); !errors.Is(err, ErrUnknownNet) {
+		t.Fatalf("SetCube: err = %v, want ErrUnknownNet", err)
+	}
+	if err := g.SetImpliedCube(ctx, bad); !errors.Is(err, ErrUnknownNet) {
+		t.Fatalf("SetImpliedCube: err = %v, want ErrUnknownNet", err)
+	}
+	if g.Poisoned() || len(g.RawCube()) != 0 {
+		t.Fatalf("rejected cube changed the graph: poisoned=%v raw=%s", g.Poisoned(), g.RawCube())
+	}
+	if _, ok := g.Line("no_such_net"); ok {
+		t.Fatal("rejected cube left a line for the unknown net")
+	}
+	requireLinesEqual(t, "after rejected cubes", g, ref)
+	snap, err := g.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreSnapshot(snap, opts); err != nil {
+		t.Fatalf("snapshot after a rejected cube does not restore: %v", err)
+	}
+}
+
+// TestSnapshotFromEarlierEncoderRestores: a snapshot written by the
+// encoder that kept lines in a name-keyed map (testdata: c432 after a cube,
+// a per-PI stimulus and a gate swap) restores and re-encodes to the same
+// bytes, and its windows equal a from-scratch build of the same state.
+func TestSnapshotFromEarlierEncoderRestores(t *testing.T) {
+	data, err := os.ReadFile("testdata/c432_v1.snapshot.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := prechar.MustLibrary()
+	g, err := RestoreSnapshot(data, Options{Lib: lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := g.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("re-encoded snapshot differs from the checked-in one (%d vs %d bytes)", len(again), len(data))
+	}
+	c := g.Circuit()
+	perPI := map[string]twindow.PITiming{c.PIs[1]: {ArrivalEarly: 0.1e-9, ArrivalLate: 0.3e-9, TransShort: 0.1e-9, TransLong: 0.4e-9}}
+	ref, err := NewWithCube(c, g.RawCube(), Options{Lib: lib, PerPI: perPI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLinesEqual(t, "restored vs from scratch", g, ref)
+}
+
+// mallocs returns the fewest heap allocations of three runs of f, measured
+// at the current GOMAXPROCS (testing.AllocsPerRun pins it to 1, which would
+// hide a fan-out).
+func mallocs(f func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	return best
+}
+
+// TestBuildAllocs gates the full convergence's allocations: no map entry,
+// heap object or fan-out per gate, and Jobs 0 is as serial as Jobs 1.
+func TestBuildAllocs(t *testing.T) {
+	lib := prechar.MustLibrary()
+	c, err := benchgen.Load("c7552")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(jobs int) func() {
+		return func() {
+			if _, err := New(c, Options{Lib: lib, Jobs: jobs}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perGate := testing.AllocsPerRun(3, build(1)) / float64(c.NumGates())
+	t.Logf("tgraph.New on %s at Jobs=1: %.3f allocations per gate", c.Name, perGate)
+	if perGate > 2 {
+		t.Errorf("tgraph.New at Jobs=1 made %.2f allocations per gate, want <= 2", perGate)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if zero, one := mallocs(build(0)), mallocs(build(1)); zero != one {
+		t.Errorf("tgraph.New made %d allocations at Jobs=0 and %d at Jobs=1: Jobs=0 must run serially", zero, one)
+	}
+}

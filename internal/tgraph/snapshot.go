@@ -141,10 +141,12 @@ func (g *Graph) EncodeSnapshot() ([]byte, error) {
 		PI:          encodePI(g.opts.PI),
 		Lines:       make(map[string]snapshotLine, len(g.lines)),
 	}
-	if len(g.perPI) > 0 {
-		s.PerPI = make(map[string]snapshotPI, len(g.perPI))
-		for name, p := range g.perPI {
-			s.PerPI[name] = encodePI(p)
+	for id, on := range g.perPI {
+		if on {
+			if s.PerPI == nil {
+				s.PerPI = make(map[string]snapshotPI)
+			}
+			s.PerPI[g.c.PIs[id]] = encodePI(g.piTiming[id])
 		}
 	}
 	if len(g.raw) > 0 {
@@ -153,8 +155,8 @@ func (g *Graph) EncodeSnapshot() ([]byte, error) {
 			s.RawCube[net] = v.String()
 		}
 	}
-	for net, li := range g.lines {
-		s.Lines[net] = snapshotLine{Rise: encodeWindow(li.Rise), Fall: encodeWindow(li.Fall)}
+	for id, li := range g.lines {
+		s.Lines[g.c.NetName(id)] = snapshotLine{Rise: encodeWindow(li.Rise), Fall: encodeWindow(li.Fall)}
 	}
 	return json.Marshal(s)
 }
@@ -204,10 +206,11 @@ func RestoreSnapshot(data []byte, opts Options) (*Graph, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	for name, p := range s.PerPI {
-		if !c.IsPI(name) {
+		id, ok := c.NetID(name)
+		if !ok || id >= len(c.PIs) {
 			return nil, fmt.Errorf("%w: per-PI stimulus for %q, which is not a primary input", ErrBadSnapshot, name)
 		}
-		g.perPI[name] = decodePI(p)
+		g.piTiming[id], g.perPI[id] = decodePI(p), true
 	}
 
 	raw := nineval.Cube{}
@@ -218,36 +221,29 @@ func RestoreSnapshot(data []byte, opts Options) (*Graph, error) {
 		}
 		raw[net] = v
 	}
+	if err := g.checkNets(raw); err != nil {
+		return nil, fmt.Errorf("%w: raw cube: %v", ErrBadSnapshot, err)
+	}
 	implied, ok := nineval.Imply(c, raw)
 	if !ok {
 		return nil, fmt.Errorf("%w: raw cube is inconsistent with the netlist", ErrBadSnapshot)
 	}
 	g.raw = raw
 	g.implied = implied
+	g.loadValues(implied)
 
 	// Install the checkpointed windows over every line the graph owns —
 	// each primary input and each gate output, no more, no fewer.
-	install := func(net string) error {
+	for id := range g.lines {
+		net := c.NetName(id)
 		sl, ok := s.Lines[net]
 		if !ok {
-			return fmt.Errorf("%w: no line state for net %q", ErrBadSnapshot, net)
+			return nil, fmt.Errorf("%w: no line state for net %q", ErrBadSnapshot, net)
 		}
-		v := implied.Get(net)
-		li := twindow.LineInfo{
+		v := g.value[id]
+		g.lines[id] = twindow.LineInfo{
 			Value: v, SRise: v.StateRise(), SFall: v.StateFall(),
 			Rise: decodeWindow(sl.Rise), Fall: decodeWindow(sl.Fall),
-		}
-		g.lines[net] = &li
-		return nil
-	}
-	for _, pi := range c.PIs {
-		if err := install(pi); err != nil {
-			return nil, err
-		}
-	}
-	for i := range c.Gates {
-		if err := install(c.Gates[i].Output); err != nil {
-			return nil, err
 		}
 	}
 	if len(s.Lines) != len(g.lines) {

@@ -38,7 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
@@ -52,6 +52,10 @@ import (
 // the circuit; the graph is left unchanged.
 var ErrInconsistent = errors.New("tgraph: cube is logically inconsistent")
 
+// ErrUnknownNet reports a cube that assigns a net the circuit does not
+// have; the graph is left unchanged.
+var ErrUnknownNet = errors.New("tgraph: cube names a net outside the circuit")
+
 // Options configures a Graph.
 type Options struct {
 	// Lib is the characterised cell library (required).
@@ -61,7 +65,8 @@ type Options struct {
 	// PI is the stimulus applied to every primary input; the zero value
 	// selects twindow.DefaultPITiming. SetPI overrides per input later.
 	PI twindow.PITiming
-	// PerPI optionally overrides the stimulus for specific inputs.
+	// PerPI optionally overrides the stimulus for specific inputs; names
+	// that are not primary inputs are ignored.
 	PerPI map[string]twindow.PITiming
 	// NCExtension enables the Λ-shape to-non-controlling extension.
 	NCExtension bool
@@ -85,6 +90,11 @@ type Options struct {
 // Graph is a persistent timing graph. It is not safe for concurrent use;
 // callers serialize access (the service layer holds a per-session lock, and
 // each ATPG fault worker owns a private Graph).
+//
+// Per-line state lives in arrays indexed by the circuit's dense net IDs
+// (netlist.Circuit.NetID: primary inputs first, then gate outputs), so the
+// convergence loop reads inputs and writes outputs without hashing a name;
+// names appear only at the API edges — cubes, queries and snapshots.
 type Graph struct {
 	c    *netlist.Circuit
 	opts Options
@@ -94,24 +104,29 @@ type Graph struct {
 	levels    [][]int           // gate indices per logic level
 	gateLevel []int
 
-	raw     nineval.Cube // caller-supplied assignments
-	implied nineval.Cube // implication fixpoint of raw
-	perPI   map[string]twindow.PITiming
+	raw      nineval.Cube       // caller-supplied assignments
+	implied  nineval.Cube       // implication fixpoint of raw
+	value    []nineval.Value    // per net ID: implied value (xx when absent)
+	piTiming []twindow.PITiming // per primary input: effective stimulus
+	perPI    []bool             // per primary input: stimulus overrides opts.PI
 
-	lines map[string]*twindow.LineInfo
+	lines []twindow.LineInfo // per net ID
 
 	dirty      []bool  // per gate
-	dirtyAt    [][]int // per level
+	dirtyAt    [][]int // per level; capacity fixed to the level's width
 	dirtyCount int
+	outs       []twindow.LineInfo // converge's output buffer (widest level)
 
 	// poisoned marks a graph whose last edit failed mid-convergence:
 	// window state may be partially propagated. Heal (run automatically
 	// by the next edit) re-converges everything from the retained cube.
 	poisoned bool
 
-	// changed accumulates the nets whose LineInfo changed during the last
-	// successful edit.
-	changed map[string]bool
+	// changed and changedIDs record the lines whose LineInfo changed
+	// during the last successful edit: a per-net-ID flag plus the list of
+	// set flags, so resetting costs the size of the last cone.
+	changed    []bool
+	changedIDs []int32
 }
 
 // New builds a Graph over the circuit and fully converges its windows under
@@ -121,9 +136,9 @@ func New(c *netlist.Circuit, opts Options) (*Graph, error) {
 }
 
 // newSkeleton builds the structural half of a Graph — levelization, cell
-// binding, fan-out loads — with no cube and no timing state. NewWithCube
-// seeds and converges it; RestoreSnapshot installs checkpointed lines
-// verbatim instead.
+// binding, fan-out loads, per-line storage — with no cube and no timing
+// state. NewWithCube seeds and converges it; RestoreSnapshot installs
+// checkpointed lines verbatim instead.
 func newSkeleton(c *netlist.Circuit, opts Options) (*Graph, error) {
 	if opts.Lib == nil {
 		return nil, fmt.Errorf("tgraph: Options.Lib is required")
@@ -134,29 +149,58 @@ func newSkeleton(c *netlist.Circuit, opts Options) (*Graph, error) {
 	if opts.PI == (twindow.PITiming{}) {
 		opts.PI = twindow.DefaultPITiming()
 	}
+	nG, nPI, nNets := len(c.Gates), len(c.PIs), c.NumNets()
 	g := &Graph{
 		c:         c,
 		opts:      opts,
-		cells:     make([]*core.CellModel, len(c.Gates)),
-		extraLoad: make([]float64, len(c.Gates)),
-		gateLevel: make([]int, len(c.Gates)),
-		perPI:     make(map[string]twindow.PITiming, len(opts.PerPI)),
-		lines:     make(map[string]*twindow.LineInfo, len(c.Gates)+len(c.PIs)),
-		dirty:     make([]bool, len(c.Gates)),
-		changed:   make(map[string]bool),
+		cells:     make([]*core.CellModel, nG),
+		extraLoad: make([]float64, nG),
+		gateLevel: make([]int, nG),
+		value:     make([]nineval.Value, nNets),
+		piTiming:  make([]twindow.PITiming, nPI),
+		perPI:     make([]bool, nPI),
+		lines:     make([]twindow.LineInfo, nNets),
+		dirty:     make([]bool, nG),
+		changed:   make([]bool, nNets),
+	}
+	for i := range g.value {
+		g.value[i] = nineval.VXX
+	}
+	for i := range g.piTiming {
+		g.piTiming[i] = opts.PI
 	}
 	for name, p := range opts.PerPI {
-		g.perPI[name] = p
+		if id, ok := c.NetID(name); ok && id < nPI {
+			g.piTiming[id], g.perPI[id] = p, true
+		}
+	}
+
+	// Levels and their dirty lists are windows of two gate-sized arrays:
+	// a level's dirty list can never outgrow the level.
+	nLevels := 0
+	for gi := range c.Gates {
+		g.gateLevel[gi] = c.Level(gi)
+		nLevels = max(nLevels, g.gateLevel[gi]+1)
+	}
+	width := make([]int, nLevels)
+	for _, lvl := range g.gateLevel {
+		width[lvl]++
+	}
+	levelBuf, dirtyBuf := make([]int, nG), make([]int, nG)
+	g.levels, g.dirtyAt = make([][]int, nLevels), make([][]int, nLevels)
+	off, widest := 0, 0
+	for lvl, w := range width {
+		g.levels[lvl] = levelBuf[off : off : off+w]
+		g.dirtyAt[lvl] = dirtyBuf[off : off : off+w]
+		off += w
+		widest = max(widest, w)
 	}
 	for _, gi := range c.TopoOrder() {
-		lvl := c.Level(gi)
-		g.gateLevel[gi] = lvl
-		for len(g.levels) <= lvl {
-			g.levels = append(g.levels, nil)
-		}
+		lvl := g.gateLevel[gi]
 		g.levels[lvl] = append(g.levels[lvl], gi)
 	}
-	g.dirtyAt = make([][]int, len(g.levels))
+	g.outs = make([]twindow.LineInfo, widest)
+
 	for i := range c.Gates {
 		gate := &c.Gates[i]
 		cell, ok := opts.Lib.Cell(gate.CellName())
@@ -164,43 +208,38 @@ func newSkeleton(c *netlist.Circuit, opts Options) (*Graph, error) {
 			return nil, fmt.Errorf("tgraph: no library cell %q for gate %q", gate.CellName(), gate.Output)
 		}
 		g.cells[i] = cell
-		g.extraLoad[i] = float64(c.FanoutCount(gate.Output)-1) * cell.RefLoad
+		g.extraLoad[i] = float64(max(len(c.NetFanout(nPI+i)), 1)-1) * cell.RefLoad
 	}
 	return g, nil
 }
 
 // NewWithCube builds a Graph and fully converges its windows under the
 // given cube (one implication + one full window pass — the cost of a single
-// from-scratch itr.Refine).
+// from-scratch itr.Refine). A cube naming a net outside the circuit returns
+// ErrUnknownNet.
 func NewWithCube(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Graph, error) {
 	g, err := newSkeleton(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts = g.opts
-
+	if err := g.checkNets(cube); err != nil {
+		return nil, err
+	}
 	implied, ok := nineval.Imply(c, cube)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrInconsistent, cube.String())
 	}
 	g.raw = cube.Clone()
 	g.implied = implied
+	g.loadValues(implied)
 
-	// Seed the PI lines and mark every gate dirty for the initial full
-	// convergence.
-	for _, pi := range c.PIs {
-		li := twindow.PILine(g.implied.Get(pi), g.piTiming(pi))
-		g.lines[pi] = &li
-	}
-	for _, lvlGates := range g.levels {
-		for _, gi := range lvlGates {
-			g.markDirty(gi)
-		}
-	}
-	if err := g.converge(opts.Ctx, opts.Jobs); err != nil {
+	// Seed the PI lines and converge every gate. The initial pass records
+	// no changed lines: every line is new.
+	g.seedPIs()
+	g.markAll()
+	if err := g.converge(g.opts.Ctx, g.opts.Jobs, false); err != nil {
 		return nil, err
 	}
-	g.changed = make(map[string]bool)
 	return g, nil
 }
 
@@ -214,12 +253,49 @@ func (g *Graph) Mode() twindow.Mode { return g.opts.Mode }
 // Lib returns the cell library the graph was built against.
 func (g *Graph) Lib() *core.Library { return g.opts.Lib }
 
-// piTiming returns the effective stimulus of one primary input.
-func (g *Graph) piTiming(name string) twindow.PITiming {
-	if p, ok := g.perPI[name]; ok {
-		return p
+// checkNets rejects a cube that assigns a net the circuit does not have
+// (naming the alphabetically first such net, so the error is stable).
+func (g *Graph) checkNets(cube nineval.Cube) error {
+	bad := ""
+	for net := range cube {
+		if _, ok := g.c.NetID(net); !ok && (bad == "" || net < bad) {
+			bad = net
+		}
 	}
-	return g.opts.PI
+	if bad != "" {
+		return fmt.Errorf("%w: %q", ErrUnknownNet, bad)
+	}
+	return nil
+}
+
+// loadValues sets the per-line implied values from a cube whose nets are
+// all in the circuit.
+func (g *Graph) loadValues(implied nineval.Cube) {
+	for i := range g.value {
+		g.value[i] = nineval.VXX
+	}
+	for net, v := range implied {
+		id, _ := g.c.NetID(net)
+		g.value[id] = v
+	}
+}
+
+// seedPIs sets every primary input's line from its value and stimulus.
+func (g *Graph) seedPIs() {
+	for id := range g.piTiming {
+		g.lines[id] = twindow.PILine(g.value[id], g.piTiming[id])
+	}
+}
+
+// markAll queues every gate for a full convergence pass.
+func (g *Graph) markAll() {
+	for lvl, gates := range g.levels {
+		g.dirtyAt[lvl] = append(g.dirtyAt[lvl][:0], gates...)
+	}
+	for gi := range g.dirty {
+		g.dirty[gi] = true
+	}
+	g.dirtyCount = len(g.dirty)
 }
 
 // markDirty queues a gate for re-convergence.
@@ -233,27 +309,44 @@ func (g *Graph) markDirty(gi int) {
 	g.dirtyCount++
 }
 
-// touchNet propagates a changed line: its consumers must re-evaluate.
-func (g *Graph) touchNet(net string) {
-	for _, gi := range g.c.Fanout(net) {
+// touch propagates a changed line: its consumers must re-evaluate.
+func (g *Graph) touch(id int) {
+	for _, gi := range g.c.NetFanout(id) {
 		g.markDirty(gi)
 	}
 }
 
+// markChanged records that a line's LineInfo changed during this edit.
+func (g *Graph) markChanged(id int) {
+	if !g.changed[id] {
+		g.changed[id] = true
+		g.changedIDs = append(g.changedIDs, int32(id))
+	}
+}
+
+// setLine installs a line's new LineInfo; when it differs from the old one
+// the change is recorded (if track) and the line's consumers are queued.
+func (g *Graph) setLine(id int, li twindow.LineInfo, track bool) {
+	if g.lines[id] == li {
+		return // converged: the cone stops here
+	}
+	g.lines[id] = li
+	if track {
+		g.markChanged(id)
+	}
+	g.touch(id)
+}
+
 // recomputeGate evaluates one gate's output LineInfo from current state.
+// The input pointers live in a stack array for the library's cell widths.
 func (g *Graph) recomputeGate(gi int) (twindow.LineInfo, error) {
 	gate := &g.c.Gates[gi]
-	ins := make([]*twindow.LineInfo, len(gate.Inputs))
-	for i, in := range gate.Inputs {
-		li, ok := g.lines[in]
-		if !ok {
-			return twindow.LineInfo{}, fmt.Errorf("tgraph: gate %q input %q has no timing (order bug)", gate.Output, in)
-		}
-		ins[i] = li
+	var buf [4]*twindow.LineInfo
+	ins := buf[:0]
+	for _, id := range g.c.GateInputIDs(gi) {
+		ins = append(ins, &g.lines[id])
 	}
-	g.opts.Metrics.Add(engine.STAGates, 1)
-	g.opts.Metrics.Add(engine.STAArcs, 2*int64(len(gate.Inputs)))
-	out, err := twindow.PropagateGate(g.cells[gi], gate.Kind, ins, g.implied.Get(gate.Output),
+	out, err := twindow.PropagateGate(g.cells[gi], gate.Kind, ins, g.value[len(g.c.PIs)+gi],
 		g.extraLoad[gi], g.opts.Mode, g.opts.NCExtension)
 	if err != nil {
 		return twindow.LineInfo{}, fmt.Errorf("tgraph: gate %q: %w", gate.Output, err)
@@ -262,19 +355,34 @@ func (g *Graph) recomputeGate(gi int) (twindow.LineInfo, error) {
 }
 
 // converge drains the dirty frontier level by level. Gates within one level
-// are independent (they read only earlier levels), so the initial full pass
-// may fan a level out on the engine pool; results are merged in slice order,
-// making windows independent of the worker count. Convergence stops as soon
-// as the frontier is empty: a gate is re-queued only when one of its inputs
-// or its implied output value changed, so an edit whose effect dies out
-// after k levels costs exactly those k frontier levels.
-func (g *Graph) converge(ctx context.Context, jobs int) error {
+// are independent (they read only earlier levels), so with jobs > 1 a level
+// fans out on the engine pool; results land in one reused buffer and are
+// merged in slice order, making windows independent of the worker count.
+// Convergence stops as soon as the frontier is empty: a gate is re-queued
+// only when one of its inputs or its implied output value changed, so an
+// edit whose effect dies out after k levels costs exactly those k frontier
+// levels. track records changed lines (edits and heals; not the initial
+// build, where every line is new).
+func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
+	nPI := len(g.c.PIs)
+	var work []int
+	var outs []twindow.LineInfo
+	var job func(context.Context, int) error
+	if jobs > 1 {
+		job = func(_ context.Context, i int) error {
+			var err error
+			outs[i], err = g.recomputeGate(work[i])
+			return err
+		}
+	}
 	for lvl := 0; lvl < len(g.dirtyAt) && g.dirtyCount > 0; lvl++ {
-		work := g.dirtyAt[lvl]
+		work = g.dirtyAt[lvl]
 		if len(work) == 0 {
 			continue
 		}
-		g.dirtyAt[lvl] = nil
+		// Consumers sit on later levels, so nothing is queued on this
+		// level while its list is being drained.
+		g.dirtyAt[lvl] = work[:0]
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
@@ -285,40 +393,29 @@ func (g *Graph) converge(ctx context.Context, jobs int) error {
 				return fmt.Errorf("tgraph: level %d: %w", lvl, err)
 			}
 		}
-		outs := make([]twindow.LineInfo, len(work))
-		if engine.Workers(jobs) == 1 || len(work) == 1 {
+		outs = g.outs[:len(work)]
+		if jobs <= 1 || len(work) == 1 {
 			for i, gi := range work {
 				var err error
 				if outs[i], err = g.recomputeGate(gi); err != nil {
 					return err
 				}
 			}
-		} else {
-			err := engine.Run(ctx, jobs, len(work), func(_ context.Context, i int) error {
-				var err error
-				outs[i], err = g.recomputeGate(work[i])
-				return err
-			})
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
-				}
-				return err
+		} else if err := engine.Run(ctx, jobs, len(work), job); err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
 			}
+			return err
 		}
+		arcs := 0
 		for i, gi := range work {
 			g.dirty[gi] = false
 			g.dirtyCount--
-			out := g.c.Gates[gi].Output
-			old := g.lines[out]
-			if old != nil && *old == outs[i] {
-				continue // converged: the cone stops here
-			}
-			li := outs[i]
-			g.lines[out] = &li
-			g.changed[out] = true
-			g.touchNet(out)
+			arcs += len(g.c.Gates[gi].Inputs)
+			g.setLine(nPI+gi, outs[i], track)
 		}
+		g.opts.Metrics.Add(engine.STAGates, int64(len(work)))
+		g.opts.Metrics.Add(engine.STAArcs, 2*int64(arcs))
 	}
 	// A deadline that fired after the last level still voids the pass:
 	// callers must never observe windows computed past their cancellation.
@@ -330,12 +427,15 @@ func (g *Graph) converge(ctx context.Context, jobs int) error {
 	return nil
 }
 
-// poison rolls an edit back to the retained pre-edit cube/stimulus and marks
-// every window suspect; the next operation re-converges from scratch.
+// poison marks every window suspect after a failed pass and empties the
+// dirty frontier; the next operation re-converges from scratch. Callers
+// roll their state edits back first.
 func (g *Graph) poison() {
 	g.poisoned = true
-	g.dirty = make([]bool, len(g.c.Gates))
-	g.dirtyAt = make([][]int, len(g.levels))
+	clear(g.dirty)
+	for lvl := range g.dirtyAt {
+		g.dirtyAt[lvl] = g.dirtyAt[lvl][:0]
+	}
 	g.dirtyCount = 0
 }
 
@@ -351,16 +451,9 @@ func (g *Graph) Heal(ctx context.Context) error {
 	if !g.poisoned {
 		return nil
 	}
-	for _, pi := range g.c.PIs {
-		li := twindow.PILine(g.implied.Get(pi), g.piTiming(pi))
-		g.lines[pi] = &li
-	}
-	for _, lvlGates := range g.levels {
-		for _, gi := range lvlGates {
-			g.markDirty(gi)
-		}
-	}
-	if err := g.converge(ctx, 1); err != nil {
+	g.seedPIs()
+	g.markAll()
+	if err := g.converge(ctx, 1, true); err != nil {
 		g.poison()
 		return err
 	}
@@ -368,47 +461,47 @@ func (g *Graph) Heal(ctx context.Context) error {
 	return nil
 }
 
-// beginEdit heals a poisoned graph and resets the changed-net accumulator.
+// beginEdit heals a poisoned graph and resets the changed-line record.
 func (g *Graph) beginEdit(ctx context.Context) error {
 	if err := g.Heal(ctx); err != nil {
 		return err
 	}
-	g.changed = make(map[string]bool)
+	for _, id := range g.changedIDs {
+		g.changed[id] = false
+	}
+	g.changedIDs = g.changedIDs[:0]
 	g.opts.Metrics.Add(engine.TGraphEdits, 1)
 	return nil
 }
 
-// applyImplied installs a new (raw, implied) cube pair: every line whose
-// implied value changed is updated (primary inputs) or has its driver and
-// consumers marked dirty, then the frontier re-converges. On failure the
-// previous cubes are restored and the graph is poisoned.
+// applyImplied installs a new (raw, implied) cube pair, whose nets the
+// caller has checked: every line whose implied value changed is updated
+// (primary inputs) or has its driving gate marked dirty, then the frontier
+// re-converges. On failure the previous cubes are restored and the graph
+// is poisoned.
 func (g *Graph) applyImplied(ctx context.Context, raw, implied nineval.Cube) error {
 	prevRaw, prevImplied := g.raw, g.implied
 	g.raw, g.implied = raw, implied
 
-	// Diff over the union of keys: values absent from a cube are xx.
-	seen := make(map[string]bool, len(prevImplied)+len(implied))
+	// Diff over the union of keys (values absent from a cube are xx):
+	// g.value holds the previous cube, and is updated as nets are visited,
+	// so a net in both cubes is handled once.
+	nPI := len(g.c.PIs)
 	diffNet := func(net string) {
-		if seen[net] {
+		id, _ := g.c.NetID(net)
+		v := implied.Get(net)
+		if g.value[id] == v {
 			return
 		}
-		seen[net] = true
-		if prevImplied.Get(net) == implied.Get(net) {
-			return
-		}
-		if gi, ok := g.c.Driver(net); ok {
+		g.value[id] = v
+		if id >= nPI {
 			// The driving gate re-derives the line's full LineInfo
 			// (value, states and windows) during re-convergence.
-			g.markDirty(gi)
+			g.markDirty(id - nPI)
 			return
 		}
-		// Driverless lines are primary inputs: refresh in place.
-		li := twindow.PILine(implied.Get(net), g.piTiming(net))
-		if old := g.lines[net]; old == nil || *old != li {
-			g.lines[net] = &li
-			g.changed[net] = true
-			g.touchNet(net)
-		}
+		// Primary inputs have no driving gate: refresh in place.
+		g.setLine(id, twindow.PILine(v, g.piTiming[id]), true)
 	}
 	for net := range prevImplied {
 		diffNet(net)
@@ -417,8 +510,9 @@ func (g *Graph) applyImplied(ctx context.Context, raw, implied nineval.Cube) err
 		diffNet(net)
 	}
 
-	if err := g.converge(ctx, 1); err != nil {
+	if err := g.converge(ctx, 1, true); err != nil {
 		g.raw, g.implied = prevRaw, prevImplied
+		g.loadValues(prevImplied)
 		g.poison()
 		return err
 	}
@@ -428,10 +522,14 @@ func (g *Graph) applyImplied(ctx context.Context, raw, implied nineval.Cube) err
 // SetCube replaces the graph's assignment cube: raw is implied from scratch
 // and the difference against the current state re-converges incrementally.
 // Relaxing a line is expressed by omitting it from the new cube (or mapping
-// it to xx). A logically inconsistent cube returns ErrInconsistent and
-// leaves the graph untouched.
+// it to xx). A logically inconsistent cube returns ErrInconsistent, and a
+// cube naming a net outside the circuit ErrUnknownNet; either leaves the
+// graph untouched.
 func (g *Graph) SetCube(ctx context.Context, raw nineval.Cube) error {
 	if err := g.beginEdit(ctx); err != nil {
+		return err
+	}
+	if err := g.checkNets(raw); err != nil {
 		return err
 	}
 	implied, ok := nineval.Imply(g.c, raw)
@@ -448,32 +546,27 @@ func (g *Graph) SetImpliedCube(ctx context.Context, implied nineval.Cube) error 
 	if err := g.beginEdit(ctx); err != nil {
 		return err
 	}
+	if err := g.checkNets(implied); err != nil {
+		return err
+	}
 	return g.applyImplied(ctx, implied, implied)
 }
 
 // SetPI changes the stimulus of one primary input and re-converges its
 // fan-out cone.
 func (g *Graph) SetPI(ctx context.Context, name string, p twindow.PITiming) error {
-	if !g.c.IsPI(name) {
+	id, ok := g.c.NetID(name)
+	if !ok || id >= len(g.c.PIs) {
 		return fmt.Errorf("tgraph: %q is not a primary input", name)
 	}
 	if err := g.beginEdit(ctx); err != nil {
 		return err
 	}
-	prev, hadPrev := g.perPI[name]
-	g.perPI[name] = p
-	li := twindow.PILine(g.implied.Get(name), p)
-	if old := g.lines[name]; old == nil || *old != li {
-		g.lines[name] = &li
-		g.changed[name] = true
-		g.touchNet(name)
-	}
-	if err := g.converge(ctx, 1); err != nil {
-		if hadPrev {
-			g.perPI[name] = prev
-		} else {
-			delete(g.perPI, name)
-		}
+	prev, hadPrev := g.piTiming[id], g.perPI[id]
+	g.piTiming[id], g.perPI[id] = p, true
+	g.setLine(id, twindow.PILine(g.value[id], p), true)
+	if err := g.converge(ctx, 1, true); err != nil {
+		g.piTiming[id], g.perPI[id] = prev, hadPrev
 		g.poison()
 		return err
 	}
@@ -525,32 +618,32 @@ func (g *Graph) SwapGate(ctx context.Context, net string, kind netlist.GateKind)
 
 // NumChanged returns the number of lines whose LineInfo changed during the
 // last successful edit (the re-converged cone size), without allocating.
-func (g *Graph) NumChanged() int { return len(g.changed) }
+func (g *Graph) NumChanged() int { return len(g.changedIDs) }
 
 // Changed returns the nets whose LineInfo changed during the last
 // successful edit, sorted.
 func (g *Graph) Changed() []string {
-	out := make([]string, 0, len(g.changed))
-	for net := range g.changed {
-		out = append(out, net)
+	out := make([]string, len(g.changedIDs))
+	for i, id := range g.changedIDs {
+		out[i] = g.c.NetName(int(id))
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
 // Line returns a copy of the net's timing state.
 func (g *Graph) Line(net string) (twindow.LineInfo, bool) {
-	li, ok := g.lines[net]
+	id, ok := g.c.NetID(net)
 	if !ok {
 		return twindow.LineInfo{}, false
 	}
-	return *li, true
+	return g.lines[id], true
 }
 
 // Window returns the directional window of a net and whether it is defined
 // (the state is not SNo).
 func (g *Graph) Window(net string, rising bool) (twindow.Window, bool) {
-	li, ok := g.lines[net]
+	li, ok := g.Line(net)
 	if !ok {
 		return twindow.Window{}, false
 	}
@@ -566,10 +659,11 @@ func (g *Graph) Window(net string, rising bool) (twindow.Window, bool) {
 	return li.Fall, true
 }
 
-// Lines visits every line's timing state (iteration order unspecified).
+// Lines visits every line's timing state, in net-ID order (primary inputs
+// in declaration order, then gate outputs in gate order).
 func (g *Graph) Lines(visit func(net string, li twindow.LineInfo)) {
-	for net, li := range g.lines {
-		visit(net, *li)
+	for id := range g.lines {
+		visit(g.c.NetName(id), g.lines[id])
 	}
 }
 

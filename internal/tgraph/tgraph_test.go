@@ -71,19 +71,73 @@ func requireLinesEqual(t *testing.T, label string, got, want *Graph) {
 
 func TestFullConvergeMatchesParallel(t *testing.T) {
 	lib := prechar.MustLibrary()
+	c432, err := benchgen.Load("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s20k, err := benchgen.GenerateRand(benchgen.Profile{Name: "s20k", PIs: 400, POs: 200, Gates: 20000, Depth: 60},
+		rand.New(rand.NewSource(20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*netlist.Circuit{c432, s20k} {
+		serial, err := New(c, Options{Lib: lib, Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range []int{2, 4, 8} {
+			parallel, err := New(c, Options{Lib: lib, Jobs: jobs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireLinesEqual(t, fmt.Sprintf("%s jobs=%d", c.Name, jobs), parallel, serial)
+		}
+	}
+
+	// Edits on a graph built level-parallel match from-scratch serial
+	// builds of the same state.
 	c, err := benchgen.Load("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := New(c, Options{Lib: lib})
+	g, err := New(c, Options{Lib: lib, Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := New(c, Options{Lib: lib, Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(15))
+	dual := map[netlist.GateKind]netlist.GateKind{
+		netlist.Nand: netlist.Nor, netlist.Nor: netlist.Nand,
+		netlist.Inv: netlist.Buf, netlist.Buf: netlist.Inv,
 	}
-	requireLinesEqual(t, "jobs=4", parallel, serial)
+	cube, perPI := nineval.Cube{}, map[string]twindow.PITiming{}
+	ctx := context.Background()
+	for step := 0; step < 12; step++ {
+		switch step % 3 {
+		case 0:
+			cube = randomPICube(c, rng)
+			if err := g.SetCube(ctx, cube); err != nil {
+				t.Fatalf("step %d: SetCube: %v", step, err)
+			}
+		case 1:
+			pi := c.PIs[rng.Intn(len(c.PIs))]
+			p := twindow.PITiming{ArrivalEarly: rng.Float64() * 1e-9, TransShort: 0.1e-9, TransLong: 0.3e-9}
+			p.ArrivalLate = p.ArrivalEarly + rng.Float64()*1e-9
+			perPI[pi] = p
+			if err := g.SetPI(ctx, pi, p); err != nil {
+				t.Fatalf("step %d: SetPI: %v", step, err)
+			}
+		case 2:
+			gi := rng.Intn(c.NumGates())
+			if err := g.SwapGate(ctx, c.Gates[gi].Output, dual[c.Gates[gi].Kind]); err != nil && !errors.Is(err, ErrInconsistent) {
+				t.Fatalf("step %d: SwapGate: %v", step, err)
+			}
+		}
+		ref, err := NewWithCube(c, cube, Options{Lib: lib, Jobs: 1, PerPI: perPI})
+		if err != nil {
+			t.Fatalf("step %d: reference build: %v", step, err)
+		}
+		requireLinesEqual(t, fmt.Sprintf("jobs=2 graph, step %d", step), g, ref)
+	}
 }
 
 func TestSetCubeMatchesFromScratch(t *testing.T) {

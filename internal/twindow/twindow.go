@@ -194,10 +194,15 @@ type ctrlInput struct {
 	definite bool
 }
 
+// maxPins is the widest cell whose candidate inputs collect gathers in a
+// caller-owned array (the library's cells have at most four inputs); wider
+// cells spill to the heap through append.
+const maxPins = 4
+
 // collect returns the inputs whose transition in the given direction is not
-// ruled out, with their windows.
-func collect(ins []*LineInfo, rising bool) []ctrlInput {
-	var out []ctrlInput
+// ruled out, with their windows, in buf's storage.
+func collect(buf *[maxPins]ctrlInput, ins []*LineInfo, rising bool) []ctrlInput {
+	out := buf[:0]
 	for i, li := range ins {
 		var s nineval.State
 		var w Window
@@ -214,12 +219,23 @@ func collect(ins []*LineInfo, rising bool) []ctrlInput {
 	return out
 }
 
+// anyDefinite reports whether some candidate input definitely transitions.
+func anyDefinite(allowed []ctrlInput) bool {
+	for _, a := range allowed {
+		if a.definite {
+			return true
+		}
+	}
+	return false
+}
+
 // propagateCtrl computes the to-controlling output window (rising for NAND,
 // falling for NOR) under transition states, per Sections 4.2 and 5.2.
 // ctrlRising is the direction of the input transitions (falling for NAND,
 // rising for NOR). Pure STA is the all-SMaybe special case.
 func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extraLoad float64, mode Mode) (Window, error) {
-	allowed := collect(ins, ctrlRising)
+	var buf [maxPins]ctrlInput
+	allowed := collect(&buf, ins, ctrlRising)
 	if len(allowed) == 0 {
 		return Window{}, fmt.Errorf("to-controlling response possible but no input can transition")
 	}
@@ -244,15 +260,12 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 	// late the output can switch — take the min over their worst-case
 	// corners; with no definite switcher, the slowest potential single
 	// switcher is the bound.
-	var definite []ctrlInput
-	for _, a := range allowed {
-		if a.definite {
-			definite = append(definite, a)
-		}
-	}
-	if len(definite) > 0 {
+	if anyDefinite(allowed) {
 		out.AL = math.Inf(1)
-		for _, a := range definite {
+		for _, a := range allowed {
+			if !a.definite {
+				continue
+			}
 			_, dMax, _, _ := single(a)
 			if v := a.w.AL + dMax; v < out.AL {
 				out.AL = v
@@ -338,7 +351,8 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 // NC extension, pairs of inputs that can both transition widen the latest
 // corners through the Λ-shape surfaces.
 func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extraLoad float64, mode Mode, ncExt bool) (Window, error) {
-	allowed := collect(ins, ncRising)
+	var buf [maxPins]ctrlInput
+	allowed := collect(&buf, ins, ncRising)
 	if len(allowed) == 0 {
 		return Window{}, fmt.Errorf("to-non-controlling response possible but no input can transition")
 	}
@@ -362,15 +376,12 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 	// Earliest arrival: every definite switcher must complete (max over
 	// them at their earliest corners); with no definite switcher, the
 	// fastest single suffices.
-	var definite []ctrlInput
-	for _, a := range allowed {
-		if a.definite {
-			definite = append(definite, a)
-		}
-	}
-	if len(definite) > 0 {
+	if anyDefinite(allowed) {
 		out.AS = math.Inf(-1)
-		for _, a := range definite {
+		for _, a := range allowed {
+			if !a.definite {
+				continue
+			}
 			dMin, _, _, _ := single(a)
 			if v := a.w.AS + dMin; v > out.AS {
 				out.AS = v
