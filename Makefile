@@ -7,7 +7,7 @@ GO ?= go
 # genuinely improves; never lower it to make a PR pass.
 COVER_FLOOR ?= 75.0
 
-.PHONY: build test race vet verify conformance cache-conformance chaos store-chaos session-chaos shard-chaos net-chaos service-smoke cover bench bench-smoke bench-go bench-parallel clean
+.PHONY: build test race vet verify conformance cache-conformance chaos store-chaos session-chaos shard-chaos net-chaos service-smoke cover bench-go bench-parallel clean
 
 build:
 	$(GO) build ./...
@@ -51,8 +51,8 @@ conformance:
 # /refine (the repeat with shuffled gate statements); every repeat must be a
 # cache hit with a body byte-identical to the cold run, and a concurrent
 # identical burst must share exactly one engine run (see internal/reqcache
-# and DESIGN.md §13). Runs under the race detector: the cache fans out on
-# the shared engine pool.
+# and DESIGN.md §13). Runs under the race detector: concurrent requests
+# share the cache and the daemon's job queue.
 cache-conformance:
 	$(GO) test -race -run 'TestCacheEquivalenceTable|TestCacheConformance|TestSingleflight|TestCancelledLeader|TestAlias' \
 		./internal/service ./internal/reqcache
@@ -122,32 +122,19 @@ cover:
 		    printf "FAIL: total coverage %.1f%% is below the %.1f%% floor\n", $$3, floor; exit 1 } \
 		  printf "total coverage %.1f%% (floor %.1f%%)\n", $$3, floor }'
 
-# Performance trajectory point (ROADMAP item 5b): full-STA throughput,
-# incremental edit latency vs. cone size, ITR-in-ATPG wall-clock, the
-# service sustained-QPS section (cold vs hot cache),
-# the characterisation section (single-process vs in-process sharded
-# vs networked campaign over loopback HTTP — wall-clocks, bytes uploaded,
-# retries observed, byte-identity re-proved for both) and the durable-
-# session section (journaled delta ack overhead, restart replay vs script
-# length with/without snapshots), with machine/commit metadata,
-# schema-validated into BENCH_6.json.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_6.json
-
-# Harness-rot guard: the same harness on tiny circuits, schema-validated
-# and discarded. Seconds-scale; safe for CI.
-bench-smoke:
-	$(GO) run ./cmd/bench -smoke
-
 # The raw go test micro-benchmarks (slow).
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
-# Engine scaling vs worker count: characterisation wall-clock, and the
-# level-parallel c7552 timing-graph build (time and allocations).
+# Engine scaling vs worker count (characterisation wall-clock; the
+# level-parallel c7552 timing-graph build, time and allocations), then two
+# serial, self-checking comparisons: SwapGate prices one gate swap on a
+# persistent c7552 graph by re-converged cone size, AblationITRIncremental
+# runs the paper's §7 ITR-pruned ATPG on the incremental graph against
+# from-scratch refinement. Both fail if their results diverge.
 bench-parallel:
 	$(GO) test -run '^$$' -bench=CharacterizeParallel -benchtime=3x .
-	$(GO) test -run '^$$' -bench=BuildParallel -benchmem .
+	$(GO) test -run '^$$' -bench='BuildParallel|SwapGate|AblationITRIncremental' -benchmem .
 
 clean:
 	$(GO) clean ./...

@@ -5,7 +5,9 @@
 //   - V-shape model versus a dense lookup table (accuracy and the cost of
 //     worst-case corner identification);
 //   - characterisation grid density versus model accuracy;
-//   - bi-tonic corner handling (interior peak) versus endpoints-only.
+//   - bi-tonic corner handling (interior peak) versus endpoints-only;
+//   - ITR-pruned ATPG (the paper's §7) on the persistent incremental timing
+//     graph versus from-scratch refinement per decision step.
 package sstiming_test
 
 import (
@@ -15,6 +17,8 @@ import (
 	"sync"
 	"testing"
 
+	"sstiming/internal/atpg"
+	"sstiming/internal/benchgen"
 	"sstiming/internal/cells"
 	"sstiming/internal/charlib"
 	"sstiming/internal/core"
@@ -342,5 +346,46 @@ func BenchmarkAblationIntegrationMethod(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAblationITRIncremental runs the §7 ITR-pruned crosstalk ATPG
+// campaign on the c432 stand-in (12 random faults, fixed seed, one worker)
+// two ways: on the persistent incremental timing graph, and with a
+// from-scratch itr.Refine per decision step (ITRFullRecompute). Both see
+// byte-identical windows, so each must reproduce the reference campaign's
+// outcome counts exactly.
+func BenchmarkAblationITRIncremental(b *testing.B) {
+	lib := prechar.MustLibrary()
+	c, err := benchgen.Load("c432")
+	if err != nil {
+		b.Fatal(err)
+	}
+	faults := atpg.RandomFaults(c, 12, 7, 1e-9)
+	campaign := func(b *testing.B, fullRecompute bool) atpg.CampaignStats {
+		s, err := atpg.RunCampaign(c, faults, atpg.Options{
+			Lib:              lib,
+			UseITR:           true,
+			ITRFullRecompute: fullRecompute,
+			Jobs:             1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	want := campaign(b, true)
+	for _, v := range []struct {
+		name          string
+		fullRecompute bool
+	}{{"incremental", false}, {"full-recompute", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := campaign(b, v.fullRecompute); got != want {
+					b.Fatalf("campaign stats %+v, reference %+v", got, want)
+				}
+			}
+		})
 	}
 }

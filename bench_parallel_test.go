@@ -1,22 +1,29 @@
-// Parallel-scaling benchmarks for the execution engine: characterisation is
-// the heaviest fan-out in the pipeline (hundreds of independent SPICE
-// transients), so it is the canonical measure of the engine's speed-up;
-// the level-parallel timing-graph build is the finest one (one engine.Run
-// per logic level over microsecond gate evaluations).
+// Engine benchmarks for the timing graph and characterisation.
+//
+// Parallel scaling: characterisation is the heaviest fan-out in the
+// pipeline (hundreds of independent SPICE transients), so it is the
+// canonical measure of the engine's speed-up; the level-parallel
+// timing-graph build is the finest one (one engine.Run per logic level over
+// microsecond gate evaluations). Incremental edits: BenchmarkSwapGate
+// prices one gate swap on a persistent graph against the size of the cone
+// it re-converges.
 //
 // Run with:
 //
-//	go test -run '^$' -bench='CharacterizeParallel|BuildParallel' -benchtime=3x
+//	go test -run '^$' -bench='CharacterizeParallel|BuildParallel|SwapGate' -benchtime=3x
 //
 // or `make bench-parallel`.
 package sstiming_test
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"sstiming/internal/benchgen"
 	"sstiming/internal/charlib"
+	"sstiming/internal/netlist"
 	"sstiming/internal/prechar"
 	"sstiming/internal/tgraph"
 	"sstiming/internal/twindow"
@@ -60,4 +67,88 @@ func BenchmarkBuildParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSwapGate measures incremental edits on one persistent c7552
+// timing graph (one worker): an op swaps a gate to its same-arity dual
+// (NAND<->NOR, INV<->BUF) and back, re-converging its cone twice. Gates are
+// bucketed by the cone a trial swap re-converges (NumChanged), so cost
+// reads against cone size; cone_lines/op is the mean number of lines
+// re-converged per op. Every op restores the circuit, so afterwards the
+// graph must match a from-scratch build line for line.
+func BenchmarkSwapGate(b *testing.B) {
+	lib := prechar.MustLibrary()
+	c, err := benchgen.Load("c7552")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := tgraph.Options{Lib: lib, Mode: twindow.ModeProposed, Jobs: 1}
+	g, err := tgraph.New(c, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	dual := map[netlist.GateKind]netlist.GateKind{
+		netlist.Nand: netlist.Nor, netlist.Nor: netlist.Nand,
+		netlist.Inv: netlist.Buf, netlist.Buf: netlist.Inv,
+	}
+	buckets := []struct {
+		name    string
+		maxCone int
+		gates   []int
+	}{{"cone<=10", 10, nil}, {"cone<=100", 100, nil}, {"cone<=1000", 1000, nil}, {"cone>1000", math.MaxInt, nil}}
+	for gi := range c.Gates {
+		gate := &c.Gates[gi]
+		kind, ok := dual[gate.Kind]
+		if !ok {
+			continue
+		}
+		if err := g.SwapGate(ctx, gate.Output, kind); err != nil {
+			continue // the dual cell is not characterised
+		}
+		cone := g.NumChanged()
+		if err := g.SwapGate(ctx, gate.Output, dual[kind]); err != nil {
+			b.Fatal(err)
+		}
+		for k := range buckets {
+			if cone <= buckets[k].maxCone {
+				buckets[k].gates = append(buckets[k].gates, gi)
+				break
+			}
+		}
+	}
+
+	for _, bk := range buckets {
+		if len(bk.gates) == 0 {
+			continue
+		}
+		b.Run(bk.name, func(b *testing.B) {
+			b.ReportAllocs()
+			lines := 0
+			for i := 0; i < b.N; i++ {
+				gate := &c.Gates[bk.gates[i%len(bk.gates)]]
+				kind := gate.Kind
+				for _, k := range []netlist.GateKind{dual[kind], kind} {
+					if err := g.SwapGate(ctx, gate.Output, k); err != nil {
+						b.Fatal(err)
+					}
+					lines += g.NumChanged()
+				}
+			}
+			b.ReportMetric(float64(lines)/float64(b.N), "cone_lines/op")
+		})
+	}
+
+	ref, err := tgraph.New(c, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if g.NumLines() != ref.NumLines() {
+		b.Fatalf("line count %d, fresh build %d", g.NumLines(), ref.NumLines())
+	}
+	ref.Lines(func(net string, want twindow.LineInfo) {
+		if got, _ := g.Line(net); got != want {
+			b.Fatalf("net %q diverged after the swaps:\nincremental %+v\nfresh       %+v", net, got, want)
+		}
+	})
 }

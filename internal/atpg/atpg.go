@@ -43,8 +43,6 @@ import (
 	"sstiming/internal/tgraph"
 )
 
-var debugValidate = false
-
 // Fault is one crosstalk delay fault site.
 type Fault struct {
 	// Aggressor and Victim are the coupled nets.
@@ -253,9 +251,6 @@ func GenerateTest(c *netlist.Circuit, f Fault, opts Options) (Result, error) {
 				roots = append(roots, pc)
 			}
 		}
-	}
-	if debugValidate {
-		fmt.Printf("DEBUG roots: %d sensitised\n", len(roots))
 	}
 	roots = append(roots, implied)
 
@@ -710,36 +705,6 @@ func (g *generator) validate(cube nineval.Cube) *TwoPattern {
 		return nil
 	}
 	g.leavesExcited++
-	if debugValidate {
-		vic := clean.Events[g.f.Victim]
-		fvic := faulty.Events[g.f.Victim]
-		fmt.Printf("DEBUG excited: vic %s clean=%.1fps faulty=%.1fps\n", g.f.Victim, vic.Arrival*1e12, fvic.Arrival*1e12)
-		diff := 0
-		for net, fe := range faulty.Events {
-			if ce, ok := clean.Events[net]; ok && fe.Arrival != ce.Arrival {
-				diff++
-			}
-		}
-		cone := g.fanoutCone(g.f.Victim)
-		poCone, poDiff := 0, 0
-		for _, po := range g.c.POs {
-			if !cone[po] {
-				continue
-			}
-			poCone++
-			fe, okF := faulty.Events[po]
-			ce, okC := clean.Events[po]
-			if okF && okC {
-				if fe.Arrival != ce.Arrival {
-					poDiff++
-				}
-			} else {
-				fmt.Printf("  conePO %s: okF=%v okC=%v\n", po, okF, okC)
-			}
-		}
-		fmt.Printf("  shifted nets %d, cone POs %d, shifted POs %d\n", diff, poCone, poDiff)
-	}
-
 	// Detection: the injected slowdown must reach a primary output.
 	for _, po := range g.c.POs {
 		fe, okF := faulty.Events[po]
@@ -900,6 +865,3 @@ func RunCampaign(c *netlist.Circuit, faults []Fault, opts Options) (CampaignStat
 	}
 	return s, nil
 }
-
-// SetDebug toggles verbose leaf validation diagnostics (tests/probes only).
-func SetDebug(v bool) { debugValidate = v }

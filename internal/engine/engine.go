@@ -6,12 +6,13 @@
 // package each layer grew its own ad-hoc goroutine fan-out (or none at
 // all). The engine centralises that machinery:
 //
-//   - Pool: a bounded worker pool with context cancellation, panic
-//     recovery and fail-fast error aggregation (errgroup-style, stdlib
-//     only);
 //   - Run: indexed fan-out over N independent jobs with deterministic
 //     result placement — job i writes slot i, so a parallel run produces
-//     byte-identical artefacts to a serial one;
+//     byte-identical artefacts to a serial one — with context
+//     cancellation, panic recovery and fail-fast error aggregation;
+//   - Safely: the same panic containment for a single job body, for
+//     callers that schedule their own goroutines (the service daemon's
+//     job queue);
 //   - Metrics: a process-wide instrumentation sink of atomic counters
 //     and wall-clock timers that every layer can feed (SPICE Newton
 //     iterations, transient steps, characterisation jobs, STA arcs, ITR
@@ -31,13 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// ErrPoolClosed is returned by Pool.Go when the pool no longer accepts
-// jobs: after Close or Wait, or once the pool context is cancelled. A
-// typed sentinel lets long-lived submitters (the service daemon's job
-// queue) distinguish "we are shutting down" from load shedding or a job
-// failure.
-var ErrPoolClosed = errors.New("engine: pool closed")
 
 // PanicError is the error a recovered worker panic is converted into. It
 // carries the recovered value and the goroutine stack at the point of the
@@ -63,135 +57,19 @@ func Workers(n int) int {
 	return n
 }
 
-// Pool runs submitted jobs on at most a fixed number of goroutines.
-//
-// The first job error (or panic, converted to an error) cancels the pool
-// context; jobs submitted afterwards are rejected with ErrPoolClosed. Wait
-// returns the first error observed. A Pool must not be reused after Wait
-// (Go reports ErrPoolClosed once Wait or Close has run).
-type Pool struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	sem    chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewPool creates a pool of the given width running under ctx. A nil ctx
-// selects context.Background(); workers <= 0 selects GOMAXPROCS.
-func NewPool(ctx context.Context, workers int) *Pool {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	return &Pool{
-		ctx:    ctx,
-		cancel: cancel,
-		sem:    make(chan struct{}, Workers(workers)),
-	}
-}
-
-// Context returns the pool's context; jobs should pass it to blocking
-// sub-operations so cancellation propagates.
-func (p *Pool) Context() context.Context { return p.ctx }
-
-// Go submits one job. The call blocks until a worker slot is free (or the
-// pool is cancelled), bounding both concurrency and the goroutine count.
-//
-// Go reports ErrPoolClosed — without running the job — when the pool is
-// already closed (Close or Wait) or its context cancelled at the entry
-// check; in the cancelled case the returned error additionally wraps the
-// context's error, and the cancellation is still recorded for Wait. A call
-// that passes the entry check is ADMITTED: it runs even if Close lands
-// while it is still waiting for a worker slot — the graceful-drain
-// contract is that admitted jobs finish, not just already-running ones.
-// (Cancelling the pool context still aborts waiters.) A nil return means
-// the job was accepted and will run.
-func (p *Pool) Go(job func(ctx context.Context) error) error {
-	if p.closed.Load() {
-		return ErrPoolClosed
-	}
-	if err := p.ctx.Err(); err != nil {
-		p.fail(err)
-		return fmt.Errorf("%w: %w", ErrPoolClosed, err)
-	}
-	select {
-	case p.sem <- struct{}{}:
-	case <-p.ctx.Done():
-		p.fail(p.ctx.Err())
-		return fmt.Errorf("%w: %w", ErrPoolClosed, p.ctx.Err())
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer func() { <-p.sem }()
-		if p.ctx.Err() != nil {
-			p.fail(p.ctx.Err())
-			return
-		}
-		if err := protect(p.ctx, job); err != nil {
-			p.fail(err)
-		}
-	}()
-	return nil
-}
-
-// Close marks the pool as no longer accepting jobs: subsequent Go calls
-// return ErrPoolClosed without running. Jobs already accepted keep running
-// — including submissions that passed Go's entry check and are still
-// waiting for a worker slot; Close does not cancel the pool context (use
-// the parent context for that). Close is idempotent and safe to call
-// concurrently with Go.
-func (p *Pool) Close() { p.closed.Store(true) }
-
-// fail records the first error and cancels the pool.
-func (p *Pool) fail(err error) {
-	if err == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-	p.cancel()
-}
-
-// Wait blocks until every accepted job finished and returns the first
-// error observed (nil when all jobs succeeded). Wait closes the pool, so
-// later submissions fail with ErrPoolClosed rather than racing a finished
-// fan-out.
-func (p *Pool) Wait() error {
-	p.closed.Store(true)
-	p.wg.Wait()
-	p.cancel()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// protect runs the job and converts a panic into an error carrying the
-// recovered value and stack, so one crashing worker fails the fan-out
-// instead of killing the process.
-func protect(ctx context.Context, job func(ctx context.Context) error) (err error) {
+// Safely runs fn and converts a panic into a *PanicError carrying the
+// recovered value and stack, so one crashing job fails its own request or
+// fan-out instead of killing the process. Fan-out callers also wrap job
+// bodies with it when they want to attach their own context (which cell,
+// which pair) to a crash — Run's own recovery only knows the index, not
+// the work item.
+func Safely(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return job(ctx)
-}
-
-// Safely runs fn and converts a panic into an error (same containment as the
-// pool's per-job recovery). Fan-out callers wrap job bodies with it when they
-// want to attach their own context (which cell, which pair) to a crash before
-// the pool sees it — a bare pool-level recovery only knows the goroutine, not
-// the work item.
-func Safely(fn func() error) error {
-	return protect(context.Background(), func(context.Context) error { return fn() })
+	return fn()
 }
 
 // Run executes job(ctx, i) for every i in [0, n) on at most workers
@@ -225,7 +103,7 @@ func Run(ctx context.Context, workers, n int, job func(ctx context.Context, i in
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := protect(ctx, func(ctx context.Context) error { return job(ctx, i) }); err != nil {
+			if err := Safely(func() error { return job(ctx, i) }); err != nil {
 				return err
 			}
 		}

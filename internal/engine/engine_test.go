@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,39 +32,6 @@ func TestRunDeterministicOrdering(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestPoolSaturation: with W workers, at most W jobs run concurrently even
-// when many more are submitted, and all of them complete.
-func TestPoolSaturation(t *testing.T) {
-	const workers = 3
-	const jobs = 40
-	var cur, peak, done atomic.Int64
-	p := NewPool(context.Background(), workers)
-	for i := 0; i < jobs; i++ {
-		p.Go(func(context.Context) error {
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-			done.Add(1)
-			return nil
-		})
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if done.Load() != jobs {
-		t.Fatalf("completed %d of %d jobs", done.Load(), jobs)
-	}
-	if pk := peak.Load(); pk > workers {
-		t.Fatalf("observed %d concurrent jobs, pool width is %d", pk, workers)
 	}
 }
 
@@ -140,26 +106,6 @@ func TestRunPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestPoolGoAfterCancel: submissions after cancellation are dropped, and
-// Wait still returns.
-func TestPoolGoAfterCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := NewPool(ctx, 2)
-	cancel()
-	var ran atomic.Bool
-	p.Go(func(context.Context) error {
-		ran.Store(true)
-		return nil
-	})
-	err := p.Wait()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() {
-		t.Fatal("job ran after pool cancellation")
-	}
-}
-
 // TestRunRealErrorPreferred: with several failing jobs the reported error
 // is always one of the real job errors, never the cancellation noise of
 // jobs stopped by someone else's failure.
@@ -204,29 +150,18 @@ func TestRunNilContext(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentSubmitters: Go is safe to call from multiple
-// goroutines (the ATPG campaign submits from its own workers).
-func TestPoolConcurrentSubmitters(t *testing.T) {
-	p := NewPool(context.Background(), 4)
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for s := 0; s < 8; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				p.Go(func(context.Context) error {
-					total.Add(1)
-					return nil
-				})
-			}
-		}()
+// TestPanicErrorTyped: a recovered worker panic must surface as a
+// *PanicError carrying the panic value, retrievable with errors.As.
+func TestPanicErrorTyped(t *testing.T) {
+	err := Safely(func() error { panic("kaboom") })
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err %T does not unwrap to *PanicError", err)
 	}
-	wg.Wait()
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
+	if pe.Value != "kaboom" {
+		t.Fatalf("Value = %v, want kaboom", pe.Value)
 	}
-	if total.Load() != 200 {
-		t.Fatalf("ran %d jobs, want 200", total.Load())
+	if len(pe.Stack) == 0 {
+		t.Fatal("PanicError carries no stack")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sstiming/internal/benchgen"
-	"sstiming/internal/engine"
 )
 
 // TestDrainFailsReadinessFirstThenWaitsInflight is the graceful-shutdown
@@ -88,8 +87,8 @@ func TestDrainFailsReadinessFirstThenWaitsInflight(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("POST after drain = %d, want 503", resp.StatusCode)
 	}
-	if err := s.queue.Submit(context.Background(), func(context.Context) error { return nil }); !errors.Is(err, engine.ErrPoolClosed) {
-		t.Errorf("queue.Submit after drain = %v, want engine.ErrPoolClosed", err)
+	if err := s.queue.Submit(context.Background(), func(context.Context) error { return nil }); !errors.Is(err, ErrDraining) {
+		t.Errorf("queue.Submit after drain = %v, want ErrDraining", err)
 	}
 }
 

@@ -175,7 +175,7 @@ func errorKind(err error) string {
 		return "shed"
 	case errors.Is(err, ErrDegraded):
 		return "degraded"
-	case errors.Is(err, engine.ErrPoolClosed):
+	case errors.Is(err, ErrDraining):
 		return "draining"
 	case errors.Is(err, ErrSessionNotFound):
 		return "not-found"
@@ -194,7 +194,7 @@ func errorKind(err error) string {
 //	deadline / cancel  -> 504 (spice.ErrCancelled in the chain)
 //	queue full         -> 429 + Retry-After
 //	breaker open       -> 503 + Retry-After (degraded)
-//	draining           -> 503 (pool closed)
+//	draining           -> 503 (ErrDraining)
 //	job panic          -> 500 (contained; the daemon keeps serving)
 //	journal write lost -> 500 (the delta was applied but never made
 //	                          durable; the session is dropped and a
@@ -217,7 +217,7 @@ func (s *Server) respondJobError(w http.ResponseWriter, id string, err error) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.breaker.RetryAfter().Seconds())))
 		writeError(w, http.StatusServiceUnavailable, id, err,
 			map[string]string{"breaker": s.breaker.State().String()})
-	case errors.Is(err, engine.ErrPoolClosed):
+	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, id, err, nil)
 	case errors.As(err, &pe):
 		s.met.Add(engine.SvcPanics, 1)
@@ -672,7 +672,7 @@ type ReloadResponse struct {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	id := RequestID(r.Context())
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, id, fmt.Errorf("%w: draining", engine.ErrPoolClosed), nil)
+		writeError(w, http.StatusServiceUnavailable, id, ErrDraining, nil)
 		return
 	}
 	fresh, err := s.Reload()

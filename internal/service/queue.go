@@ -13,57 +13,60 @@ import (
 
 // ErrShedLoad is returned when the bounded job queue is full: the request
 // is rejected immediately (429 + Retry-After) instead of building an
-// unbounded backlog. Distinct from engine.ErrPoolClosed, which signals
-// shutdown (503).
+// unbounded backlog. Distinct from ErrDraining, which signals shutdown
+// (503).
 var ErrShedLoad = errors.New("service: job queue full")
 
-// jobQueue is the daemon's admission-controlled execution path: a bounded
-// waiting room in front of a long-lived engine.Pool.
+// ErrDraining is returned for work refused because the daemon is draining
+// (503, kind "draining"). Its text is part of the wire contract: it is the
+// 503 body's error field, which clients may match.
+var ErrDraining = errors.New("engine: pool closed: draining")
+
+// jobQueue is the daemon's admission-controlled execution path, two
+// semaphore channels wide:
 //
-//   - at most `workers` jobs run concurrently (the pool width);
-//   - at most `depth` more sit queued; anything beyond is shed with
-//     ErrShedLoad before consuming any solver resources;
-//   - a request whose deadline fires while queued or running gets its
-//     spice.ErrCancelled answer immediately — the job itself observes the
-//     same context and aborts at its next cancellation point;
+//   - pending admits at most workers+depth unfinished jobs; a submission
+//     that finds it full is shed with ErrShedLoad before consuming any
+//     solver resources;
+//   - run grants one of `workers` execution slots, so at most `workers`
+//     jobs run concurrently;
+//   - a request whose deadline fires while queued never starts and gets
+//     its spice.ErrCancelled answer; one whose deadline fires while running
+//     gets the answer immediately, and the job observes the same context
+//     and aborts at its next cancellation point;
 //   - job panics are contained per job (engine.Safely) and surface as
-//     *engine.PanicError, never cancelling the shared pool;
-//   - after Close/Drain, submissions fail with engine.ErrPoolClosed so the
-//     handler layer can answer "shutting down" rather than "overloaded" —
-//     but admission is a promise: a job that entered the bounded queue
-//     before the drain began runs to completion even if it was still
-//     waiting for a worker when the drain started.
+//     *engine.PanicError;
+//   - after Drain, submissions fail with ErrDraining so the handler layer
+//     can answer "shutting down" rather than "overloaded" — but admission
+//     is a promise: a job that entered the queue before the drain began
+//     runs to completion even if it was still waiting for a slot.
+//
+// A queued job waits on its submitter's goroutine; a running one gets one
+// goroutine of its own, so a deadline can answer while it winds down.
 type jobQueue struct {
-	pool *engine.Pool
-	// pending bounds admitted-but-unfinished jobs to workers+depth.
 	pending chan struct{}
-	// inflight counts jobs admitted and not yet finished (queued included).
-	inflight atomic.Int64
-	// closed refuses new admissions after Close/Drain. It is deliberately
-	// checked before the pending slot, and the pool itself stays open until
-	// Drain has emptied the queue, so already-admitted jobs keep running.
+	run     chan struct{}
+	// closed refuses new admissions once Drain began. It is checked before
+	// the pending slot only, so already-admitted jobs keep running.
 	closed atomic.Bool
 	met    *engine.Metrics
 }
 
 func newJobQueue(workers, depth int, met *engine.Metrics) *jobQueue {
 	w := engine.Workers(workers)
-	if depth < 0 {
-		depth = 0
-	}
 	return &jobQueue{
-		pool:    engine.NewPool(context.Background(), w),
-		pending: make(chan struct{}, w+depth),
+		pending: make(chan struct{}, w+max(depth, 0)),
+		run:     make(chan struct{}, w),
 		met:     met,
 	}
 }
 
-// Submit runs fn on the pool under ctx and waits for it (or for ctx). The
-// returned error is fn's own error, ErrShedLoad, engine.ErrPoolClosed, a
-// spice.ErrCancelled wrap, or an *engine.PanicError wrap.
+// Submit runs fn under ctx and waits for it (or for ctx). The returned
+// error is fn's own error, ErrShedLoad, ErrDraining, a spice.ErrCancelled
+// wrap, or an *engine.PanicError wrap.
 func (q *jobQueue) Submit(ctx context.Context, fn func(ctx context.Context) error) error {
 	if q.closed.Load() {
-		return fmt.Errorf("%w: draining", engine.ErrPoolClosed)
+		return ErrDraining
 	}
 	select {
 	case q.pending <- struct{}{}:
@@ -71,69 +74,55 @@ func (q *jobQueue) Submit(ctx context.Context, fn func(ctx context.Context) erro
 		q.met.Add(engine.SvcShed, 1)
 		return ErrShedLoad
 	}
-	q.inflight.Add(1)
+	select {
+	case q.run <- struct{}{}:
+	case <-ctx.Done():
+		// Deadline fired while queued: never start the work.
+		<-q.pending
+		return spice.Cancelled(ctx.Err())
+	}
+	if err := ctx.Err(); err != nil {
+		// Both were ready and select took the slot: still never start.
+		<-q.run
+		<-q.pending
+		return spice.Cancelled(err)
+	}
 	done := make(chan error, 1)
-	// finish is called exactly once per admitted job: either with the
-	// submission failure, or with the job's outcome.
-	finish := func(err error) {
-		q.inflight.Add(-1)
+	go func() {
+		err := engine.Safely(func() error { return fn(ctx) })
+		<-q.run
 		<-q.pending
 		done <- err
-	}
-	// The pool submission itself can block while all workers are busy; run
-	// it aside so a queued request still honours its deadline below.
-	go func() {
-		submitErr := q.pool.Go(func(context.Context) error {
-			if err := ctx.Err(); err != nil {
-				// Deadline fired while queued: never start the work.
-				finish(spice.Cancelled(err))
-				return nil
-			}
-			finish(engine.Safely(func() error { return fn(ctx) }))
-			// Job errors belong to the request, not the shared pool: a
-			// failed analysis must not cancel every other request.
-			return nil
-		})
-		if submitErr != nil {
-			finish(submitErr)
-		}
 	}()
 	select {
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		// The job (if running) sees the same context and winds down on
-		// its own; its bookkeeping is finished by the goroutine above.
+		// The running job sees the same context and winds down on its
+		// own; its slots are released by the goroutine above.
 		return spice.Cancelled(ctx.Err())
 	}
 }
 
 // Inflight returns the number of admitted, unfinished jobs.
-func (q *jobQueue) Inflight() int { return int(q.inflight.Load()) }
-
-// Close stops admitting jobs; in-flight jobs (queued included) keep
-// running.
-func (q *jobQueue) Close() { q.closed.Store(true) }
+func (q *jobQueue) Inflight() int { return len(q.pending) }
 
 // Drain stops admission and waits until every in-flight job finished —
 // queued-but-not-yet-running jobs included, since admission is the promise
-// — or until ctx fires (returning an error naming the stragglers). The
-// underlying pool is closed only once the queue is empty, so admitted jobs
-// are never refused with ErrPoolClosed mid-drain.
+// — or until ctx fires (returning an error naming the stragglers).
 func (q *jobQueue) Drain(ctx context.Context) error {
 	q.closed.Store(true)
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if q.inflight.Load() == 0 {
-			q.pool.Close()
+		if q.Inflight() == 0 {
 			return nil
 		}
 		select {
 		case <-tick.C:
 		case <-ctx.Done():
 			return fmt.Errorf("service: drain deadline exceeded with %d jobs in flight: %w",
-				q.inflight.Load(), ctx.Err())
+				q.Inflight(), ctx.Err())
 		}
 	}
 }

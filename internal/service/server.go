@@ -8,9 +8,9 @@
 //     deadline reaches sta.Analyze, itr.Refine and ultimately the spice
 //     Newton loop, so a cancelled request answers 504 with
 //     spice.ErrCancelled in the chain and never holds a worker;
-//   - admission control is a bounded job queue on a long-lived
-//     internal/engine pool: beyond workers+depth concurrent jobs the
-//     daemon sheds load with 429 + Retry-After instead of queueing
+//   - admission control is a bounded job queue (queue.go): at most
+//     `workers` jobs run at once, and beyond workers+depth admitted jobs
+//     the daemon sheds load with 429 + Retry-After instead of queueing
 //     unboundedly;
 //   - job and handler panics are contained per request and answered as
 //     500s carrying a request ID — a crash never takes the daemon down;
@@ -301,10 +301,10 @@ func (s *Server) Reload() (*core.Library, error) {
 func (s *Server) Metrics() *engine.Metrics { return s.met }
 
 // submit routes one job through admission control. While draining, jobs are
-// refused with engine.ErrPoolClosed (503) before touching the queue.
+// refused with ErrDraining (503) before touching the queue.
 func (s *Server) submit(ctx context.Context, fn func(ctx context.Context) error) error {
 	if s.draining.Load() {
-		return fmt.Errorf("%w: draining", engine.ErrPoolClosed)
+		return ErrDraining
 	}
 	return s.queue.Submit(ctx, fn)
 }

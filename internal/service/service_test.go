@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,6 +324,49 @@ func TestShedLoadWhenQueueFull(t *testing.T) {
 	}
 }
 
+// TestQueueSaturation: with W workers and a 3W waiting room, 4W blocking
+// jobs fill admission exactly — W run, 3W wait — the next one is shed, and
+// no more than W ever run at once while the backlog drains.
+func TestQueueSaturation(t *testing.T) {
+	const workers = 3
+	const admitted = 4 * workers
+	s, _ := newTestServer(t, Options{Workers: workers, QueueDepth: 3 * workers})
+	gate := make(chan struct{})
+	var cur, peak atomic.Int64
+	job := func(context.Context) error {
+		c := cur.Add(1)
+		for {
+			pk := peak.Load()
+			if c <= pk || peak.CompareAndSwap(pk, c) {
+				break
+			}
+		}
+		<-gate
+		cur.Add(-1)
+		return nil
+	}
+	errs := make(chan error, admitted)
+	for i := 0; i < admitted; i++ {
+		go func() { errs <- s.submit(context.Background(), job) }()
+	}
+	waitFor(t, "every job admitted and W running", func() bool {
+		return s.queue.Inflight() == admitted && cur.Load() == workers
+	})
+	if err := s.submit(context.Background(), job); !errors.Is(err, ErrShedLoad) {
+		t.Fatalf("job %d: err = %v, want ErrShedLoad", admitted+1, err)
+	}
+
+	close(gate)
+	for i := 0; i < admitted; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("admitted job failed: %v", err)
+		}
+	}
+	if pk := peak.Load(); pk != workers {
+		t.Fatalf("peak concurrency %d, want exactly %d", pk, workers)
+	}
+}
+
 func TestJobPanicContainedAndDaemonKeepsServing(t *testing.T) {
 	s, hs := newTestServer(t, Options{})
 	err := s.submit(context.Background(), func(context.Context) error {
@@ -335,7 +379,7 @@ func TestJobPanicContainedAndDaemonKeepsServing(t *testing.T) {
 	if pe.Value != "kaboom" {
 		t.Errorf("PanicError.Value = %v, want \"kaboom\"", pe.Value)
 	}
-	// The shared pool must survive the panic.
+	// The job queue must survive the panic.
 	resp, raw := postJSON(t, hs.URL+"/analyze", map[string]any{
 		"netlist": benchText(t, benchgen.C17()),
 	})
