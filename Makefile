@@ -9,8 +9,11 @@ COVER_FLOOR ?= 75.0
 
 .PHONY: build test race vet verify conformance cache-conformance chaos store-chaos session-chaos shard-chaos net-chaos service-smoke cover bench-go bench-parallel clean
 
+# perfbench is its own module, so ./... at the root never reaches it; it is
+# compiled (not run) here so an API break surfaces in verify.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -20,6 +23,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Tier-1 verification loop (see ROADMAP.md). Runs every stage through a
 # timing wrapper and prints a per-stage wall-clock summary at the end, so

@@ -83,8 +83,10 @@ type Result struct {
 	Mode sta.Mode
 	// Cube is the implied two-frame assignment.
 	Cube nineval.Cube
-	// Lines holds refined timing per net.
+	// Lines is a name-keyed view of the refined timing per net.
 	Lines map[string]*LineInfo
+
+	snap *twindow.Snapshot
 }
 
 // Window returns the directional window of a net and whether it is defined.
@@ -137,53 +139,30 @@ func Refine(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Result, error
 
 // FromGraph snapshots a persistent timing graph's current line states as a
 // refinement Result. The snapshot is a copy: later graph edits do not
-// disturb it. The map's values point into one slice, so the copy costs the
-// map plus one allocation.
+// disturb it.
 func FromGraph(g *tgraph.Graph) *Result {
-	res := &Result{
-		Circuit: g.Circuit(),
-		Mode:    g.Mode(),
-		Cube:    g.ImpliedCube().Clone(),
-		Lines:   make(map[string]*LineInfo, g.NumLines()),
-	}
-	lis := make([]LineInfo, 0, g.NumLines())
-	g.Lines(func(net string, li twindow.LineInfo) {
-		lis = append(lis, li)
-		res.Lines[net] = &lis[len(lis)-1]
-	})
-	return res
+	snap := g.Snapshot()
+	return &Result{Circuit: snap.Circuit, Mode: snap.Mode, Cube: g.ImpliedCube().Clone(), Lines: snap.LineMap(), snap: snap}
 }
 
 // RequiredTimes performs the state-aware backward traversal — the pass
-// shared with sta (twindow.Backward), fed the refined transition states:
+// shared with sta (twindow.Snapshot), fed the refined transition states:
 // required windows propagate only along arcs whose transitions are still
 // possible, the minimum arc delay exploits simultaneous switching (under
 // ModeProposed) only with partners that can still transition, and a line
-// direction with state -1 receives no required window.
+// direction with state -1 receives no required window. lib must be the
+// library the result was refined with: the traversal reads the cells the
+// timing graph bound from it.
 func (r *Result) RequiredTimes(cons sta.Constraint, lib *core.Library) map[string]*sta.LineRequired {
-	return r.backward(lib).RequiredTimes(cons)
+	return r.snap.RequiredTimes(cons)
 }
 
 // CheckViolations compares the refined arrival windows against the required
 // windows under the PO constraint. Only defined (state != -1) directions
-// are checked; the order is that of sta.Result.CheckViolations.
+// are checked; the order is that of sta.Result.CheckViolations. lib must be
+// the library the result was refined with, as for RequiredTimes.
 func (r *Result) CheckViolations(cons sta.Constraint, lib *core.Library) []sta.Violation {
-	return r.backward(lib).CheckViolations(cons)
-}
-
-func (r *Result) backward(lib *core.Library) twindow.Backward {
-	return twindow.Backward{
-		Circuit: r.Circuit,
-		Lib:     lib,
-		Mode:    r.Mode,
-		Line: func(net string) (LineInfo, bool) {
-			li, ok := r.Lines[net]
-			if !ok {
-				return LineInfo{}, false
-			}
-			return *li, true
-		},
-	}
+	return r.snap.CheckViolations(cons)
 }
 
 // ctxErr folds a fired context into the solver error taxonomy.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -336,17 +337,105 @@ func boolPart(b bool) string {
 	return "0"
 }
 
-// handleAnalyze serves POST /analyze: one STA job, content-addressed. The
-// address has two levels. First the raw level: a hash of the request fields
-// exactly as posted — a byte-identical re-post answers from the alias map
-// without ever parsing the netlist, which on small circuits costs as much
-// as the analysis itself. Only on a raw miss is the request parsed and
-// size-checked (bad input never consumes a cache flight or a queue slot)
-// and addressed by the canonical netlist plus every response-relevant
-// option under the serving library's fingerprint; only a canonical miss
-// runs the engine, through admission control. The X-Cache header reports
-// hit/miss/coalesced; a cached response is byte-identical to the cold run
-// modulo the re-stamped request_id and elapsed_ms.
+// identified is a cacheable response whose identity fields (request_id,
+// elapsed_ms) stay zero in the cached value; every response re-stamps its
+// own copy.
+type identified interface {
+	// withIdentity returns a shallow copy carrying one request's identity.
+	withIdentity(id string, elapsedMs float64) any
+}
+
+func (r AnalyzeResponse) withIdentity(id string, elapsedMs float64) any {
+	r.RequestID, r.ElapsedMs = id, elapsedMs
+	return &r
+}
+
+func (r RefineResponse) withIdentity(id string, elapsedMs float64) any {
+	r.RequestID, r.ElapsedMs = id, elapsedMs
+	return &r
+}
+
+// addressed is one content-addressed request, as an endpoint hands it to
+// serveAddressed.
+type addressed struct {
+	// endpoint names the two key schemas, <endpoint>-raw/1 and
+	// <endpoint>/1.
+	endpoint string
+	// fp is the serving library's fingerprint, the first key part.
+	fp string
+	// parts are the response-relevant options, in both addresses.
+	parts []string
+	// netlist and format are the posted circuit: raw bytes in the raw
+	// address, parsed and canonicalised in the other.
+	netlist, format string
+	timeoutMs       int
+	// run computes the response on a canonical miss, inside the job queue.
+	run func(ctx context.Context, c *netlist.Circuit) (identified, error)
+}
+
+// serveAddressed is the content-addressed flow /analyze and /refine share.
+// The address has two levels. First the raw level: a byte-identical re-post
+// answers from the alias map without ever parsing the netlist, which on
+// small circuits costs as much as the analysis itself. Only on a raw miss
+// is the netlist parsed and size-checked (bad input never consumes a cache
+// flight or a queue slot) and addressed canonically under the serving
+// library's fingerprint; only a canonical miss runs the engine, through
+// admission control. The X-Cache header reports hit/miss/coalesced; a
+// cached response is byte-identical to the cold run modulo the re-stamped
+// request_id and elapsed_ms.
+func (s *Server) serveAddressed(w http.ResponseWriter, r *http.Request, start time.Time, a addressed) {
+	id := RequestID(r.Context())
+	address := func(schema string, tail ...string) reqcache.Key {
+		return reqcache.KeyFrom(slices.Concat([]string{schema, a.fp}, a.parts, tail)...)
+	}
+	// Format is part of the raw address (it changes how the same bytes
+	// parse) but not the canonical one (parsing normalizes it away).
+	raw := address(a.endpoint+"-raw/1", strings.ToLower(a.format), a.netlist)
+	respond := func(v any, status reqcache.Status) {
+		w.Header().Set("X-Cache", status.String())
+		writeJSON(w, http.StatusOK, v.(identified).withIdentity(id, float64(time.Since(start))/float64(time.Millisecond)))
+	}
+	if s.cache != nil {
+		if v, ok := s.cache.GetVia(raw); ok {
+			respond(v, reqcache.Hit)
+			return
+		}
+	}
+	c, err := parseCircuit(a.netlist, a.format)
+	if err == nil {
+		err = s.checkGateBudget(c)
+	}
+	if err != nil {
+		s.respondJobError(w, id, err)
+		return
+	}
+	ctx, cancel := s.withDeadline(r, a.timeoutMs)
+	defer cancel()
+
+	key := address(a.endpoint+"/1", string(reqcache.CanonicalNetlist(c)))
+	val, status, err := s.cached(ctx, key, a.fp, func(ctx context.Context) (any, int64, error) {
+		var out identified
+		err := s.submit(ctx, func(ctx context.Context) (err error) {
+			out, err = a.run(ctx, c)
+			return err
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		return out, respSize(out), nil
+	})
+	if err != nil {
+		s.respondJobError(w, id, asJobError(err))
+		return
+	}
+	if s.cache != nil {
+		s.cache.SetAlias(raw, key)
+	}
+	respond(val, status)
+}
+
+// handleAnalyze serves POST /analyze: one STA job, content-addressed (see
+// serveAddressed) by the canonical netlist, the mode and the options.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	id := RequestID(r.Context())
 	start := time.Now()
@@ -361,38 +450,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ls := s.libstate()
-	// Format is part of the raw address (it changes how the same bytes
-	// parse) but not the canonical one (parsing normalizes it away).
-	rawKey := reqcache.KeyFrom("analyze-raw/1", ls.fp, mode.String(),
-		boolPart(req.NCExtension), boolPart(req.Windows),
-		strings.ToLower(req.Format), req.Netlist)
-	if s.cache != nil {
-		if v, ok := s.cache.GetVia(rawKey); ok {
-			resp := *v.(*AnalyzeResponse)
-			resp.RequestID = id
-			resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-			w.Header().Set("X-Cache", reqcache.Hit.String())
-			writeJSON(w, http.StatusOK, &resp)
-			return
-		}
-	}
-	c, err := parseCircuit(req.Netlist, req.Format)
-	if err == nil {
-		err = s.checkGateBudget(c)
-	}
-	if err != nil {
-		s.respondJobError(w, id, err)
-		return
-	}
-	ctx, cancel := s.withDeadline(r, req.TimeoutMs)
-	defer cancel()
-
-	key := reqcache.KeyFrom("analyze/1", ls.fp, mode.String(),
-		boolPart(req.NCExtension), boolPart(req.Windows),
-		string(reqcache.CanonicalNetlist(c)))
-	val, status, err := s.cached(ctx, key, ls.fp, func(ctx context.Context) (any, int64, error) {
-		var out *AnalyzeResponse
-		err := s.submit(ctx, func(ctx context.Context) error {
+	s.serveAddressed(w, r, start, addressed{
+		endpoint: "analyze", fp: ls.fp,
+		parts:   []string{mode.String(), boolPart(req.NCExtension), boolPart(req.Windows)},
+		netlist: req.Netlist, format: req.Format, timeoutMs: req.TimeoutMs,
+		run: func(ctx context.Context, c *netlist.Circuit) (identified, error) {
 			res, err := sta.Analyze(c, sta.Options{
 				Lib:         ls.lib,
 				Mode:        mode,
@@ -402,11 +464,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				Metrics:     s.met,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			// Identity fields (request_id, elapsed_ms) stay zero in the
-			// cached value; every response re-stamps its own copy.
-			out = &AnalyzeResponse{
+			out := &AnalyzeResponse{
 				Circuit:      circuitJSON(c),
 				Mode:         mode.String(),
 				MinPOArrival: res.MinPOArrival(),
@@ -424,33 +484,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 					}
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, respSize(out), nil
+			return out, nil
+		},
 	})
-	if err != nil {
-		s.respondJobError(w, id, asJobError(err))
-		return
-	}
-	if s.cache != nil {
-		s.cache.SetAlias(rawKey, key)
-	}
-	// Shallow copy: identity fields are per-request, everything else is the
-	// shared immutable cached value.
-	resp := *val.(*AnalyzeResponse)
-	resp.RequestID = id
-	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	w.Header().Set("X-Cache", status.String())
-	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleRefine serves POST /refine: one ITR job, content-addressed like
-// /analyze — the raw-level alias answers a byte-identical re-post without
-// parsing, and the canonical address adds the canonical cube and net filter
-// to the canonical netlist; a miss submits through admission control.
+// /analyze, with the canonical cube and net filter added to both
+// addresses.
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	id := RequestID(r.Context())
 	start := time.Now()
@@ -464,49 +505,26 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, id, err, nil)
 		return
 	}
-	// parseCube accepts 'x' and 'X' alike; fold case so both spellings
-	// share an address. Cheap enough (a handful of nets) to sit above the
-	// raw fast path, unlike the netlist parse.
-	cubeKey := make(map[string]string, len(req.Cube))
-	for net, v := range req.Cube {
-		cubeKey[net] = strings.ToLower(v)
-	}
-	ls := s.libstate()
-	rawKey := reqcache.KeyFrom("refine-raw/1", ls.fp, mode.String(),
-		boolPart(req.NCExtension), reqcache.CanonicalCube(cubeKey),
-		reqcache.CanonicalNets(req.Nets), strings.ToLower(req.Format), req.Netlist)
-	if s.cache != nil {
-		if v, ok := s.cache.GetVia(rawKey); ok {
-			resp := *v.(*RefineResponse)
-			resp.RequestID = id
-			resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-			w.Header().Set("X-Cache", reqcache.Hit.String())
-			writeJSON(w, http.StatusOK, &resp)
-			return
-		}
-	}
+	// A cube that parses cannot have been cached, so checking it before
+	// the raw lookup changes no answer; it costs a handful of nets.
 	cube, err := parseCube(req.Cube)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, id, err, nil)
 		return
 	}
-	c, err := parseCircuit(req.Netlist, req.Format)
-	if err == nil {
-		err = s.checkGateBudget(c)
+	// parseCube accepts 'x' and 'X' alike; fold case so both spellings
+	// share an address.
+	cubeKey := make(map[string]string, len(req.Cube))
+	for net, v := range req.Cube {
+		cubeKey[net] = strings.ToLower(v)
 	}
-	if err != nil {
-		s.respondJobError(w, id, err)
-		return
-	}
-	ctx, cancel := s.withDeadline(r, req.TimeoutMs)
-	defer cancel()
-
-	key := reqcache.KeyFrom("refine/1", ls.fp, mode.String(),
-		boolPart(req.NCExtension), reqcache.CanonicalCube(cubeKey),
-		reqcache.CanonicalNets(req.Nets), string(reqcache.CanonicalNetlist(c)))
-	val, status, err := s.cached(ctx, key, ls.fp, func(ctx context.Context) (any, int64, error) {
-		var out *RefineResponse
-		err := s.submit(ctx, func(ctx context.Context) error {
+	ls := s.libstate()
+	s.serveAddressed(w, r, start, addressed{
+		endpoint: "refine", fp: ls.fp,
+		parts: []string{mode.String(), boolPart(req.NCExtension),
+			reqcache.CanonicalCube(cubeKey), reqcache.CanonicalNets(req.Nets)},
+		netlist: req.Netlist, format: req.Format, timeoutMs: req.TimeoutMs,
+		run: func(ctx context.Context, c *netlist.Circuit) (identified, error) {
 			res, err := itr.Refine(c, cube, itr.Options{
 				Lib:         ls.lib,
 				Mode:        mode,
@@ -515,7 +533,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 				Metrics:     s.met,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			keep := func(string) bool { return true }
 			if len(req.Nets) > 0 {
@@ -527,35 +545,13 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 			}
 			lines := make(map[string]RefineLineJSON)
 			for net, li := range res.Lines {
-				if !keep(net) {
-					continue
+				if keep(net) {
+					lines[net] = lineJSON(*li)
 				}
-				lines[net] = lineJSON(*li)
 			}
-			out = &RefineResponse{
-				Circuit: circuitJSON(c),
-				Cube:    res.Cube.String(),
-				Lines:   lines,
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, respSize(out), nil
+			return &RefineResponse{Circuit: circuitJSON(c), Cube: res.Cube.String(), Lines: lines}, nil
+		},
 	})
-	if err != nil {
-		s.respondJobError(w, id, asJobError(err))
-		return
-	}
-	if s.cache != nil {
-		s.cache.SetAlias(rawKey, key)
-	}
-	resp := *val.(*RefineResponse)
-	resp.RequestID = id
-	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	w.Header().Set("X-Cache", status.String())
-	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleConformance serves POST /conformance: a randomized differential

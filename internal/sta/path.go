@@ -3,9 +3,10 @@ package sta
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
-	"sstiming/internal/netlist"
+	"sstiming/internal/twindow"
 )
 
 // PathStep is one node of an extracted worst path.
@@ -23,90 +24,60 @@ type PathStep struct {
 // worst-case candidate realises the output's latest arrival. The returned
 // slice runs from a primary input to the requested endpoint.
 func (r *Result) CriticalPath(net string, rising bool) ([]PathStep, error) {
-	c := r.Circuit
+	c, s := r.Circuit, r.snap
+	nPI := len(c.PIs)
+	id, ok := c.NetID(net)
+	if !ok {
+		return nil, fmt.Errorf("sta: no timing for net %q", net)
+	}
 	var path []PathStep
-	curNet, curRising := net, rising
+	curRising := rising
 
 	for hop := 0; hop <= len(c.Gates)+1; hop++ {
-		lt := r.Lines[curNet]
-		if lt == nil {
-			return nil, fmt.Errorf("sta: no timing for net %q", curNet)
+		w := s.Lines[id].Fall
+		if curRising {
+			w = s.Lines[id].Rise
 		}
-		w := lt.Rise
-		if !curRising {
-			w = lt.Fall
-		}
-		path = append(path, PathStep{Net: curNet, Rising: curRising, Arrival: w.AL})
+		path = append(path, PathStep{Net: c.NetName(id), Rising: curRising, Arrival: w.AL})
 
-		gi, driven := c.Driver(curNet)
-		if !driven {
+		if id < nPI {
 			// Reached a primary input; reverse into PI->PO order.
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
+			slices.Reverse(path)
 			return path, nil
 		}
-		g := &c.Gates[gi]
-		cell, ok := r.lib.Cell(g.CellName())
-		if !ok {
-			return nil, fmt.Errorf("sta: no cell for gate %q", g.Output)
+		gi := id - nPI
+		gb := &s.Gates[gi]
+		// The arc producing this output transition.
+		arcs := twindow.Arcs(gb.Kind)
+		ai := slices.IndexFunc(arcs, func(a twindow.Arc) bool { return a.OutRise == curRising })
+		if ai < 0 {
+			return nil, fmt.Errorf("sta: unsupported gate kind %v", gb.Kind)
 		}
-		extraLoad := float64(c.FanoutCount(g.Output)-1) * cell.RefLoad
-
-		// Which input direction and pin table feed this output
-		// transition?
-		var inRising, ctrl bool
-		switch g.Kind {
-		case netlist.Inv:
-			inRising, ctrl = !curRising, curRising
-		case netlist.Buf:
-			inRising, ctrl = curRising, curRising
-		case netlist.Nand:
-			inRising, ctrl = !curRising, curRising
-		case netlist.Nor:
-			inRising, ctrl = !curRising, !curRising
-		default:
-			return nil, fmt.Errorf("sta: unsupported gate kind %v", g.Kind)
-		}
-
-		pins := cell.NonCtrlPins
-		if ctrl {
-			pins = cell.CtrlPins
-		}
+		a := arcs[ai]
 
 		// Find the input whose worst-case candidate realises (or comes
 		// closest to) the output's latest arrival.
 		bestPin := -1
 		bestGap := math.Inf(1)
-		var bestCand float64
-		for x, in := range g.Inputs {
-			inLT := r.Lines[in]
-			if inLT == nil {
-				continue
+		inIDs := c.GateInputIDs(gi)
+		for x, in := range inIDs {
+			iw := s.Lines[in].Fall
+			if a.InRise {
+				iw = s.Lines[in].Rise
 			}
-			iw := inLT.Rise
-			if !inRising {
-				iw = inLT.Fall
-			}
-			libPin := x
-			if g.Kind == netlist.Inv || g.Kind == netlist.Buf {
-				libPin = 0
-			}
-			p := &pins[libPin]
+			p := gb.Pin(a, x)
 			_, dMax := p.Delay.MaxOver(iw.TS, iw.TL)
-			cand := iw.AL + dMax + p.DelayLoadSlope*extraLoad
+			cand := iw.AL + dMax + p.DelayLoadSlope*gb.ExtraLoad
 			if gap := math.Abs(cand - w.AL); gap < bestGap {
 				bestGap = gap
 				bestPin = x
-				bestCand = cand
 			}
 		}
 		if bestPin < 0 {
-			return nil, fmt.Errorf("sta: gate %q has no timed inputs", g.Output)
+			return nil, fmt.Errorf("sta: gate %q has no timed inputs", c.NetName(id))
 		}
-		_ = bestCand
-		curNet = g.Inputs[bestPin]
-		curRising = inRising
+		id = int(inIDs[bestPin])
+		curRising = a.InRise
 	}
 	return nil, fmt.Errorf("sta: path extraction did not terminate (cycle?)")
 }

@@ -29,8 +29,10 @@
 // "full analysis" is literally the everything-dirty special case of
 // incremental re-convergence, so full and incremental results are
 // byte-identical by construction. The window/corner arithmetic itself lives
-// in internal/twindow, shared with itr and tgraph; the window types below
-// are aliases of the twindow types.
+// in internal/twindow, shared with itr and tgraph. A Result holds a
+// twindow.Snapshot — the settled lines by net ID and the graph's gate
+// bindings — and LineTiming is twindow's LineInfo, so required times,
+// violations and critical paths read the same arrays as ITR's.
 package sta
 
 import (
@@ -60,11 +62,9 @@ const (
 // arrival and shortest/longest transition time, in seconds (Figure 7).
 type Window = twindow.Window
 
-// LineTiming is the pair of directional windows of one line.
-type LineTiming struct {
-	Rise Window
-	Fall Window
-}
+// LineTiming is the timing of one line: its directional windows, plus the
+// transition states the backward pass reads, all SMaybe for STA.
+type LineTiming = twindow.LineInfo
 
 // PITiming describes the assumed stimulus at primary inputs.
 type PITiming = twindow.PITiming
@@ -123,9 +123,10 @@ type Options struct {
 type Result struct {
 	Circuit *netlist.Circuit
 	Mode    Mode
-	Lines   map[string]*LineTiming
+	// Lines is a name-keyed view of the snapshot's lines.
+	Lines map[string]*LineTiming
 
-	lib *core.Library
+	snap *twindow.Snapshot
 }
 
 // Analyze runs forward window propagation over the circuit: it builds a
@@ -158,21 +159,16 @@ func Analyze(c *netlist.Circuit, opts Options) (*Result, error) {
 // FromGraph snapshots a persistent timing graph's current windows as an
 // analysis Result, so graph holders get path extraction, required times and
 // violation checks without a fresh full analysis. The snapshot is a copy:
-// later graph edits do not disturb it. The map's values point into one
-// slice, so the copy costs the map plus one allocation.
+// later graph edits do not disturb it. Whatever cube the graph holds, every
+// line's transition states read SMaybe — STA as the S = 0 special case of
+// ITR.
 func FromGraph(g *tgraph.Graph) *Result {
-	res := &Result{
-		Circuit: g.Circuit(),
-		Mode:    g.Mode(),
-		Lines:   make(map[string]*LineTiming, g.NumLines()),
-		lib:     g.Lib(),
+	snap := g.Snapshot()
+	for i := range snap.Lines {
+		li := &snap.Lines[i]
+		li.Value, li.SRise, li.SFall = nineval.VXX, nineval.SMaybe, nineval.SMaybe
 	}
-	lts := make([]LineTiming, 0, g.NumLines())
-	g.Lines(func(net string, li twindow.LineInfo) {
-		lts = append(lts, LineTiming{Rise: li.Rise, Fall: li.Fall})
-		res.Lines[net] = &lts[len(lts)-1]
-	})
-	return res
+	return &Result{Circuit: snap.Circuit, Mode: snap.Mode, Lines: snap.LineMap(), snap: snap}
 }
 
 // Window returns the directional window of a net.
@@ -223,11 +219,12 @@ func (r *Result) MaxPOArrival() float64 {
 }
 
 // RequiredTimes performs the backward traversal of Section 4 and returns
-// the required-time windows for every line. It runs the backward pass
-// shared with itr (twindow.Backward) on lines whose transition states are
-// all SMaybe — STA as the S = 0 special case of ITR.
+// the required-time windows of every gate output and of every primary
+// input that feeds a gate or is a primary output. It runs the backward
+// pass shared with itr (twindow.Snapshot) on lines whose transition states
+// are all SMaybe.
 func (r *Result) RequiredTimes(cons Constraint) map[string]*LineRequired {
-	return r.backward().RequiredTimes(cons)
+	return r.snap.RequiredTimes(cons)
 }
 
 // CheckViolations compares the arrival windows against the required windows
@@ -235,21 +232,5 @@ func (r *Result) RequiredTimes(cons Constraint) map[string]*LineRequired {
 // slack (most negative first), then net, rising before falling, setup
 // before hold.
 func (r *Result) CheckViolations(cons Constraint) []Violation {
-	return r.backward().CheckViolations(cons)
-}
-
-func (r *Result) backward() twindow.Backward {
-	return twindow.Backward{
-		Circuit: r.Circuit,
-		Lib:     r.lib,
-		Mode:    r.Mode,
-		Line: func(net string) (twindow.LineInfo, bool) {
-			lt, ok := r.Lines[net]
-			if !ok {
-				return twindow.LineInfo{}, false
-			}
-			return twindow.LineInfo{Value: nineval.VXX, SRise: nineval.SMaybe, SFall: nineval.SMaybe,
-				Rise: lt.Rise, Fall: lt.Fall}, true
-		},
-	}
+	return r.snap.CheckViolations(cons)
 }

@@ -106,24 +106,8 @@ func CreateJournal(dir string, fp Fingerprint) (*Journal, error) {
 // The replayed models are keyed by cell name (later records win, though a
 // campaign writes each cell at most once).
 func ResumeJournal(dir string, fp Fingerprint) (*Journal, map[string]*core.CellModel, error) {
-	metaBytes, err := os.ReadFile(filepath.Join(dir, journalMetaName))
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: journal %s has no readable meta: %v", ErrStale, dir, err)
-	}
-	var meta struct {
-		SchemaVersion int
-		Fingerprint   string
-	}
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, nil, fmt.Errorf("%w: journal meta is not valid JSON: %v", ErrCorrupt, err)
-	}
-	if meta.SchemaVersion != SchemaVersion {
-		return nil, nil, fmt.Errorf("%w: journal schema %d, this build reads %d",
-			ErrSchemaMismatch, meta.SchemaVersion, SchemaVersion)
-	}
-	if meta.Fingerprint != fp.Hash() {
-		return nil, nil, fmt.Errorf("%w: journal was written by a campaign with different options "+
-			"(grid/cells/tech/solver settings changed); rerun without -resume", ErrStale)
+	if err := checkJournalMeta(dir, fp, " (grid/cells/tech/solver settings changed); rerun without -resume"); err != nil {
+		return nil, nil, err
 	}
 
 	path := filepath.Join(dir, journalCellsName)
@@ -156,26 +140,37 @@ func ResumeJournal(dir string, fp Fingerprint) (*Journal, map[string]*core.CellM
 // previous worker is merely hung, not dead, must not truncate a file that
 // worker could still be appending to.
 func ReplayJournal(dir string, fp Fingerprint) (map[string]*core.CellModel, error) {
+	if err := checkJournalMeta(dir, fp, ""); err != nil {
+		return nil, err
+	}
+	models, _, err := replayRecords(filepath.Join(dir, journalCellsName))
+	return models, err
+}
+
+// checkJournalMeta verifies a journal's meta.json against the requested
+// fingerprint: unreadable meta and a different fingerprint are ErrStale
+// (the latter's message ends in staleHint), invalid JSON ErrCorrupt and
+// another schema version ErrSchemaMismatch.
+func checkJournalMeta(dir string, fp Fingerprint, staleHint string) error {
 	metaBytes, err := os.ReadFile(filepath.Join(dir, journalMetaName))
 	if err != nil {
-		return nil, fmt.Errorf("%w: journal %s has no readable meta: %v", ErrStale, dir, err)
+		return fmt.Errorf("%w: journal %s has no readable meta: %v", ErrStale, dir, err)
 	}
 	var meta struct {
 		SchemaVersion int
 		Fingerprint   string
 	}
 	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, fmt.Errorf("%w: journal meta is not valid JSON: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: journal meta is not valid JSON: %v", ErrCorrupt, err)
 	}
 	if meta.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("%w: journal schema %d, this build reads %d",
+		return fmt.Errorf("%w: journal schema %d, this build reads %d",
 			ErrSchemaMismatch, meta.SchemaVersion, SchemaVersion)
 	}
 	if meta.Fingerprint != fp.Hash() {
-		return nil, fmt.Errorf("%w: journal was written by a campaign with different options", ErrStale)
+		return fmt.Errorf("%w: journal was written by a campaign with different options%s", ErrStale, staleHint)
 	}
-	models, _, err := replayRecords(filepath.Join(dir, journalCellsName))
-	return models, err
+	return nil
 }
 
 // replayRecords scans the record file via ScanFrames, returning every model

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sstiming/internal/benchgen"
@@ -89,12 +90,16 @@ func TestSnapshotFromEarlierEncoderRestores(t *testing.T) {
 	requireLinesEqual(t, "restored vs from scratch", g, ref)
 }
 
-// mallocs returns the fewest heap allocations of three runs of f, measured
+// mallocs returns the fewest heap allocations of ten runs of f, measured
 // at the current GOMAXPROCS (testing.AllocsPerRun pins it to 1, which would
-// hide a fan-out).
+// hide a fan-out). The counter is process-wide, so the garbage collector
+// is off during the runs and the minimum discards a run that shared its
+// window with an allocation elsewhere in the process.
 func mallocs(f func()) uint64 {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	best := ^uint64(0)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 10; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()

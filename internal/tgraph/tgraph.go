@@ -250,9 +250,6 @@ func (g *Graph) Circuit() *netlist.Circuit { return g.c }
 // Mode returns the delay model of the graph.
 func (g *Graph) Mode() twindow.Mode { return g.opts.Mode }
 
-// Lib returns the cell library the graph was built against.
-func (g *Graph) Lib() *core.Library { return g.opts.Lib }
-
 // checkNets rejects a cube that assigns a net the circuit does not have
 // (naming the alphabetically first such net, so the error is stable).
 func (g *Graph) checkNets(cube nineval.Cube) error {
@@ -665,6 +662,17 @@ func (g *Graph) Lines(visit func(net string, li twindow.LineInfo)) {
 	for id := range g.lines {
 		visit(g.c.NetName(id), g.lines[id])
 	}
+}
+
+// Snapshot copies the graph's current lines and gate bindings (kind, bound
+// cell and fan-out load) into a twindow.Snapshot, which later edits do not
+// disturb.
+func (g *Graph) Snapshot() *twindow.Snapshot {
+	gates := make([]twindow.Gate, len(g.cells))
+	for gi := range gates {
+		gates[gi] = twindow.Gate{Kind: g.c.Gates[gi].Kind, Cell: g.cells[gi], ExtraLoad: g.extraLoad[gi]}
+	}
+	return &twindow.Snapshot{Circuit: g.c, Mode: g.opts.Mode, Lines: slices.Clone(g.lines), Gates: gates}
 }
 
 // NumLines returns the number of lines carrying timing state.

@@ -99,35 +99,57 @@ func compareViolations(a, b Violation) int {
 	return 0
 }
 
-// Backward is a settled forward pass, as the backward traversal of
-// Section 4 reads it. Pure STA supplies lines whose transition states are
-// all SMaybe; ITR supplies the refined states, so arcs through impossible
-// transitions drop out.
-type Backward struct {
-	Circuit *netlist.Circuit
-	Lib     *core.Library
-	Mode    Mode
-	// Line returns the settled LineInfo of a net.
-	Line func(net string) (LineInfo, bool)
+// Gate is one gate's timing binding as the timing graph resolved it: the
+// gate kind, its library cell and the load its fan-out adds beyond the
+// cell's characterisation load.
+type Gate struct {
+	Kind      netlist.GateKind
+	Cell      *core.CellModel
+	ExtraLoad float64
 }
 
-// arc is one input-to-output timing arc of a gate: the input direction,
+// Snapshot is a settled forward pass, as the backward traversal of
+// Section 4 and path extraction read it: every line's timing indexed by
+// net ID (netlist.Circuit.NetID) and every gate's binding indexed by gate.
+// Pure STA supplies lines whose transition states are all SMaybe; ITR
+// supplies the refined states, so arcs through impossible transitions drop
+// out. A snapshot owns its slices and reads only the circuit's topology,
+// which graph edits leave unchanged (the gate kinds SwapGate changes are
+// copied into Gates), so later edits to the graph do not reach it.
+type Snapshot struct {
+	Circuit *netlist.Circuit
+	Mode    Mode
+	Lines   []LineInfo // per net ID
+	Gates   []Gate     // per gate index
+}
+
+// LineMap returns a name-keyed view of the snapshot's lines; its pointers
+// point into Lines.
+func (s *Snapshot) LineMap() map[string]*LineInfo {
+	m := make(map[string]*LineInfo, len(s.Lines))
+	for id := range s.Lines {
+		m[s.Circuit.NetName(id)] = &s.Lines[id]
+	}
+	return m
+}
+
+// Arc is one input-to-output timing arc of a gate: the input direction,
 // the output direction it produces, and whether it is the to-controlling
 // arc (the cell's CtrlPins table).
-type arc struct {
-	inRise, outRise, ctrl bool
+type Arc struct {
+	InRise, OutRise, Ctrl bool
 }
 
 var (
 	// Buffers borrow the inverter cell's timing with non-inverting
 	// direction mapping, as in PropagateGate.
-	invArcs = []arc{{false, true, true}, {true, false, false}}
-	bufArcs = []arc{{true, true, true}, {false, false, false}}
-	norArcs = []arc{{true, false, true}, {false, true, false}}
+	invArcs = []Arc{{false, true, true}, {true, false, false}}
+	bufArcs = []Arc{{true, true, true}, {false, false, false}}
+	norArcs = []Arc{{true, false, true}, {false, true, false}}
 )
 
-// gateArcs lists the timing arcs from each input pin of a gate kind.
-func gateArcs(kind netlist.GateKind) []arc {
+// Arcs lists the timing arcs from each input pin of a gate kind.
+func Arcs(kind netlist.GateKind) []Arc {
 	switch kind {
 	case netlist.Inv, netlist.Nand:
 		return invArcs
@@ -139,9 +161,18 @@ func gateArcs(kind netlist.GateKind) []arc {
 	return nil
 }
 
+// Pin returns the timing of input pin x along arc a.
+func (gb *Gate) Pin(a Arc, x int) *core.PinTiming {
+	if a.Ctrl {
+		return &gb.Cell.CtrlPins[x]
+	}
+	return &gb.Cell.NonCtrlPins[x]
+}
+
 // RequiredTimes performs the backward traversal and returns the
-// required-time windows of every line. It uses the settled arrival and
-// transition windows to evaluate the delay bounds along each
+// required-time windows of every gate output and of every primary input
+// that feeds a gate or is a primary output. It uses the settled arrival
+// and transition windows to evaluate the delay bounds along each
 // input-to-output arc, under transition states (the paper defers the ITR
 // details to its technical report [9], so this follows the forward pass's
 // worst-case corner rules):
@@ -152,67 +183,62 @@ func gateArcs(kind netlist.GateKind) []arc {
 //   - under ModeProposed the minimum arc delay exploits zero-skew
 //     simultaneous switching with each partner input that can still
 //     transition in the same direction.
-func (b Backward) RequiredTimes(cons Constraint) map[string]*LineRequired {
-	c := b.Circuit
-	req := make(map[string]*LineRequired, len(c.PIs)+len(c.Gates))
-	get := func(net string) *LineRequired {
-		lr, ok := req[net]
-		if !ok {
-			lr = &LineRequired{Rise: unconstrained, Fall: unconstrained}
-			req[net] = lr
+//
+// The map's values point into one slice.
+func (s *Snapshot) RequiredTimes(cons Constraint) map[string]*LineRequired {
+	c := s.Circuit
+	nPI := len(c.PIs)
+	req := s.required(cons)
+	out := make(map[string]*LineRequired, len(req))
+	for id := range req {
+		if id >= nPI || len(c.NetFanout(id)) > 0 {
+			out[c.NetName(id)] = &req[id]
 		}
-		return lr
 	}
-
 	for _, po := range c.POs {
-		li, ok := b.Line(po)
-		if !ok {
-			continue
+		id, _ := c.NetID(po)
+		out[po] = &req[id]
+	}
+	return out
+}
+
+// required runs the backward traversal over net IDs: TopoOrder in
+// reverse, each gate's inputs from GateInputIDs and its cell and load from
+// the snapshot's binding.
+func (s *Snapshot) required(cons Constraint) []LineRequired {
+	c := s.Circuit
+	nPI := len(c.PIs)
+	req := make([]LineRequired, len(s.Lines))
+	for id := range req {
+		req[id] = LineRequired{Rise: unconstrained, Fall: unconstrained}
+	}
+	for _, po := range c.POs {
+		id, _ := c.NetID(po)
+		if s.Lines[id].HasRise() {
+			req[id].Rise.tighten(cons.MinTime, cons.MaxTime)
 		}
-		lr := get(po)
-		if li.HasRise() {
-			lr.Rise.tighten(cons.MinTime, cons.MaxTime)
-		}
-		if li.HasFall() {
-			lr.Fall.tighten(cons.MinTime, cons.MaxTime)
+		if s.Lines[id].HasFall() {
+			req[id].Fall.tighten(cons.MinTime, cons.MaxTime)
 		}
 	}
 
-	var ins []LineInfo
-	var have []bool
 	order := c.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
-		g := &c.Gates[order[i]]
-		cell, ok := b.Lib.Cell(g.CellName())
-		if !ok {
-			continue
-		}
-		extraLoad := float64(c.FanoutCount(g.Output)-1) * cell.RefLoad
-		zReq := get(g.Output)
-		z, ok := b.Line(g.Output)
-		if !ok {
-			continue
-		}
-		ins, have = ins[:0], have[:0]
-		for _, in := range g.Inputs {
-			li, ok := b.Line(in)
-			ins, have = append(ins, li), append(have, ok)
-		}
-
-		for x, in := range g.Inputs {
-			if !have[x] {
-				continue
-			}
-			xReq := get(in)
-			for _, a := range gateArcs(g.Kind) {
-				outState, _ := z.dir(a.outRise)
-				inState, inWin := ins[x].dir(a.inRise)
+		gi := order[i]
+		gb := &s.Gates[gi]
+		z, zReq := &s.Lines[nPI+gi], &req[nPI+gi]
+		inIDs := c.GateInputIDs(gi)
+		for x, id := range inIDs {
+			in, xReq := &s.Lines[id], &req[id]
+			for _, a := range Arcs(gb.Kind) {
+				outState, _ := z.dir(a.OutRise)
+				inState, inWin := in.dir(a.InRise)
 				if outState == nineval.SNo || inState == nineval.SNo {
 					continue
 				}
-				dMin, dMax := b.arcBounds(cell, x, a, inWin, ins, have, extraLoad)
-				out := zReq.dir(a.outRise)
-				xReq.dir(a.inRise).tighten(out.QS-dMin, out.QL-dMax)
+				dMin, dMax := s.arcBounds(gb, x, a, inWin, inIDs)
+				out := zReq.dir(a.OutRise)
+				xReq.dir(a.InRise).tighten(out.QS-dMin, out.QL-dMax)
 			}
 		}
 	}
@@ -224,28 +250,24 @@ func (b Backward) RequiredTimes(cons Constraint) map[string]*LineRequired {
 // additionally considers zero-skew simultaneous switching with each other
 // input that can transition in the same direction (the fastest achievable
 // corner).
-func (b Backward) arcBounds(cell *core.CellModel, x int, a arc, inWin Window, ins []LineInfo, have []bool, extraLoad float64) (dMin, dMax float64) {
-	pins := cell.NonCtrlPins
-	if a.ctrl {
-		pins = cell.CtrlPins
-	}
-	p := &pins[x]
-	loadD := p.DelayLoadSlope * extraLoad
+func (s *Snapshot) arcBounds(gb *Gate, x int, a Arc, inWin Window, inIDs []int32) (dMin, dMax float64) {
+	p := gb.Pin(a, x)
+	loadD := p.DelayLoadSlope * gb.ExtraLoad
 	_, dMin = p.Delay.MinOver(inWin.TS, inWin.TL)
 	_, dMax = p.Delay.MaxOver(inWin.TS, inWin.TL)
 	dMin += loadD
 	dMax += loadD
 
-	if a.ctrl && b.Mode == ModeProposed && cell.N >= 2 {
-		for y := 0; y < cell.N; y++ {
-			if y == x || !have[y] {
+	if a.Ctrl && s.Mode == ModeProposed && gb.Cell.N >= 2 {
+		for y, id := range inIDs {
+			if y == x {
 				continue
 			}
-			yState, yWin := ins[y].dir(a.inRise)
+			yState, yWin := s.Lines[id].dir(a.InRise)
 			if yState == nineval.SNo {
 				continue
 			}
-			if d := cell.DelayCtrl2(x, y, inWin.TS, yWin.TS, 0, extraLoad); d < dMin {
+			if d := gb.Cell.DelayCtrl2(x, y, inWin.TS, yWin.TS, 0, gb.ExtraLoad); d < dMin {
 				dMin = d
 			}
 		}
@@ -257,30 +279,27 @@ func (b Backward) arcBounds(cell *core.CellModel, x int, a arc, inWin Window, in
 // required windows derived from the PO constraint and returns every
 // failing defined (state != SNo) line direction, in the total order of
 // compareViolations.
-func (b Backward) CheckViolations(cons Constraint) []Violation {
-	req := b.RequiredTimes(cons)
+func (s *Snapshot) CheckViolations(cons Constraint) []Violation {
+	req := s.required(cons)
 	var out []Violation
-	check := func(net string, w Window, q Required, rising bool) {
+	check := func(id int, w Window, q Required, rising bool) {
 		if q == unconstrained {
 			return
 		}
-		if s := q.QL - w.AL; s < 0 {
-			out = append(out, Violation{Net: net, Rising: rising, Setup: true, Slack: s})
+		if sl := q.QL - w.AL; sl < 0 {
+			out = append(out, Violation{Net: s.Circuit.NetName(id), Rising: rising, Setup: true, Slack: sl})
 		}
-		if s := w.AS - q.QS; s < 0 {
-			out = append(out, Violation{Net: net, Rising: rising, Setup: false, Slack: s})
+		if sl := w.AS - q.QS; sl < 0 {
+			out = append(out, Violation{Net: s.Circuit.NetName(id), Rising: rising, Setup: false, Slack: sl})
 		}
 	}
-	for net, lr := range req {
-		li, ok := b.Line(net)
-		if !ok {
-			continue
-		}
+	for id := range req {
+		li := &s.Lines[id]
 		if li.HasRise() {
-			check(net, li.Rise, lr.Rise, true)
+			check(id, li.Rise, req[id].Rise, true)
 		}
 		if li.HasFall() {
-			check(net, li.Fall, lr.Fall, false)
+			check(id, li.Fall, req[id].Fall, false)
 		}
 	}
 	slices.SortFunc(out, compareViolations)

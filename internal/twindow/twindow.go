@@ -17,9 +17,11 @@
 // is SMaybe), exactly as the paper defines STA as the S_tr = 0 special case
 // of ITR.
 //
-// The backward pass (Backward: required times and violation checks) follows
-// the same rule: one state-aware traversal serves both sta and itr, and STA
-// feeds it all-SMaybe lines.
+// The backward pass (Snapshot: required times and violation checks) follows
+// the same rule: one state-aware traversal over net IDs serves both sta and
+// itr. A Snapshot holds the settled lines and the timing graph's per-gate
+// binding (kind, cell, fan-out load), so the pass looks nothing up by name;
+// STA's snapshot carries all-SMaybe lines.
 package twindow
 
 import (
