@@ -29,7 +29,7 @@ vet:
 # timing wrapper and prints a per-stage wall-clock summary at the end, so
 # a slow stage is visible instead of buried in test output.
 VERIFY_STAGES := build vet test race conformance cache-conformance chaos \
-	store-chaos session-chaos shard-chaos net-chaos service-smoke
+	store-chaos session-chaos shard-chaos net-chaos service-smoke cover
 
 verify:
 	@set -e; times=""; total_start=$$(date +%s); \

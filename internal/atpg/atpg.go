@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -101,10 +102,10 @@ type Options struct {
 	// Lib is the characterised cell library (required).
 	Lib *core.Library
 	// UseITR enables incremental timing refinement pruning (component 4).
-	// Each fault's search keeps one persistent timing graph alive and
-	// applies the decision cubes to it as deltas: an implication step
-	// re-converges only its changed cone, and backtracking is just the
-	// sibling's cube applied as the next delta.
+	// Each fault's search keeps one persistent timing graph alive over
+	// its implication: a decision step re-converges only the cone whose
+	// implied values changed, and backtracking is just the undone and
+	// sibling values applied as the next delta.
 	UseITR bool
 	// ITRFullRecompute forces the pre-refactor behaviour: a from-scratch
 	// itr.Refine per decision step instead of the persistent graph. The
@@ -157,10 +158,15 @@ type generator struct {
 	f    Fault
 	opts Options
 
+	// imp is the search's implication over net IDs: a decision is Mark,
+	// Assign and Imply, a backtrack is Undo.
+	imp          *nineval.Implication
+	aggID, vicID int
+
 	// tg is the persistent timing graph carrying this fault's ITR state
 	// across decision steps (lazily built on the first timingFeasible
-	// call). It is private to the fault's search — RunCampaign workers
-	// share the circuit but never a graph.
+	// call). It follows imp. It is private to the fault's search —
+	// RunCampaign workers share the circuit but never a graph.
 	tg *tgraph.Graph
 
 	// cancelled flags that the search stopped early because opts.Ctx was
@@ -171,14 +177,19 @@ type generator struct {
 	decisions     int
 	leavesTried   int
 	leavesExcited int
-	// conePIs are the decision variables: primary inputs in the
-	// transitive fanin cone of the fault site (PODEM-style backtrace
+	// conePIs are the decision variables (net IDs): primary inputs in
+	// the transitive fanin cone of the fault site (PODEM-style backtrace
 	// scope). Remaining PIs are filled heuristically at the leaves.
-	conePIs []string
-	restPIs []string
-	// conePOs are the primary outputs reachable from the victim — the
-	// candidate propagation targets.
-	conePOs []string
+	conePIs []int
+	// conePOs are the primary outputs reachable from the victim (net
+	// IDs) — the candidate propagation targets.
+	conePOs []int
+}
+
+// literal is one net assignment, replayed into the implication.
+type literal struct {
+	id int
+	v  nineval.Value
 }
 
 // GenerateTest attempts to generate a two-pattern test for the fault.
@@ -205,18 +216,20 @@ func GenerateTest(c *netlist.Circuit, f Fault, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("atpg: unknown victim net %q", f.Victim)
 	}
 
-	g := &generator{c: c, f: f, opts: opts}
+	g := &generator{c: c, f: f, opts: opts, imp: nineval.NewImplication(c)}
+	g.aggID, _ = c.NetID(f.Aggressor)
+	g.vicID, _ = c.NetID(f.Victim)
 	defer func() {
 		opts.Metrics.Add(engine.ATPGFaults, 1)
 		opts.Metrics.Add(engine.ATPGDecisions, int64(g.decisions))
 		opts.Metrics.Add(engine.ATPGBacktracks, int64(g.backtracks))
 	}()
 	g.orderPIs()
-	g.conePOs = nil
 	cone := g.fanoutCone(f.Victim)
 	for _, po := range c.POs {
 		if cone[po] {
-			g.conePOs = append(g.conePOs, po)
+			id, _ := c.NetID(po)
+			g.conePOs = append(g.conePOs, id)
 		}
 	}
 	if len(g.conePOs) == 0 {
@@ -225,34 +238,40 @@ func GenerateTest(c *netlist.Circuit, f Fault, opts Options) (Result, error) {
 	}
 
 	// Objective cube: required transitions at the fault site.
-	cube := nineval.Cube{
+	objective := nineval.Cube{
 		f.Aggressor: transitionValue(f.AggRising),
 		f.Victim:    transitionValue(f.VicRising),
 	}
-	implied, ok := nineval.Imply(c, cube)
-	if !ok {
+	for net, v := range objective {
+		id, _ := c.NetID(net)
+		g.imp.Assign(id, v) // a fresh implication holds no value to contradict
+	}
+	if !g.imp.Imply() {
 		return Result{Outcome: Untestable}, nil
 	}
+	base := g.imp.Mark()
 
 	// Propagation objectives: augment the excitation cube with the
 	// side-input conditions of one sensitised victim->PO path (the
 	// paper's "propagation conditions in the fault-free sites"). Paths
 	// are grown incrementally, checking logical consistency at every
 	// gate, so the builder routes around blocked branches. Each distinct
-	// consistent path yields one root alternative; the bare excitation
-	// cube is kept as the final fallback.
-	var roots []nineval.Cube
-	seenRoot := map[string]bool{}
+	// consistent path (distinct implied values) yields one root
+	// alternative, kept as its side-condition literals; the bare
+	// excitation is kept as the final fallback.
+	var roots [][]literal
+	var seenRoots [][]nineval.Value
 	for seed := 0; seed < maxSensitizedPaths; seed++ {
-		if pc, ok := g.sensitizedPathCube(implied, seed); ok {
-			key := pc.String()
-			if !seenRoot[key] {
-				seenRoot[key] = true
-				roots = append(roots, pc)
+		if lits, ok := g.sensitizedPath(seed); ok {
+			vals := g.imp.Values()
+			if !slices.ContainsFunc(seenRoots, func(seen []nineval.Value) bool { return slices.Equal(seen, vals) }) {
+				seenRoots = append(seenRoots, slices.Clone(vals))
+				roots = append(roots, lits)
 			}
 		}
+		g.imp.Undo(base)
 	}
-	roots = append(roots, implied)
+	roots = append(roots, nil)
 
 	// Budget slicing: each sensitised root gets an equal share of the
 	// backtrack budget; the bare-excitation fallback may spend whatever
@@ -274,7 +293,12 @@ func GenerateTest(c *netlist.Circuit, f Fault, opts Options) (Result, error) {
 			}
 			g.opts.MaxBacktracks = cap
 		}
-		found, test = g.search(root, 0)
+		g.imp.Undo(base)
+		for _, l := range root {
+			g.imp.Assign(l.id, l.v)
+		}
+		g.imp.Imply() // consistent: the root was implied when it was found
+		found, test = g.search(0)
 		if found || g.cancelled || g.backtracks >= total {
 			break
 		}
@@ -331,19 +355,18 @@ func (g *generator) orderPIs() {
 	walk(g.f.Aggressor)
 	walk(g.f.Victim)
 
-	for _, pi := range g.c.PIs {
+	for id, pi := range g.c.PIs {
 		if cone[pi] {
-			g.conePIs = append(g.conePIs, pi)
-		} else {
-			g.restPIs = append(g.restPIs, pi)
+			g.conePIs = append(g.conePIs, id)
 		}
 	}
 }
 
 // search performs PODEM-style depth-first enumeration over PI two-frame
-// values. Returns (true, test) on success. It stops expanding once the
+// values from the implication's current fixpoint, which it leaves as it
+// found it. Returns (true, test) on success. It stops expanding once the
 // backtrack budget is exhausted.
-func (g *generator) search(cube nineval.Cube, depth int) (bool, *TwoPattern) {
+func (g *generator) search(depth int) (bool, *TwoPattern) {
 	if g.opts.Ctx != nil && g.opts.Ctx.Err() != nil {
 		g.cancelled = true
 		return false, nil
@@ -353,15 +376,15 @@ func (g *generator) search(cube nineval.Cube, depth int) (bool, *TwoPattern) {
 	}
 
 	// Objective check: the fault-site transitions must still be possible.
-	if cube.Get(g.f.Aggressor).StateDir(g.f.AggRising) == nineval.SNo ||
-		cube.Get(g.f.Victim).StateDir(g.f.VicRising) == nineval.SNo {
+	if g.imp.Value(g.aggID).StateDir(g.f.AggRising) == nineval.SNo ||
+		g.imp.Value(g.vicID).StateDir(g.f.VicRising) == nineval.SNo {
 		return false, nil
 	}
 	// Propagation check: some PO in the victim's fanout cone must still
 	// be able to switch.
 	propagatable := false
 	for _, po := range g.conePOs {
-		v := cube.Get(po)
+		v := g.imp.Value(po)
 		if v.StateRise() != nineval.SNo || v.StateFall() != nineval.SNo {
 			propagatable = true
 			break
@@ -376,14 +399,14 @@ func (g *generator) search(cube nineval.Cube, depth int) (bool, *TwoPattern) {
 	// satisfiable at all. (Deeper nodes are checked child-by-child
 	// below, which also yields the alignment-guided value ordering.)
 	if g.opts.UseITR && depth == 0 {
-		if ok, _ := g.timingFeasible(cube); !ok {
+		if ok, _ := g.timingFeasible(); !ok {
 			return false, nil
 		}
 	}
 
-	pi := g.nextPI(cube)
-	if pi == "" {
-		return g.searchLeaf(cube)
+	pi := g.nextPI()
+	if pi < 0 {
+		return g.searchLeaf()
 	}
 
 	// Expand the four candidate values. With ITR enabled, prune children
@@ -391,47 +414,40 @@ func (g *generator) search(cube nineval.Cube, depth int) (bool, *TwoPattern) {
 	// survivors by how closely the aggressor and victim windows align
 	// (component 4 used as search guidance, not just as a filter).
 	type child struct {
-		cube  nineval.Cube
+		v     nineval.Value
 		score float64
 	}
 	var children []child
-	for _, v := range g.valueOrder() {
-		cur := cube.Get(pi)
-		merged, ok := cur.Meet(v)
+	mark := g.imp.Mark()
+	for _, v := range valueOrder {
+		merged, ok := g.imp.Value(pi).Meet(v)
 		if !ok {
 			continue
 		}
-		next := cube.Clone()
-		next[pi] = merged
-		implied, ok := nineval.Imply(g.c, next)
 		g.decisions++
-		if !ok {
+		feasible, score := g.decide(pi, merged), 0.0
+		if feasible && g.opts.UseITR {
+			feasible, score = g.timingFeasible()
+		}
+		g.imp.Undo(mark)
+		if !feasible {
 			g.backtracks++
 			if g.backtracks >= g.opts.MaxBacktracks {
 				return false, nil
 			}
 			continue
 		}
-		score := 0.0
-		if g.opts.UseITR {
-			feasible, s := g.timingFeasible(implied)
-			if !feasible {
-				g.backtracks++
-				if g.backtracks >= g.opts.MaxBacktracks {
-					return false, nil
-				}
-				continue
-			}
-			score = s
-		}
-		children = append(children, child{cube: implied, score: score})
+		children = append(children, child{v: merged, score: score})
 	}
 	if g.opts.UseITR {
 		sort.SliceStable(children, func(i, j int) bool { return children[i].score < children[j].score })
 	}
 
 	for _, ch := range children {
-		if found, test := g.search(ch.cube, depth+1); found {
+		g.decide(pi, ch.v) // consistent: implied when the child was scored
+		found, test := g.search(depth + 1)
+		g.imp.Undo(mark)
+		if found {
 			return true, test
 		}
 		g.backtracks++
@@ -442,45 +458,43 @@ func (g *generator) search(cube nineval.Cube, depth int) (bool, *TwoPattern) {
 	return false, nil
 }
 
+// decide assigns a value to a primary input and implies it. It returns
+// false on conflict; the caller undoes either way.
+func (g *generator) decide(pi int, v nineval.Value) bool {
+	return g.imp.Assign(pi, v) && g.imp.Imply()
+}
+
 // searchLeaf handles a node where every cone PI is assigned: the fault-site
 // excitation and (when the root carried path objectives) the propagation
 // conditions are logically fixed. The remaining primary inputs are completed
 // with a few fill patterns — quiet fills first, which preserve any path
 // sensitisation — and each fully specified candidate is validated by faulty
 // timing simulation. Each failed attempt costs a backtrack.
-func (g *generator) searchLeaf(cube nineval.Cube) (bool, *TwoPattern) {
-	attempt := func(candidate nineval.Cube, fill nineval.Value) (bool, *TwoPattern, bool) {
-		filled := candidate.Clone()
-		for _, pi := range g.c.PIs {
-			cur := filled.Get(pi)
-			if cur.V1 == nineval.FX || cur.V2 == nineval.FX {
-				v := cur
-				if v.V1 == nineval.FX {
-					v.V1 = fill.V1
-				}
-				if v.V2 == nineval.FX {
-					v.V2 = fill.V2
-				}
-				filled[pi] = v
-			}
-		}
-		if implied, ok := nineval.Imply(g.c, filled); ok {
-			if test := g.validate(implied); test != nil {
-				return true, test, false
-			}
-		}
-		g.backtracks++
-		return false, nil, g.backtracks >= g.opts.MaxBacktracks
-	}
-
+func (g *generator) searchLeaf() (bool, *TwoPattern) {
+	mark := g.imp.Mark()
 	// Quiet fills first (they preserve path sensitisation), then
 	// transition fills.
 	for _, fill := range []nineval.Value{nineval.V11, nineval.V00, nineval.V01, nineval.V10} {
-		found, test, out := attempt(cube, fill)
-		if found {
+		for pi := range g.c.PIs {
+			cur := g.imp.Value(pi)
+			if cur.V1 == nineval.FX {
+				cur.V1 = fill.V1
+			}
+			if cur.V2 == nineval.FX {
+				cur.V2 = fill.V2
+			}
+			g.imp.Assign(pi, cur) // only fills unknown frames
+		}
+		var test *TwoPattern
+		if g.imp.Imply() {
+			test = g.validate()
+		}
+		g.imp.Undo(mark)
+		if test != nil {
 			return true, test
 		}
-		if out {
+		g.backtracks++
+		if g.backtracks >= g.opts.MaxBacktracks {
 			return false, nil
 		}
 	}
@@ -491,40 +505,41 @@ func (g *generator) searchLeaf(cube nineval.Cube) (bool, *TwoPattern) {
 // tried per fault.
 const maxSensitizedPaths = 4
 
-// sensitizedPathCube grows a sensitised path from the victim to a primary
+// sensitizedPath grows a sensitised path from the victim to a primary
 // output, one gate at a time: at each step it tries the fanout branches (in
 // a seed-rotated order) and keeps the first one whose side-input conditions
 // — every off-path input steady at the non-controlling value in both frames
-// — are logically consistent with the cube so far. Returns false if the
-// walk gets stuck before reaching a primary output.
-func (g *generator) sensitizedPathCube(base nineval.Cube, seed int) (nineval.Cube, bool) {
-	cube := base
-	net := g.f.Victim
-	visited := map[string]bool{net: true}
+// — are logically consistent with the implication so far. It returns the
+// side-condition literals it assigned and leaves them implied, or false if
+// the walk gets stuck before reaching a primary output. The caller undoes.
+func (g *generator) sensitizedPath(seed int) ([]literal, bool) {
+	net := g.vicID
+	visited := map[int]bool{net: true}
 
-	isPO := map[string]bool{}
+	isPO := map[int]bool{}
 	for _, po := range g.c.POs {
-		isPO[po] = true
+		id, _ := g.c.NetID(po)
+		isPO[id] = true
 	}
 
+	var lits []literal
+	nPI := len(g.c.PIs)
 	for !isPO[net] {
-		fos := g.c.Fanout(net)
+		fos := g.c.NetFanout(net)
 		if len(fos) == 0 {
 			return nil, false
 		}
 		progressed := false
 		for k := 0; k < len(fos); k++ {
 			gi := fos[(k+seed)%len(fos)]
-			gate := &g.c.Gates[gi]
-			if visited[gate.Output] {
+			if visited[nPI+gi] {
 				continue
 			}
-			cand, ok := g.applySideConditions(cube, gate, net)
-			if !ok {
+			var ok bool
+			if lits, ok = g.applySideConditions(lits, gi, net); !ok {
 				continue
 			}
-			cube = cand
-			net = gate.Output
+			net = nPI + gi
 			visited[net] = true
 			progressed = true
 			break
@@ -533,80 +548,77 @@ func (g *generator) sensitizedPathCube(base nineval.Cube, seed int) (nineval.Cub
 			return nil, false
 		}
 	}
-	return cube, true
+	return lits, true
 }
 
-// applySideConditions merges the sensitisation conditions of one gate into
-// the cube: every input other than pathIn holds the gate's non-controlling
-// value in both frames. Returns the implied cube, or false on conflict.
-func (g *generator) applySideConditions(cube nineval.Cube, gate *netlist.Gate, pathIn string) (nineval.Cube, bool) {
+// applySideConditions assigns the sensitisation conditions of one gate —
+// every input other than pathIn holds the gate's non-controlling value in
+// both frames — appends them to lits and implies them. On conflict it
+// undoes its own assignments and returns false.
+func (g *generator) applySideConditions(lits []literal, gi, pathIn int) ([]literal, bool) {
 	var steady nineval.Value
-	switch gate.Kind {
+	switch g.c.Gates[gi].Kind {
 	case netlist.Nand:
 		steady = nineval.V11
 	case netlist.Nor:
 		steady = nineval.V00
 	default:
 		// INV/BUF have no side inputs; nothing to constrain.
-		return cube, true
+		return lits, true
 	}
-	out := cube.Clone()
-	changed := false
-	for _, in := range gate.Inputs {
-		if in == pathIn {
+	mark, n := g.imp.Mark(), len(lits)
+	for _, in := range g.c.GateInputIDs(gi) {
+		if int(in) == pathIn {
 			continue
 		}
-		merged, ok := out.Get(in).Meet(steady)
+		cur := g.imp.Value(int(in))
+		merged, ok := cur.Meet(steady)
 		if !ok {
-			return nil, false
+			g.imp.Undo(mark)
+			return lits[:n], false
 		}
-		if merged != out.Get(in) {
-			out[in] = merged
-			changed = true
+		if merged != cur {
+			g.imp.Assign(int(in), merged)
+			lits = append(lits, literal{int(in), merged})
 		}
 	}
-	if !changed {
-		return cube, true
+	if !g.imp.Imply() {
+		g.imp.Undo(mark)
+		return lits[:n], false
 	}
-	implied, ok := nineval.Imply(g.c, out)
-	if !ok {
-		return nil, false
-	}
-	return implied, true
+	return lits, true
 }
 
 // nextPI returns the first cone PI whose two-frame value is not fully
-// specified.
-func (g *generator) nextPI(cube nineval.Cube) string {
+// specified, or -1.
+func (g *generator) nextPI() int {
 	for _, pi := range g.conePIs {
-		v := cube.Get(pi)
+		v := g.imp.Value(pi)
 		if v.V1 == nineval.FX || v.V2 == nineval.FX {
 			return pi
 		}
 	}
-	return ""
+	return -1
 }
 
 // valueOrder lists the four fully specified two-frame PI values, transitions
 // first (they are more likely to excite and propagate).
-func (g *generator) valueOrder() []nineval.Value {
-	return []nineval.Value{nineval.V01, nineval.V10, nineval.V11, nineval.V00}
-}
+var valueOrder = []nineval.Value{nineval.V01, nineval.V10, nineval.V11, nineval.V00}
 
-// timingFeasible refines the windows under the partial assignment and
+// timingFeasible refines the windows under the current implication and
 // checks the fault's alignment constraint. The returned score (valid when
 // feasible) measures how far apart the aggressor and victim window centres
 // sit — lower scores make better search candidates.
 //
-// The cube is always an implication fixpoint (the search implies every
-// candidate before scoring it), so the default path applies it to the
-// fault's persistent timing graph as a delta: only the cone the implication
-// actually changed is re-converged, and stepping back to a sibling or an
-// ancestor is the same delta mechanism in reverse. The graph and the
-// from-scratch reference produce byte-identical windows, so pruning and
-// candidate ordering are unchanged.
-func (g *generator) timingFeasible(cube nineval.Cube) (bool, float64) {
-	wa, wv, okA, okV, err := g.refineWindows(cube)
+// The implication is always at a fixpoint here (the search implies every
+// candidate before scoring it), so the default path hands its changed
+// values to the fault's persistent timing graph as a delta: only the cone
+// whose implied values changed is re-converged, and stepping back to a
+// sibling or an ancestor is the same delta mechanism in reverse. The graph
+// and the from-scratch reference produce byte-identical windows, so pruning
+// and candidate ordering are unchanged.
+func (g *generator) timingFeasible() (bool, float64) {
+	wa, wv, okA, okV, err := g.refineWindows()
 	if err != nil {
 		return false, 0 // logically inconsistent
 	}
@@ -629,13 +641,14 @@ func (g *generator) timingFeasible(cube nineval.Cube) (bool, float64) {
 	return true, score
 }
 
-// refineWindows produces the aggressor and victim windows under the implied
-// cube, via the persistent graph (default) or a from-scratch itr.Refine
-// (ITRFullRecompute). A non-nil error means the timing state could not be
-// established (inconsistent cube, cancellation, poisoned-graph heal failure).
-func (g *generator) refineWindows(cube nineval.Cube) (wa, wv sta.Window, okA, okV bool, err error) {
+// refineWindows produces the aggressor and victim windows under the
+// implication, via the persistent graph (default) or a from-scratch
+// itr.Refine of its cube (ITRFullRecompute). A non-nil error means the
+// timing state could not be established (inconsistent cube, cancellation,
+// poisoned-graph heal failure).
+func (g *generator) refineWindows() (wa, wv sta.Window, okA, okV bool, err error) {
 	if g.opts.ITRFullRecompute {
-		res, rerr := itr.Refine(g.c, cube, itr.Options{
+		res, rerr := itr.Refine(g.c, g.imp.Cube(nil), itr.Options{
 			Lib:  g.opts.Lib,
 			Mode: sta.ModeProposed,
 			PI:   g.opts.PI,
@@ -650,7 +663,7 @@ func (g *generator) refineWindows(cube nineval.Cube) (wa, wv sta.Window, okA, ok
 
 	g.opts.Metrics.Add(engine.ITRRefines, 1)
 	if g.tg == nil {
-		tgr, berr := tgraph.NewWithCube(g.c, cube, tgraph.Options{
+		tgr, berr := tgraph.NewOnImplication(g.c, g.imp, tgraph.Options{
 			Lib:     g.opts.Lib,
 			Mode:    sta.ModeProposed,
 			PI:      g.opts.PI,
@@ -661,7 +674,7 @@ func (g *generator) refineWindows(cube nineval.Cube) (wa, wv sta.Window, okA, ok
 			return sta.Window{}, sta.Window{}, false, false, berr
 		}
 		g.tg = tgr
-	} else if serr := g.tg.SetImpliedCube(g.opts.Ctx, cube); serr != nil {
+	} else if serr := g.tg.SyncImplication(g.opts.Ctx); serr != nil {
 		return sta.Window{}, sta.Window{}, false, false, serr
 	} else {
 		g.opts.Metrics.Add(engine.ITRImplications, int64(g.tg.NumChanged()))
@@ -671,16 +684,16 @@ func (g *generator) refineWindows(cube nineval.Cube) (wa, wv sta.Window, okA, ok
 	return wa, wv, okA, okV, nil
 }
 
-// validate simulates the fully specified candidate with the crosstalk fault
+// validate simulates the fully specified implication with the crosstalk fault
 // injected and accepts it as a test when the fault is excited (both
 // transitions present, directions matching, aligned within the window) and
 // its slowdown propagates to a primary output — i.e. some PO arrival shifts
 // by at least the detection threshold.
-func (g *generator) validate(cube nineval.Cube) *TwoPattern {
+func (g *generator) validate() *TwoPattern {
 	v1 := make(logicsim.Vector, len(g.c.PIs))
 	v2 := make(logicsim.Vector, len(g.c.PIs))
-	for _, pi := range g.c.PIs {
-		val := cube.Get(pi)
+	for id, pi := range g.c.PIs {
+		val := g.imp.Value(id)
 		if val.V1 == nineval.FX || val.V2 == nineval.FX {
 			return nil
 		}

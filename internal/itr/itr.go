@@ -142,7 +142,7 @@ func Refine(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Result, error
 // disturb it.
 func FromGraph(g *tgraph.Graph) *Result {
 	snap := g.Snapshot()
-	return &Result{Circuit: snap.Circuit, Mode: snap.Mode, Cube: g.ImpliedCube().Clone(), Lines: snap.LineMap(), snap: snap}
+	return &Result{Circuit: snap.Circuit, Mode: snap.Mode, Cube: g.ImpliedCube(), Lines: snap.LineMap(), snap: snap}
 }
 
 // RequiredTimes performs the state-aware backward traversal — the pass

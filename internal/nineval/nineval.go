@@ -10,7 +10,11 @@
 //
 // Implication extends the classical three-valued gate implication to two
 // time-frames by running each frame independently (the circuit is
-// combinational within a frame).
+// combinational within a frame). It runs on the circuit's dense net IDs:
+// an Implication holds one value per net plus an undo trail, so a caller
+// that adds a literal implies only around it and steps back with Undo.
+// Cube, keyed by net name, is the edge form for requests, journals and
+// snapshots; Imply converts it at the API.
 package nineval
 
 import (
@@ -231,187 +235,4 @@ func (c Cube) String() string {
 		fmt.Fprintf(&b, "%s=%s", k, c[k])
 	}
 	return b.String()
-}
-
-// Imply computes the fixpoint of forward and backward implication of the
-// cube over the circuit, one frame at a time. It returns the implied cube
-// and reports consistency; on conflict the returned cube is the state at
-// detection (for diagnosis).
-func Imply(c *netlist.Circuit, cube Cube) (Cube, bool) {
-	out := cube.Clone()
-	for frame := 0; frame < 2; frame++ {
-		if !implyFrame(c, out, frame) {
-			return out, false
-		}
-	}
-	return out, true
-}
-
-// frame accessors on Value.
-func getFrame(v Value, frame int) Frame {
-	if frame == 0 {
-		return v.V1
-	}
-	return v.V2
-}
-
-func withFrame(v Value, frame int, f Frame) Value {
-	if frame == 0 {
-		v.V1 = f
-	} else {
-		v.V2 = f
-	}
-	return v
-}
-
-// implyFrame runs 3-valued implication to fixpoint on one frame using an
-// event-driven worklist: a gate is (re)visited only when one of its nets
-// changed, making implication near-linear in practice — this is the inner
-// loop of the ATPG search. Returns false on conflict.
-func implyFrame(c *netlist.Circuit, cube Cube, frame int) bool {
-	get := func(net string) Frame { return getFrame(cube.Get(net), frame) }
-
-	// Worklist of gate indices, deduplicated.
-	queued := make([]bool, len(c.Gates))
-	var queue []int
-	enqueue := func(gi int) {
-		if !queued[gi] {
-			queued[gi] = true
-			queue = append(queue, gi)
-		}
-	}
-	// touch re-queues every gate adjacent to a changed net.
-	touch := func(net string) {
-		if gi, ok := c.Driver(net); ok {
-			enqueue(gi)
-		}
-		for _, gi := range c.Fanout(net) {
-			enqueue(gi)
-		}
-	}
-	// set assigns a frame value; false on conflict.
-	set := func(net string, f Frame) bool {
-		cur := get(net)
-		if cur == f || f == FX {
-			return true
-		}
-		if cur != FX {
-			return false
-		}
-		cube[net] = withFrame(cube.Get(net), frame, f)
-		touch(net)
-		return true
-	}
-
-	// Seed: every gate adjacent to an assigned net (assignments may have
-	// come from the caller in any order).
-	for net, v := range cube {
-		if getFrame(v, frame) != FX {
-			touch(net)
-		}
-	}
-	// Also seed all gates once on the first call for cubes whose
-	// assignments are only on unconnected nets; cheap relative to the
-	// fixpoint loop it replaces. Only gates adjacent to assignments can
-	// produce implications, so the seeding above suffices; keep it.
-
-	for len(queue) > 0 {
-		gi := queue[0]
-		queue = queue[1:]
-		queued[gi] = false
-
-		g := &c.Gates[gi]
-		ins := make([]Frame, len(g.Inputs))
-		for i, in := range g.Inputs {
-			ins[i] = get(in)
-		}
-		zCur := get(g.Output)
-
-		// Forward.
-		if zf := evalFrame(g.Kind, ins); zf != FX {
-			if zCur == FX {
-				if !set(g.Output, zf) {
-					return false
-				}
-				zCur = zf
-			} else if zCur != zf {
-				return false
-			}
-		}
-
-		// Backward.
-		if zCur == FX {
-			continue
-		}
-		switch g.Kind {
-		case netlist.Inv:
-			want := F0
-			if zCur == F0 {
-				want = F1
-			}
-			if get(g.Inputs[0]) == FX {
-				if !set(g.Inputs[0], want) {
-					return false
-				}
-			}
-		case netlist.Buf:
-			if get(g.Inputs[0]) == FX {
-				if !set(g.Inputs[0], zCur) {
-					return false
-				}
-			}
-		case netlist.Nand, netlist.Nor:
-			cv := F0
-			ncv := F1
-			forced := F1 // NAND: any 0 input forces output 1
-			if g.Kind == netlist.Nor {
-				cv, ncv = F1, F0
-				forced = F0 // NOR: any 1 input forces output 0
-			}
-
-			if zCur != forced {
-				// Output at the non-forced value: all inputs
-				// must be non-controlling.
-				for _, in := range g.Inputs {
-					if get(in) == FX {
-						if !set(in, ncv) {
-							return false
-						}
-					} else if get(in) == cv {
-						return false
-					}
-				}
-			} else {
-				// Output forced: at least one input is
-				// controlling. Unit propagation: if all but
-				// one are non-controlling, the remaining one
-				// must be controlling.
-				unknown := -1
-				countNC := 0
-				hasCV := false
-				for i, in := range g.Inputs {
-					switch get(in) {
-					case ncv:
-						countNC++
-					case cv:
-						hasCV = true
-					default:
-						unknown = i
-					}
-				}
-				if hasCV {
-					break
-				}
-				if countNC == len(g.Inputs) {
-					return false
-				}
-				if countNC == len(g.Inputs)-1 && unknown >= 0 {
-					if !set(g.Inputs[unknown], cv) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -486,15 +487,12 @@ func parseDeltaOps(assign map[string]string, retract []string, setPI *sessionlog
 // (cube, set_pi, swap_gate). It returns the journal record of the applied
 // prefix — on a mid-delta failure the record carries exactly the sub-edits
 // that took effect (tgraph rolls the failing one back), so replaying the
-// record reproduces the live graph — plus the union of changed nets.
-func applyDelta(ctx context.Context, g *tgraph.Graph, ops *deltaOps) (applied sessionlog.Record, changed map[string]bool, err error) {
+// record reproduces the live graph — plus, on success, the union of
+// changed nets, sorted once after the last sub-edit.
+func applyDelta(ctx context.Context, g *tgraph.Graph, ops *deltaOps) (applied sessionlog.Record, changed []string, err error) {
 	applied.Kind = "delta"
-	changed = make(map[string]bool)
-	note := func() {
-		for _, net := range g.Changed() {
-			changed[net] = true
-		}
-	}
+	var ids []int32
+	note := func() { ids = append(ids, g.ChangedIDs()...) }
 	if len(ops.assign) > 0 || len(ops.retract) > 0 {
 		raw := g.RawCube().Clone()
 		for net, v := range ops.assign {
@@ -504,7 +502,7 @@ func applyDelta(ctx context.Context, g *tgraph.Graph, ops *deltaOps) (applied se
 			delete(raw, net)
 		}
 		if err = g.SetCube(ctx, raw); err != nil {
-			return applied, changed, err
+			return applied, nil, err
 		}
 		applied.Assign = ops.assignWire
 		applied.Retract = ops.retract
@@ -518,7 +516,7 @@ func applyDelta(ctx context.Context, g *tgraph.Graph, ops *deltaOps) (applied se
 			TransLong:    ops.setPI.TransLong,
 		}
 		if err = g.SetPI(ctx, ops.setPI.Net, p); err != nil {
-			return applied, changed, err
+			return applied, nil, err
 		}
 		pi := *ops.setPI
 		applied.SetPI = &pi
@@ -526,12 +524,18 @@ func applyDelta(ctx context.Context, g *tgraph.Graph, ops *deltaOps) (applied se
 	}
 	if ops.hasSwap {
 		if err = g.SwapGate(ctx, ops.swapNet, ops.swapKind); err != nil {
-			return applied, changed, err
+			return applied, nil, err
 		}
 		applied.Swap = &sessionlog.SwapRecord{Net: ops.swapNet, Kind: kindName(ops.swapKind)}
 		note()
 	}
-	return applied, changed, nil
+	c := g.Circuit()
+	changed = make([]string, len(ids))
+	for i, id := range ids {
+		changed[i] = c.NetName(int(id))
+	}
+	slices.Sort(changed)
+	return applied, slices.Compact(changed), nil
 }
 
 // journalDelta makes an applied delta durable before it is acknowledged.
@@ -770,22 +774,17 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 			return applyErr
 		}
 		s.maybeCompact(sess)
-		nets := make([]string, 0, len(changed))
-		for net := range changed {
-			nets = append(nets, net)
-		}
-		sort.Strings(nets)
 		resp = &SessionDeltaResponse{
 			RequestID:   id,
 			SessionID:   sess.id,
 			Edit:        applied.Edit,
 			Cube:        g.RawCube().String(),
-			Changed:     len(nets),
-			ChangedNets: nets,
+			Changed:     len(changed),
+			ChangedNets: changed,
 		}
 		if req.Windows {
-			resp.Lines = make(map[string]RefineLineJSON, len(nets))
-			for _, net := range nets {
+			resp.Lines = make(map[string]RefineLineJSON, len(changed))
+			for _, net := range changed {
 				if li, ok := g.Line(net); ok {
 					resp.Lines[net] = lineJSON(li)
 				}

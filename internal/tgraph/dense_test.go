@@ -41,9 +41,6 @@ func TestUnknownNetRejected(t *testing.T) {
 	if err := g.SetCube(ctx, bad); !errors.Is(err, ErrUnknownNet) {
 		t.Fatalf("SetCube: err = %v, want ErrUnknownNet", err)
 	}
-	if err := g.SetImpliedCube(ctx, bad); !errors.Is(err, ErrUnknownNet) {
-		t.Fatalf("SetImpliedCube: err = %v, want ErrUnknownNet", err)
-	}
 	if g.Poisoned() || len(g.RawCube()) != 0 {
 		t.Fatalf("rejected cube changed the graph: poisoned=%v raw=%s", g.Poisoned(), g.RawCube())
 	}
@@ -133,4 +130,60 @@ func TestBuildAllocs(t *testing.T) {
 	if zero, one := mallocs(build(0)), mallocs(build(1)); zero != one {
 		t.Errorf("tgraph.New made %d allocations at Jobs=0 and %d at Jobs=1: Jobs=0 must run serially", zero, one)
 	}
+}
+
+// TestSetCubeTighteningAllocs: on a warm graph, a SetCube that only adds
+// literals implies them on top of the current fixpoint, re-converges their
+// cone and allocates nothing.
+func TestSetCubeTighteningAllocs(t *testing.T) {
+	lib := prechar.MustLibrary()
+	c, err := benchgen.Load("c7552")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(c, Options{Lib: lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cubes[k] assigns the first k+1 primary inputs, so each SetCube in
+	// the sequence tightens the one before it.
+	const steps = 12
+	cubes := make([]nineval.Cube, 2*steps)
+	for k := range cubes {
+		cubes[k] = nineval.Cube{}
+		for i := 0; i <= k; i++ {
+			cubes[k][c.PIs[i]] = values[i%len(values)]
+		}
+	}
+	ctx := context.Background()
+	next := 0
+	tighten := func() {
+		if err := g.SetCube(ctx, cubes[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	// Warm up: run the sequence twice, relaxing to the empty cube after
+	// each pass, so both raw-cube maps and every reused buffer have held
+	// the largest cube and cone.
+	for pass := 0; pass < 2; pass++ {
+		for next = 0; next < len(cubes); {
+			tighten()
+		}
+		if err := g.SetCube(ctx, nineval.Cube{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	next = 0
+	for i := 0; i < steps; i++ {
+		if n := testing.AllocsPerRun(1, tighten); n != 0 {
+			t.Fatalf("tightening SetCube %d made %v allocations, want 0", next-1, n)
+		}
+	}
+	ref, err := NewWithCube(c, cubes[len(cubes)-1], Options{Lib: lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLinesEqual(t, "after the tightening sequence", g, ref)
 }

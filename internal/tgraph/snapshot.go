@@ -224,13 +224,11 @@ func RestoreSnapshot(data []byte, opts Options) (*Graph, error) {
 	if err := g.checkNets(raw); err != nil {
 		return nil, fmt.Errorf("%w: raw cube: %v", ErrBadSnapshot, err)
 	}
-	implied, ok := nineval.Imply(c, raw)
-	if !ok {
+	g.imp = nineval.NewImplication(c)
+	if !g.assignRaw(raw, nil) {
 		return nil, fmt.Errorf("%w: raw cube is inconsistent with the netlist", ErrBadSnapshot)
 	}
 	g.raw = raw
-	g.implied = implied
-	g.loadValues(implied)
 
 	// Install the checkpointed windows over every line the graph owns —
 	// each primary input and each gate output, no more, no fewer.
@@ -240,7 +238,7 @@ func RestoreSnapshot(data []byte, opts Options) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: no line state for net %q", ErrBadSnapshot, net)
 		}
-		v := g.value[id]
+		v := g.imp.Value(id)
 		g.lines[id] = twindow.LineInfo{
 			Value: v, SRise: v.StateRise(), SFall: v.StateFall(),
 			Rise: decodeWindow(sl.Rise), Fall: decodeWindow(sl.Fall),

@@ -6,17 +6,23 @@
 // A Graph is built once (full window convergence, optionally level-parallel
 // on the engine pool) and then mutated through small edits:
 //
-//   - SetCube / SetImpliedCube assign or relax the nine-valued state of
-//     lines (the ITR workload: one implication step per ATPG decision);
+//   - SetCube assigns or relaxes the nine-valued state of lines; a graph
+//     built by NewOnImplication instead follows its caller's
+//     nineval.Implication through SyncImplication (the ITR workload: one
+//     implication step per ATPG decision);
 //   - SetPI changes the stimulus of one primary input;
 //   - SwapGate exchanges a gate's cell for its same-arity dual
 //     (NAND↔NOR, INV↔BUF — the ECO workload).
 //
-// Every edit marks only the affected lines' output cones dirty and
-// re-converges windows level by level from the dirty frontier, stopping as
-// soon as no dirty gate remains — a gate is re-queued only when one of its
-// inputs (or its own implied output value) actually changed, so convergence
-// naturally stops at the level where windows stop moving.
+// The graph keeps its implied values in a nineval.Implication over net IDs.
+// An edit drains the nets whose value changed and compares each against
+// its line: a primary input's line is refreshed in place, a gate output's
+// driving gate is marked dirty. Every edit marks only the affected lines'
+// output cones dirty and re-converges windows level by level from the
+// dirty frontier, stopping as soon as no dirty gate remains — a gate is
+// re-queued only when one of its inputs (or its own implied output value)
+// actually changed, so convergence naturally stops at the level where
+// windows stop moving.
 //
 // The load-bearing invariant (asserted by conformance check "incremental")
 // is byte-identical equivalence: after any edit sequence, every line's
@@ -28,7 +34,8 @@
 // changed (induction over logic levels).
 //
 // Failure atomicity: an edit that fails (inconsistent cube, cancelled
-// context, injected fault mid-convergence) rolls its state edits back and
+// context, injected fault mid-convergence) rolls its state edits back
+// (the implication's Undo to the mark taken when the edit began) and
 // poisons the graph; the next operation — queries included, via Heal —
 // re-converges everything from the retained pre-edit state, so a crashed
 // delta can never leave partially-propagated windows observable.
@@ -38,6 +45,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"sstiming/internal/core"
@@ -104,11 +112,12 @@ type Graph struct {
 	levels    [][]int           // gate indices per logic level
 	gateLevel []int
 
-	raw      nineval.Cube       // caller-supplied assignments
-	implied  nineval.Cube       // implication fixpoint of raw
-	value    []nineval.Value    // per net ID: implied value (xx when absent)
-	piTiming []twindow.PITiming // per primary input: effective stimulus
-	perPI    []bool             // per primary input: stimulus overrides opts.PI
+	raw      nineval.Cube         // caller-supplied assignments
+	spare    nineval.Cube         // SetCube's next raw, swapped with raw
+	imp      *nineval.Implication // per net ID: implied values of raw
+	follows  bool                 // imp is the caller's (NewOnImplication)
+	piTiming []twindow.PITiming   // per primary input: effective stimulus
+	perPI    []bool               // per primary input: stimulus overrides opts.PI
 
 	lines []twindow.LineInfo // per net ID
 
@@ -156,15 +165,12 @@ func newSkeleton(c *netlist.Circuit, opts Options) (*Graph, error) {
 		cells:     make([]*core.CellModel, nG),
 		extraLoad: make([]float64, nG),
 		gateLevel: make([]int, nG),
-		value:     make([]nineval.Value, nNets),
+		spare:     nineval.Cube{},
 		piTiming:  make([]twindow.PITiming, nPI),
 		perPI:     make([]bool, nPI),
 		lines:     make([]twindow.LineInfo, nNets),
 		dirty:     make([]bool, nG),
 		changed:   make([]bool, nNets),
-	}
-	for i := range g.value {
-		g.value[i] = nineval.VXX
 	}
 	for i := range g.piTiming {
 		g.piTiming[i] = opts.PI
@@ -225,22 +231,40 @@ func NewWithCube(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Graph, e
 	if err := g.checkNets(cube); err != nil {
 		return nil, err
 	}
-	implied, ok := nineval.Imply(c, cube)
-	if !ok {
+	g.imp = nineval.NewImplication(c)
+	if !g.assignRaw(cube, nil) {
 		return nil, fmt.Errorf("%w: %s", ErrInconsistent, cube.String())
 	}
 	g.raw = cube.Clone()
-	g.implied = implied
-	g.loadValues(implied)
-
-	// Seed the PI lines and converge every gate. The initial pass records
-	// no changed lines: every line is new.
-	g.seedPIs()
-	g.markAll()
-	if err := g.converge(g.opts.Ctx, g.opts.Jobs, false); err != nil {
+	if err := g.build(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// NewOnImplication builds a Graph whose implied values are imp's, which
+// the caller keeps driving (Assign, Imply, Undo) and then hands on with
+// SyncImplication. imp must be over the same circuit and at a fixpoint.
+// The graph has no raw cube of its own: SetCube and SwapGate refuse it.
+func NewOnImplication(c *netlist.Circuit, imp *nineval.Implication, opts Options) (*Graph, error) {
+	g, err := newSkeleton(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	g.imp, g.follows = imp, true
+	if err := g.build(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// build seeds the PI lines and converges every gate. The initial pass
+// records no changed lines: every line is new.
+func (g *Graph) build() error {
+	g.imp.DrainTouched()
+	g.seedPIs()
+	g.markAll()
+	return g.converge(g.opts.Ctx, g.opts.Jobs, false)
 }
 
 // Circuit returns the underlying circuit. SwapGate mutates it; callers
@@ -265,22 +289,39 @@ func (g *Graph) checkNets(cube nineval.Cube) error {
 	return nil
 }
 
-// loadValues sets the per-line implied values from a cube whose nets are
-// all in the circuit.
-func (g *Graph) loadValues(implied nineval.Cube) {
-	for i := range g.value {
-		g.value[i] = nineval.VXX
-	}
-	for net, v := range implied {
+// assignRaw assigns the literals of raw that prev does not hold verbatim
+// (nets the caller has checked) and implies them. It returns false on
+// conflict, leaving the implication for the caller to Undo.
+func (g *Graph) assignRaw(raw, prev nineval.Cube) bool {
+	for net, v := range raw {
+		if old, ok := prev[net]; ok && old == v {
+			continue
+		}
 		id, _ := g.c.NetID(net)
-		g.value[id] = v
+		if !g.imp.Assign(id, v) {
+			return false
+		}
 	}
+	return g.imp.Imply()
+}
+
+// tightens reports whether raw keeps or tightens every literal of prev,
+// so that implying raw's new literals on top of prev's fixpoint reaches
+// raw's own fixpoint (implication is monotone).
+func tightens(prev, raw nineval.Cube) bool {
+	for net, old := range prev {
+		v := raw.Get(net)
+		if m, ok := old.Meet(v); !ok || m != v {
+			return false
+		}
+	}
+	return true
 }
 
 // seedPIs sets every primary input's line from its value and stimulus.
 func (g *Graph) seedPIs() {
 	for id := range g.piTiming {
-		g.lines[id] = twindow.PILine(g.value[id], g.piTiming[id])
+		g.lines[id] = twindow.PILine(g.imp.Value(id), g.piTiming[id])
 	}
 }
 
@@ -343,7 +384,7 @@ func (g *Graph) recomputeGate(gi int) (twindow.LineInfo, error) {
 	for _, id := range g.c.GateInputIDs(gi) {
 		ins = append(ins, &g.lines[id])
 	}
-	out, err := twindow.PropagateGate(g.cells[gi], gate.Kind, ins, g.value[len(g.c.PIs)+gi],
+	out, err := twindow.PropagateGate(g.cells[gi], gate.Kind, ins, g.imp.Value(len(g.c.PIs)+gi),
 		g.extraLoad[gi], g.opts.Mode, g.opts.NCExtension)
 	if err != nil {
 		return twindow.LineInfo{}, fmt.Errorf("tgraph: gate %q: %w", gate.Output, err)
@@ -362,18 +403,8 @@ func (g *Graph) recomputeGate(gi int) (twindow.LineInfo, error) {
 // build, where every line is new).
 func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
 	nPI := len(g.c.PIs)
-	var work []int
-	var outs []twindow.LineInfo
-	var job func(context.Context, int) error
-	if jobs > 1 {
-		job = func(_ context.Context, i int) error {
-			var err error
-			outs[i], err = g.recomputeGate(work[i])
-			return err
-		}
-	}
 	for lvl := 0; lvl < len(g.dirtyAt) && g.dirtyCount > 0; lvl++ {
-		work = g.dirtyAt[lvl]
+		work := g.dirtyAt[lvl]
 		if len(work) == 0 {
 			continue
 		}
@@ -390,18 +421,8 @@ func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
 				return fmt.Errorf("tgraph: level %d: %w", lvl, err)
 			}
 		}
-		outs = g.outs[:len(work)]
-		if jobs <= 1 || len(work) == 1 {
-			for i, gi := range work {
-				var err error
-				if outs[i], err = g.recomputeGate(gi); err != nil {
-					return err
-				}
-			}
-		} else if err := engine.Run(ctx, jobs, len(work), job); err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
-			}
+		outs := g.outs[:len(work)]
+		if err := g.recomputeLevel(ctx, jobs, work, outs); err != nil {
 			return err
 		}
 		arcs := 0
@@ -422,6 +443,30 @@ func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
 		}
 	}
 	return nil
+}
+
+// recomputeLevel evaluates one level's dirty gates into outs, on the engine
+// pool when jobs > 1. Only this path builds a closure, so a serial pass
+// allocates nothing.
+func (g *Graph) recomputeLevel(ctx context.Context, jobs int, work []int, outs []twindow.LineInfo) error {
+	if jobs <= 1 || len(work) == 1 {
+		for i, gi := range work {
+			var err error
+			if outs[i], err = g.recomputeGate(gi); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := engine.Run(ctx, jobs, len(work), func(_ context.Context, i int) error {
+		var err error
+		outs[i], err = g.recomputeGate(work[i])
+		return err
+	})
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
+	}
+	return err
 }
 
 // poison marks every window suspect after a failed pass and empties the
@@ -471,82 +516,98 @@ func (g *Graph) beginEdit(ctx context.Context) error {
 	return nil
 }
 
-// applyImplied installs a new (raw, implied) cube pair, whose nets the
-// caller has checked: every line whose implied value changed is updated
-// (primary inputs) or has its driving gate marked dirty, then the frontier
-// re-converges. On failure the previous cubes are restored and the graph
-// is poisoned.
-func (g *Graph) applyImplied(ctx context.Context, raw, implied nineval.Cube) error {
-	prevRaw, prevImplied := g.raw, g.implied
-	g.raw, g.implied = raw, implied
-
-	// Diff over the union of keys (values absent from a cube are xx):
-	// g.value holds the previous cube, and is updated as nets are visited,
-	// so a net in both cubes is handled once.
+// applyTouched brings the lines in step with the implication: each net
+// whose value changed since the last drain is refreshed in place (primary
+// inputs) or has its driving gate marked dirty, which re-derives the
+// line's full LineInfo (value, states and windows) during re-convergence.
+func (g *Graph) applyTouched() {
 	nPI := len(g.c.PIs)
-	diffNet := func(net string) {
-		id, _ := g.c.NetID(net)
-		v := implied.Get(net)
-		if g.value[id] == v {
-			return
+	for _, id32 := range g.imp.DrainTouched() {
+		id := int(id32)
+		v := g.imp.Value(id)
+		if g.lines[id].Value == v {
+			continue
 		}
-		g.value[id] = v
 		if id >= nPI {
-			// The driving gate re-derives the line's full LineInfo
-			// (value, states and windows) during re-convergence.
 			g.markDirty(id - nPI)
-			return
+			continue
 		}
-		// Primary inputs have no driving gate: refresh in place.
 		g.setLine(id, twindow.PILine(v, g.piTiming[id]), true)
 	}
-	for net := range prevImplied {
-		diffNet(net)
-	}
-	for net := range implied {
-		diffNet(net)
-	}
+}
 
+// reconverge applies the implication's changes and re-converges the dirty
+// frontier. On failure it rewinds the implication to mark and poisons the
+// graph.
+func (g *Graph) reconverge(ctx context.Context, mark int) error {
+	g.applyTouched()
 	if err := g.converge(ctx, 1, true); err != nil {
-		g.raw, g.implied = prevRaw, prevImplied
-		g.loadValues(prevImplied)
+		g.imp.Undo(mark)
 		g.poison()
 		return err
 	}
+	g.imp.Commit()
 	return nil
 }
 
-// SetCube replaces the graph's assignment cube: raw is implied from scratch
-// and the difference against the current state re-converges incrementally.
-// Relaxing a line is expressed by omitting it from the new cube (or mapping
-// it to xx). A logically inconsistent cube returns ErrInconsistent, and a
-// cube naming a net outside the circuit ErrUnknownNet; either leaves the
-// graph untouched.
+// errFollows refuses an edit on a graph that follows its caller's
+// implication.
+var errFollows = errors.New("tgraph: graph follows its caller's implication; edit that and call SyncImplication")
+
+// SetCube replaces the graph's assignment cube and re-converges the
+// difference incrementally. When raw keeps or tightens every current
+// literal, only its new literals are implied, on top of the current
+// fixpoint; a retract or relaxation re-implies raw from scratch, since
+// implication does not commute with removal. Relaxing a line is expressed
+// by omitting it from the new cube (or mapping it to xx). A logically
+// inconsistent cube returns ErrInconsistent, and a cube naming a net
+// outside the circuit ErrUnknownNet; either leaves the graph untouched.
 func (g *Graph) SetCube(ctx context.Context, raw nineval.Cube) error {
+	if g.follows {
+		return errFollows
+	}
 	if err := g.beginEdit(ctx); err != nil {
 		return err
 	}
 	if err := g.checkNets(raw); err != nil {
 		return err
 	}
-	implied, ok := nineval.Imply(g.c, raw)
-	if !ok {
+	mark := g.imp.Mark()
+	prev := g.raw
+	if !tightens(prev, raw) {
+		g.imp.Reset()
+		prev = nil
+	}
+	if !g.assignRaw(raw, prev) {
+		g.imp.Undo(mark)
 		return fmt.Errorf("%w: %s", ErrInconsistent, raw.String())
 	}
-	return g.applyImplied(ctx, raw.Clone(), implied)
+	// The new raw cube is copied into the spare map, whose buckets
+	// survive from earlier edits, so a warm edit allocates nothing.
+	clear(g.spare)
+	maps.Copy(g.spare, raw)
+	g.raw, g.spare = g.spare, g.raw
+	if err := g.reconverge(ctx, mark); err != nil {
+		g.raw, g.spare = g.spare, g.raw
+		return err
+	}
+	return nil
 }
 
-// SetImpliedCube is SetCube for a cube the caller has already run through
-// nineval.Imply (the ATPG search maintains implied cubes at every node).
-// Passing a non-fixpoint cube voids the byte-identical guarantee.
-func (g *Graph) SetImpliedCube(ctx context.Context, implied nineval.Cube) error {
+// SyncImplication re-converges a graph built by NewOnImplication after its
+// caller changed the implication (assignments, Imply, Undo): the nets
+// whose value changed since the last sync are the edit. A failed pass
+// poisons the graph; the next sync heals it from the implication's values.
+func (g *Graph) SyncImplication(ctx context.Context) error {
 	if err := g.beginEdit(ctx); err != nil {
 		return err
 	}
-	if err := g.checkNets(implied); err != nil {
+	g.applyTouched()
+	if err := g.converge(ctx, 1, true); err != nil {
+		g.poison()
 		return err
 	}
-	return g.applyImplied(ctx, implied, implied)
+	return nil
 }
 
 // SetPI changes the stimulus of one primary input and re-converges its
@@ -561,7 +622,7 @@ func (g *Graph) SetPI(ctx context.Context, name string, p twindow.PITiming) erro
 	}
 	prev, hadPrev := g.piTiming[id], g.perPI[id]
 	g.piTiming[id], g.perPI[id] = p, true
-	g.setLine(id, twindow.PILine(g.value[id], p), true)
+	g.setLine(id, twindow.PILine(g.imp.Value(id), p), true)
 	if err := g.converge(ctx, 1, true); err != nil {
 		g.piTiming[id], g.perPI[id] = prev, hadPrev
 		g.poison()
@@ -584,6 +645,9 @@ func (g *Graph) SwapGate(ctx context.Context, net string, kind netlist.GateKind)
 	if gate.Kind == kind {
 		return nil
 	}
+	if g.follows {
+		return errFollows
+	}
 	if err := g.beginEdit(ctx); err != nil {
 		return err
 	}
@@ -596,8 +660,10 @@ func (g *Graph) SwapGate(ctx context.Context, net string, kind netlist.GateKind)
 		gate.Kind = prevKind
 		return fmt.Errorf("tgraph: no library cell %q for swapped gate %q", gate.CellName(), net)
 	}
-	implied, okImply := nineval.Imply(g.c, g.raw)
-	if !okImply {
+	mark := g.imp.Mark()
+	g.imp.Reset()
+	if !g.assignRaw(g.raw, nil) {
+		g.imp.Undo(mark)
 		gate.Kind = prevKind
 		return fmt.Errorf("%w under swapped gate %q: %s", ErrInconsistent, net, g.raw.String())
 	}
@@ -605,7 +671,7 @@ func (g *Graph) SwapGate(ctx context.Context, net string, kind netlist.GateKind)
 	g.cells[gi] = cell
 	g.extraLoad[gi] = float64(g.c.FanoutCount(net)-1) * cell.RefLoad
 	g.markDirty(gi)
-	if err := g.applyImplied(ctx, g.raw, implied); err != nil {
+	if err := g.reconverge(ctx, mark); err != nil {
 		gate.Kind = prevKind
 		g.cells[gi], g.extraLoad[gi] = prevCell, prevLoad
 		return err
@@ -616,6 +682,10 @@ func (g *Graph) SwapGate(ctx context.Context, net string, kind netlist.GateKind)
 // NumChanged returns the number of lines whose LineInfo changed during the
 // last successful edit (the re-converged cone size), without allocating.
 func (g *Graph) NumChanged() int { return len(g.changedIDs) }
+
+// ChangedIDs returns the net IDs whose LineInfo changed during the last
+// successful edit, unsorted (shared; valid until the next edit).
+func (g *Graph) ChangedIDs() []int32 { return g.changedIDs }
 
 // Changed returns the nets whose LineInfo changed during the last
 // successful edit, sorted.
@@ -678,11 +748,12 @@ func (g *Graph) Snapshot() *twindow.Snapshot {
 // NumLines returns the number of lines carrying timing state.
 func (g *Graph) NumLines() int { return len(g.lines) }
 
-// ImpliedCube returns the current implication fixpoint (shared; do not
-// mutate).
-func (g *Graph) ImpliedCube() nineval.Cube { return g.implied }
+// ImpliedCube returns the current implication fixpoint as a new cube: the
+// raw cube's entries plus every net whose value is not xx.
+func (g *Graph) ImpliedCube() nineval.Cube { return g.imp.Cube(g.raw) }
 
-// RawCube returns the caller-supplied assignments (shared; do not mutate).
+// RawCube returns the caller-supplied assignments (shared; valid until the
+// next edit, do not mutate).
 func (g *Graph) RawCube() nineval.Cube { return g.raw }
 
 // FaultLevelHook adapts a spice.FaultHook (see internal/faultinject for

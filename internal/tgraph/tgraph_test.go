@@ -175,31 +175,48 @@ func TestSetCubeMatchesFromScratch(t *testing.T) {
 	requireLinesEqual(t, "retract-all", g, ref)
 }
 
-func TestSetImpliedCubeMatchesSetCube(t *testing.T) {
+// TestSyncImplicationMatchesFromScratch drives a caller-owned implication
+// the way the ATPG search does — Mark, Assign, Imply, Undo — and requires
+// the graph following it to equal, after every sync, a graph built from
+// scratch on the implication's cube.
+func TestSyncImplicationMatchesFromScratch(t *testing.T) {
 	lib := prechar.MustLibrary()
-	c := benchgen.C17()
-	a, err := New(c, Options{Lib: lib})
+	c, err := benchgen.Load("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(c, Options{Lib: lib})
+	imp := nineval.NewImplication(c)
+	g, err := NewOnImplication(c, imp, Options{Lib: lib})
 	if err != nil {
 		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := g.SetCube(ctx, nineval.Cube{c.PIs[0]: nineval.V01}); err == nil {
+		t.Fatal("SetCube on a graph following its caller's implication must be refused")
 	}
 	rng := rand.New(rand.NewSource(7))
-	for step := 0; step < 20; step++ {
-		cube := randomPICube(c, rng)
-		implied, ok := nineval.Imply(c, cube)
-		if !ok {
-			t.Fatalf("step %d: PI cube implied inconsistent", step)
+	var marks []int
+	for step := 0; step < 30; step++ {
+		if len(marks) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(marks))
+			imp.Undo(marks[k])
+			marks = marks[:k]
+		} else {
+			marks = append(marks, imp.Mark())
+			pi := rng.Intn(len(c.PIs))
+			if !imp.Assign(pi, values[rng.Intn(len(values))]) || !imp.Imply() {
+				imp.Undo(marks[len(marks)-1])
+				marks = marks[:len(marks)-1]
+			}
 		}
-		if err := a.SetCube(context.Background(), cube); err != nil {
+		if err := g.SyncImplication(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SetImpliedCube(context.Background(), implied); err != nil {
+		ref, err := NewWithCube(c, imp.Cube(nil), Options{Lib: lib})
+		if err != nil {
 			t.Fatal(err)
 		}
-		requireLinesEqual(t, fmt.Sprintf("step %d", step), b, a)
+		requireLinesEqual(t, fmt.Sprintf("step %d", step), g, ref)
 	}
 }
 
