@@ -21,9 +21,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# gofmt -l . also walks perfbench/; any file it lists fails the stage.
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Tier-1 verification loop (see ROADMAP.md). Runs every stage through a
 # timing wrapper and prints a per-stage wall-clock summary at the end, so

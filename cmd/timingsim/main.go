@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -23,6 +22,7 @@ import (
 	"sstiming/internal/logicsim"
 	"sstiming/internal/netlist"
 	"sstiming/internal/prechar"
+	"sstiming/internal/twindow"
 )
 
 func main() {
@@ -32,7 +32,6 @@ func main() {
 	v2Str := flag.String("v2", "", "second frame PI assignments (pi=val,...)")
 	pinToPin := flag.Bool("pin2pin", false, "use the pin-to-pin delay model")
 	faultStr := flag.String("fault", "", "inject crosstalk fault: agg<R|F>:victim<R|F>:window_ps:delta_ps")
-	jobs := flag.Int("jobs", 0, "worker pool width (0 = all CPUs, 1 = serial)")
 	stats := flag.Bool("stats", false, "print execution statistics to stderr")
 	flag.Parse()
 
@@ -78,12 +77,11 @@ func main() {
 		fail(err)
 	}
 
-	mode := logicsim.ModeProposed
+	mode := twindow.ModeProposed
 	if *pinToPin {
-		mode = logicsim.ModePinToPin
+		mode = twindow.ModePinToPin
 	}
-	// logicsim runs Jobs <= 1 serially; "all CPUs" is resolved here.
-	opts := logicsim.Options{Lib: lib, Mode: mode, Jobs: engine.Workers(*jobs), Metrics: met}
+	opts := logicsim.Options{Lib: lib, Mode: mode, Metrics: met}
 
 	var res *logicsim.Result
 	if *faultStr != "" {
@@ -98,8 +96,8 @@ func main() {
 		fmt.Printf("fault %s->%s excited: %v\n", fi.Aggressor, fi.Victim, excited)
 		if excited {
 			for _, po := range c.POs {
-				fe, okF := faulty.Events[po]
-				ce, okC := clean.Events[po]
+				fe, okF := faulty.Event(po)
+				ce, okC := clean.Event(po)
 				if okF && okC && fe.Arrival != ce.Arrival {
 					fmt.Printf("  PO %s shifted by %.1f ps\n", po, (fe.Arrival-ce.Arrival)*1e12)
 				}
@@ -113,19 +111,13 @@ func main() {
 		}
 	}
 
-	nets := make([]string, 0, len(res.V1))
-	for net := range res.V1 {
-		nets = append(nets, net)
-	}
-	sort.Strings(nets)
 	fmt.Printf("%-14s %-4s %-10s %-10s\n", "net", "v1v2", "arrival", "trans")
-	for _, net := range nets {
-		ev, switched := res.Events[net]
-		if switched {
-			fmt.Printf("%-14s %d%d   %8.4fns %8.4fns\n",
-				net, res.V1[net], res.V2[net], ev.Arrival*1e9, ev.Trans*1e9)
+	for _, net := range c.Nets() {
+		a, b := res.Values(net)
+		if ev, switched := res.Event(net); switched {
+			fmt.Printf("%-14s %d%d   %8.4fns %8.4fns\n", net, a, b, ev.Arrival*1e9, ev.Trans*1e9)
 		} else {
-			fmt.Printf("%-14s %d%d   %10s %10s\n", net, res.V1[net], res.V2[net], "-", "-")
+			fmt.Printf("%-14s %d%d   %10s %10s\n", net, a, b, "-", "-")
 		}
 	}
 }

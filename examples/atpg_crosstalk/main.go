@@ -66,8 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	agg := sim.Events[target.Aggressor]
-	vic := sim.Events[target.Victim]
+	agg, _ := sim.Event(target.Aggressor)
+	vic, _ := sim.Event(target.Victim)
 	fmt.Printf("  aggressor %s: arrival %.4f ns\n", target.Aggressor, agg.Arrival*1e9)
 	fmt.Printf("  victim    %s: arrival %.4f ns\n", target.Victim, vic.Arrival*1e9)
 	fmt.Printf("  alignment skew %.1f ps (budget ±%.1f ps)\n",

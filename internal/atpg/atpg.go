@@ -225,10 +225,9 @@ func GenerateTest(c *netlist.Circuit, f Fault, opts Options) (Result, error) {
 		opts.Metrics.Add(engine.ATPGBacktracks, int64(g.backtracks))
 	}()
 	g.orderPIs()
-	cone := g.fanoutCone(f.Victim)
+	cone := g.fanoutCone(g.vicID)
 	for _, po := range c.POs {
-		if cone[po] {
-			id, _ := c.NetID(po)
+		if id, ok := c.NetID(po); ok && cone[id] {
 			g.conePOs = append(g.conePOs, id)
 		}
 	}
@@ -709,7 +708,7 @@ func (g *generator) validate() *TwoPattern {
 		ExtraDelay: g.opts.FaultDelay,
 	}, logicsim.Options{
 		Lib:       g.opts.Lib,
-		Mode:      logicsim.ModeProposed,
+		Mode:      sta.ModeProposed,
 		PIArrival: g.opts.PI.ArrivalEarly,
 		PITrans:   g.opts.PI.TransShort,
 	})
@@ -720,8 +719,8 @@ func (g *generator) validate() *TwoPattern {
 	g.leavesExcited++
 	// Detection: the injected slowdown must reach a primary output.
 	for _, po := range g.c.POs {
-		fe, okF := faulty.Events[po]
-		ce, okC := clean.Events[po]
+		fe, okF := faulty.Event(po)
+		ce, okC := clean.Event(po)
 		if !okF || !okC {
 			continue
 		}
@@ -732,20 +731,23 @@ func (g *generator) validate() *TwoPattern {
 	return nil
 }
 
-// fanoutCone returns the transitive fanout cone of a net (including itself).
-func (g *generator) fanoutCone(net string) map[string]bool {
-	cone := map[string]bool{}
-	var walk func(n string)
-	walk = func(n string) {
-		if cone[n] {
-			return
-		}
-		cone[n] = true
-		for _, gi := range g.c.Fanout(n) {
-			walk(g.c.Gates[gi].Output)
+// fanoutCone marks, by net ID, the transitive fanout cone of a net
+// (including itself).
+func (g *generator) fanoutCone(id int) []bool {
+	nPI := len(g.c.PIs)
+	cone := make([]bool, g.c.NumNets())
+	cone[id] = true
+	stack := []int{id}
+	for len(stack) > 0 {
+		net := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, gi := range g.c.NetFanout(net) {
+			if out := nPI + gi; !cone[out] {
+				cone[out] = true
+				stack = append(stack, out)
+			}
 		}
 	}
-	walk(net)
 	return cone
 }
 

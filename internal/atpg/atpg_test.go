@@ -27,8 +27,8 @@ func TestGenerateTestDetectsEasyFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, okA := sim.Events["10"]
-		vic, okV := sim.Events["11"]
+		agg, okA := sim.Event("10")
+		vic, okV := sim.Event("11")
 		if !okA || !okV || !agg.Rising || !vic.Rising {
 			t.Fatalf("useITR=%v: test does not create the required transitions", useITR)
 		}

@@ -167,7 +167,7 @@ func (e *seedEnv) flat() ([]*flatsim.Result, []error, error) {
 func (e *seedEnv) gateLevelFlat(c *netlist.Circuit, v1, v2 logicsim.Vector) (*logicsim.Result, error) {
 	return logicsim.Simulate(c, v1, v2, logicsim.Options{
 		Lib:         e.lib,
-		Mode:        logicsim.ModeProposed,
+		Mode:        sta.ModeProposed,
 		PIArrival:   flatStimulus.ArrivalEarly,
 		PITrans:     flatStimulus.TransShort,
 		NCExtension: e.opts.NCExtension,
@@ -220,7 +220,7 @@ func checkLogicFlat(e *seedEnv) error {
 		for _, net := range sortedEventNets(flats[trial].Events) {
 			fe := flats[trial].Events[net]
 			st.Checked++
-			ge, ok := gate.Events[net]
+			ge, ok := gate.Event(net)
 			detail := ""
 			switch {
 			case !ok:
@@ -252,7 +252,7 @@ func checkLogicFlat(e *seedEnv) error {
 				if err != nil {
 					return false, nil
 				}
-				ge, ok := gate.Events[net]
+				ge, ok := gate.Event(net)
 				if !ok || fe.Rising != ge.Rising {
 					return true, nil
 				}
@@ -359,15 +359,8 @@ func checkSTASound(e *seedEnv) error {
 	if err != nil {
 		return err
 	}
-	modes := []struct {
-		sta sta.Mode
-		sim logicsim.Mode
-	}{
-		{sta.ModeProposed, logicsim.ModeProposed},
-		{sta.ModePinToPin, logicsim.ModePinToPin},
-	}
-	for _, m := range modes {
-		res, err := e.staResult(m.sta)
+	for _, mode := range []sta.Mode{sta.ModeProposed, sta.ModePinToPin} {
+		res, err := e.staResult(mode)
 		if err != nil {
 			return err
 		}
@@ -381,19 +374,22 @@ func checkSTASound(e *seedEnv) error {
 				e.report(Violation{
 					Check:  "sta-sound",
 					Net:    net,
-					Detail: fmt.Sprintf("%v: structurally invalid window rise=%+v fall=%+v", m.sta, lt.Rise, lt.Fall),
+					Detail: fmt.Sprintf("%v: structurally invalid window rise=%+v fall=%+v", mode, lt.Rise, lt.Fall),
 					Bench:  benchText(c),
 				})
 			}
 		}
-		sims, err := e.sim(m.sim)
+		sims, err := e.sim(mode)
 		if err != nil {
 			return err
 		}
 		for trial, sim := range sims {
 			v1, v2 := vecs[trial][0], vecs[trial][1]
-			for _, net := range sortedEventNets(sim.Events) {
-				ev := sim.Events[net]
+			for _, net := range c.Nets() {
+				ev, switched := sim.Event(net)
+				if !switched {
+					continue
+				}
 				st.Checked++
 				w, ok := res.Window(net, ev.Rising)
 				bad := !ok ||
@@ -403,21 +399,21 @@ func checkSTASound(e *seedEnv) error {
 					continue
 				}
 				detail := fmt.Sprintf("%v: event A=%.4f T=%.4f ns outside window A[%.4f, %.4f] T[%.4f, %.4f] ns",
-					m.sta, ev.Arrival*1e9, ev.Trans*1e9, w.AS*1e9, w.AL*1e9, w.TS*1e9, w.TL*1e9)
+					mode, ev.Arrival*1e9, ev.Trans*1e9, w.AS*1e9, w.AL*1e9, w.TS*1e9, w.TL*1e9)
 				if !ok {
-					detail = fmt.Sprintf("%v: no window for a switching net", m.sta)
+					detail = fmt.Sprintf("%v: no window for a switching net", mode)
 				}
-				net, m := net, m
+				net := net
 				bench, sv1, sv2 := e.shrink(c, v1, v2, net, func(c *netlist.Circuit, v1, v2 logicsim.Vector) (bool, error) {
-					res, err := sta.Analyze(c, sta.Options{Lib: e.lib, Mode: m.sta, NCExtension: e.opts.NCExtension})
+					res, err := sta.Analyze(c, sta.Options{Lib: e.lib, Mode: mode, NCExtension: e.opts.NCExtension})
 					if err != nil {
 						return false, err
 					}
-					sim, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: e.lib, Mode: m.sim, NCExtension: e.opts.NCExtension})
+					sim, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: e.lib, Mode: mode, NCExtension: e.opts.NCExtension})
 					if err != nil {
 						return false, err
 					}
-					ev, switched := sim.Events[net]
+					ev, switched := sim.Event(net)
 					if !switched {
 						return false, nil
 					}
@@ -560,7 +556,7 @@ func checkITRSound(e *seedEnv) error {
 	if err != nil {
 		return err
 	}
-	sims, err := e.sim(logicsim.ModeProposed)
+	sims, err := e.sim(sta.ModeProposed)
 	if err != nil {
 		return err
 	}
@@ -571,8 +567,11 @@ func checkITRSound(e *seedEnv) error {
 		if err != nil {
 			return fmt.Errorf("trial %d: %w", trial, err)
 		}
-		for _, net := range sortedEventNets(sim.Events) {
-			ev := sim.Events[net]
+		for _, net := range c.Nets() {
+			ev, switched := sim.Event(net)
+			if !switched {
+				continue
+			}
 			st.Checked++
 			w, ok := ref.Window(net, ev.Rising)
 			bad := !ok ||
@@ -588,11 +587,11 @@ func checkITRSound(e *seedEnv) error {
 			}
 			net := net
 			bench, sv1, sv2 := e.shrink(c, v1, v2, net, func(c *netlist.Circuit, v1, v2 logicsim.Vector) (bool, error) {
-				sim, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: e.lib, Mode: logicsim.ModeProposed, NCExtension: e.opts.NCExtension})
+				sim, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: e.lib, Mode: sta.ModeProposed, NCExtension: e.opts.NCExtension})
 				if err != nil {
 					return false, err
 				}
-				ev, switched := sim.Events[net]
+				ev, switched := sim.Event(net)
 				if !switched {
 					return false, nil
 				}

@@ -349,7 +349,7 @@ type seedEnv struct {
 	c    *netlist.Circuit
 	cErr error
 	vecs [][2]logicsim.Vector
-	sims map[logicsim.Mode][]*logicsim.Result
+	sims map[sta.Mode][]*logicsim.Result
 	stas map[sta.Mode]*sta.Result
 
 	// Flattened transistor-level results (see seedEnv.flat in checks.go):
@@ -366,7 +366,7 @@ func newSeedEnv(opts *Options, seed int64) *seedEnv {
 		lib:   opts.Lib,
 		tol:   opts.Tol,
 		stats: make(map[string]*CheckStat),
-		sims:  make(map[logicsim.Mode][]*logicsim.Result),
+		sims:  make(map[sta.Mode][]*logicsim.Result),
 		stas:  make(map[sta.Mode]*sta.Result),
 	}
 }
@@ -428,7 +428,7 @@ func (e *seedEnv) vectors() ([][2]logicsim.Vector, error) {
 }
 
 // sim runs (once per mode) the gate-level timing simulation of every trial.
-func (e *seedEnv) sim(mode logicsim.Mode) ([]*logicsim.Result, error) {
+func (e *seedEnv) sim(mode sta.Mode) ([]*logicsim.Result, error) {
 	if rs, ok := e.sims[mode]; ok {
 		return rs, nil
 	}

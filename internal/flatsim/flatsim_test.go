@@ -73,7 +73,7 @@ func TestC17FlatVsGateLevel(t *testing.T) {
 
 		// Logic agreement.
 		for net, want := range flat.V2 {
-			if gate.V2[net] != want {
+			if _, got := gate.Values(net); got != want {
 				t.Fatalf("trial %d: logic mismatch at %s", trial, net)
 			}
 		}
@@ -82,7 +82,7 @@ func TestC17FlatVsGateLevel(t *testing.T) {
 		// that do not complete are not modelled), but for two-frame
 		// static vectors both should agree on switching nets.
 		for net, fe := range flat.Events {
-			ge, ok := gate.Events[net]
+			ge, ok := gate.Event(net)
 			if !ok {
 				t.Fatalf("trial %d: flat sim switches %s but gate model does not", trial, net)
 			}

@@ -63,7 +63,7 @@ func TestRefinementTightensAndStaysSound(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		v1 := logicsim.RandomVector(c, rng.Intn)
 		v2 := logicsim.RandomVector(c, rng.Intn)
-		sim, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: lib, Mode: logicsim.ModeProposed})
+		sim, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: lib, Mode: sta.ModeProposed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,11 @@ func TestRefinementTightensAndStaysSound(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for net, ev := range sim.Events {
+		for _, net := range c.Nets() {
+			ev, ok := sim.Event(net)
+			if !ok {
+				continue
+			}
 			w, ok := res.Window(net, ev.Rising)
 			if !ok {
 				t.Fatalf("trial %d: %s switched (%v) but ITR window undefined", trial, net, ev.Rising)
@@ -103,7 +107,7 @@ func TestRefinementTightensAndStaysSound(t *testing.T) {
 		// Non-switching directions must have no window (S = -1 ->
 		// timing fields undefined).
 		for net := range res.Lines {
-			if sim.V1[net] == sim.V2[net] {
+			if a, b := sim.Values(net); a == b {
 				if _, ok := res.Window(net, true); ok {
 					if res.Lines[net].SRise == nineval.SNo {
 						t.Errorf("trial %d: %s rise window defined despite S = -1", trial, net)

@@ -56,7 +56,11 @@ func TestITRNCExtensionContainment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for net, ev := range sim.Events {
+		for _, net := range c.Nets() {
+			ev, ok := sim.Event(net)
+			if !ok {
+				continue
+			}
 			w, ok := res.Window(net, ev.Rising)
 			if !ok {
 				t.Fatalf("trial %d: %s switched but window undefined", trial, net)

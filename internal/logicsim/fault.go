@@ -33,9 +33,9 @@ type FaultInjection struct {
 // and aligned within the window). When the fault is not excited the faulty
 // result aliases the clean one.
 //
-// The implementation simulates fault-free first to obtain the victim and
-// aggressor transitions, decides excitation, and then re-runs the forward
-// pass with the victim's event displaced so that the slowdown propagates
+// The fault-free pass gives the victim and aggressor transitions and so
+// decides excitation; an excited fault then runs the same forward pass
+// again with the victim's event displaced, so that the slowdown propagates
 // downstream through the ordinary delay model.
 func SimulateFaulty(c *netlist.Circuit, v1, v2 Vector, f FaultInjection, opts Options) (clean, faulty *Result, excited bool, err error) {
 	if f.Aggressor == f.Victim {
@@ -45,8 +45,8 @@ func SimulateFaulty(c *netlist.Circuit, v1, v2 Vector, f FaultInjection, opts Op
 	if err != nil {
 		return nil, nil, false, err
 	}
-	agg, okA := clean.Events[f.Aggressor]
-	vic, okV := clean.Events[f.Victim]
+	agg, okA := clean.Event(f.Aggressor)
+	vic, okV := clean.Event(f.Victim)
 	if !okA || !okV {
 		return clean, clean, false, nil
 	}
@@ -57,8 +57,8 @@ func SimulateFaulty(c *netlist.Circuit, v1, v2 Vector, f FaultInjection, opts Op
 		return clean, clean, false, nil
 	}
 
-	// Excited: re-run the forward pass, overriding the victim's event.
-	faulty, err = simulateWithOverride(c, v1, v2, opts, f.Victim, Event{
+	victim, _ := c.NetID(f.Victim)
+	faulty, err = simulate(c, v1, v2, opts, victim, Event{
 		Rising:  vic.Rising,
 		Arrival: vic.Arrival + f.ExtraDelay,
 		Trans:   vic.Trans + f.ExtraTrans,
@@ -67,67 +67,4 @@ func SimulateFaulty(c *netlist.Circuit, v1, v2 Vector, f FaultInjection, opts Op
 		return nil, nil, false, err
 	}
 	return clean, faulty, true, nil
-}
-
-// simulateWithOverride repeats the timing pass, replacing the computed event
-// of one net with the given event before its fanout is evaluated. Logic
-// values are unchanged (a delay fault does not alter steady-state logic).
-func simulateWithOverride(c *netlist.Circuit, v1, v2 Vector, opts Options, overrideNet string, ev Event) (*Result, error) {
-	res := &Result{
-		V1:     make(map[string]int),
-		V2:     make(map[string]int),
-		Events: make(map[string]Event),
-	}
-	piTrans := opts.PITrans
-	if piTrans <= 0 {
-		piTrans = 0.2e-9
-	}
-	for _, pi := range c.PIs {
-		res.V1[pi] = v1[pi]
-		res.V2[pi] = v2[pi]
-		if v1[pi] != v2[pi] {
-			e := Event{Rising: v2[pi] == 1, Arrival: opts.PIArrival, Trans: piTrans}
-			if pi == overrideNet {
-				e = ev
-			}
-			res.Events[pi] = e
-		}
-	}
-
-	for _, gi := range c.TopoOrder() {
-		g := &c.Gates[gi]
-		cell, ok := opts.Lib.Cell(g.CellName())
-		if !ok {
-			return nil, fmt.Errorf("logicsim: no library cell %q for gate %q", g.CellName(), g.Output)
-		}
-		in1 := make([]int, len(g.Inputs))
-		in2 := make([]int, len(g.Inputs))
-		for i, in := range g.Inputs {
-			in1[i] = res.V1[in]
-			in2[i] = res.V2[in]
-		}
-		o1, err := g.Kind.Eval(in1)
-		if err != nil {
-			return nil, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
-		}
-		o2, err := g.Kind.Eval(in2)
-		if err != nil {
-			return nil, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
-		}
-		res.V1[g.Output] = o1
-		res.V2[g.Output] = o2
-		if o1 == o2 {
-			continue
-		}
-		extraLoad := float64(c.FanoutCount(g.Output)-1) * cell.RefLoad
-		e, err := gateEvent(c, g, cell, res, o2 == 1, extraLoad, opts.Mode, opts.NCExtension)
-		if err != nil {
-			return nil, err
-		}
-		if g.Output == overrideNet {
-			e = ev
-		}
-		res.Events[g.Output] = e
-	}
-	return res, nil
 }

@@ -54,18 +54,24 @@ func TestFaultInjectionShiftsDownstream(t *testing.T) {
 	}
 
 	// The victim's event must be shifted by exactly the injected delay.
-	shift := faulty.Events["v"].Arrival - clean.Events["v"].Arrival
+	fv, _ := faulty.Event("v")
+	cv, _ := clean.Event("v")
+	shift := fv.Arrival - cv.Arrival
 	if math.Abs(shift-extra) > 1e-15 {
 		t.Errorf("victim shift = %g, want %g", shift, extra)
 	}
 	// The shift propagates to the PO through the sensitised chain.
-	poShift := faulty.Events["z"].Arrival - clean.Events["z"].Arrival
+	fz, _ := faulty.Event("z")
+	cz, _ := clean.Event("z")
+	poShift := fz.Arrival - cz.Arrival
 	if poShift < 0.9*extra {
 		t.Errorf("PO shift = %g, want ~%g (sensitised chain)", poShift, extra)
 	}
 	// Logic values unchanged by a delay fault.
-	for net := range clean.V2 {
-		if clean.V2[net] != faulty.V2[net] {
+	for _, net := range c.Nets() {
+		_, c2 := clean.Values(net)
+		_, f2 := faulty.Values(net)
+		if c2 != f2 {
 			t.Errorf("delay fault changed logic at %s", net)
 		}
 	}
@@ -155,7 +161,9 @@ func TestFaultAbsorbedByEarlierPath(t *testing.T) {
 	if !excited {
 		t.Fatal("fault should be excited")
 	}
-	shift := faulty.Events["z"].Arrival - clean.Events["z"].Arrival
+	fz, _ := faulty.Event("z")
+	cz, _ := clean.Event("z")
+	shift := fz.Arrival - cz.Arrival
 	if shift > 50e-12 {
 		t.Errorf("PO shift %g should be (mostly) absorbed by the faster b path", shift)
 	}

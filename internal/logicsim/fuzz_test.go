@@ -37,12 +37,7 @@ func TestContainmentOnRandomTopologies(t *testing.T) {
 		}
 
 		for _, mode := range []sta.Mode{sta.ModeProposed, sta.ModePinToPin} {
-			staMode := mode
-			simMode := ModeProposed
-			if mode == sta.ModePinToPin {
-				simMode = ModePinToPin
-			}
-			res, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: staMode})
+			res, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: mode})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -50,11 +45,15 @@ func TestContainmentOnRandomTopologies(t *testing.T) {
 			for trial := 0; trial < 6; trial++ {
 				v1 := RandomVector(c, rng.Intn)
 				v2 := RandomVector(c, rng.Intn)
-				sim, err := Simulate(c, v1, v2, Options{Lib: lib, Mode: simMode})
+				sim, err := Simulate(c, v1, v2, Options{Lib: lib, Mode: mode})
 				if err != nil {
 					t.Fatalf("seed %d trial %d: %v", seed, trial, err)
 				}
-				for net, ev := range sim.Events {
+				for _, net := range c.Nets() {
+					ev, ok := sim.Event(net)
+					if !ok {
+						continue
+					}
 					w, ok := res.Window(net, ev.Rising)
 					if !ok {
 						t.Fatalf("seed %d: no window for %s", seed, net)
@@ -107,7 +106,11 @@ func TestNCExtensionContainmentOnRandomTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for net, ev := range sim.Events {
+			for _, net := range c.Nets() {
+				ev, ok := sim.Event(net)
+				if !ok {
+					continue
+				}
 				w, ok := res.Window(net, ev.Rising)
 				if !ok {
 					t.Fatalf("seed %d: no window for %s", seed, net)

@@ -18,23 +18,12 @@
 package logicsim
 
 import (
-	"context"
 	"fmt"
 
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
 	"sstiming/internal/netlist"
-)
-
-// Mode selects the delay model.
-type Mode int
-
-const (
-	// ModeProposed uses the simultaneous-switching model.
-	ModeProposed Mode = iota
-	// ModePinToPin ignores simultaneous switching (earliest controlling
-	// input wins alone).
-	ModePinToPin
+	"sstiming/internal/twindow"
 )
 
 // Vector assigns a logic value (0 or 1) to every primary input.
@@ -55,7 +44,7 @@ type Options struct {
 	// Lib is the characterised cell library (required).
 	Lib *core.Library
 	// Mode selects the delay model.
-	Mode Mode
+	Mode twindow.Mode
 	// PIArrival is the transition arrival applied at switching primary
 	// inputs (default 0).
 	PIArrival float64
@@ -66,27 +55,51 @@ type Options struct {
 	// to-non-controlling responses. Requires a library characterised
 	// with charlib.Options.NCPairs.
 	NCExtension bool
-	// Ctx, when non-nil, cancels the simulation between logic levels.
-	Ctx context.Context
-	// Jobs bounds the engine worker pool used to evaluate the gates of
-	// one logic level concurrently; zero or one runs serially. Results
-	// are independent of the worker count.
-	Jobs int
 	// Metrics, when non-nil, counts gate evaluations.
 	Metrics *engine.Metrics
 }
 
-// Result holds the simulation outcome.
+// Result holds the simulation outcome by dense net ID (see netlist.Build
+// for the numbering).
 type Result struct {
-	// V1 and V2 are the settled logic values of the two frames for every
-	// net.
-	V1, V2 map[string]int
-	// Events maps each switching net to its transition.
-	Events map[string]Event
+	c *netlist.Circuit
+	// V1 and V2 are the settled logic values of the two frames.
+	V1, V2 []int8
+	// Events holds each net's transition; it is meaningful only where
+	// the net switches (V1 differs from V2).
+	Events []Event
+}
+
+// Values returns the net's settled logic values in the two frames (zero
+// for a net outside the circuit).
+func (r *Result) Values(net string) (v1, v2 int) {
+	id, ok := r.c.NetID(net)
+	if !ok {
+		return 0, 0
+	}
+	return int(r.V1[id]), int(r.V2[id])
+}
+
+// Event returns the net's transition and whether the net switches.
+func (r *Result) Event(net string) (Event, bool) {
+	id, ok := r.c.NetID(net)
+	if !ok || r.V1[id] == r.V2[id] {
+		return Event{}, false
+	}
+	return r.Events[id], true
 }
 
 // Simulate runs the two-pattern timing simulation.
 func Simulate(c *netlist.Circuit, v1, v2 Vector, opts Options) (*Result, error) {
+	return simulate(c, v1, v2, opts, -1, Event{})
+}
+
+// simulate is the forward pass: one walk of the topological order that
+// evaluates both frames of each gate and, where the output switches, its
+// event from the causal input events. When victim is a net ID, that net's
+// event is replaced by vicEv before its fanout reads it; logic values are
+// unaffected.
+func simulate(c *netlist.Circuit, v1, v2 Vector, opts Options, victim int, vicEv Event) (*Result, error) {
 	if opts.Lib == nil {
 		return nil, fmt.Errorf("logicsim: Options.Lib is required")
 	}
@@ -98,13 +111,9 @@ func Simulate(c *netlist.Circuit, v1, v2 Vector, opts Options) (*Result, error) 
 		piTrans = 0.2e-9
 	}
 
-	res := &Result{
-		V1:     make(map[string]int),
-		V2:     make(map[string]int),
-		Events: make(map[string]Event),
-	}
-
-	for _, pi := range c.PIs {
+	n := c.NumNets()
+	res := &Result{c: c, V1: make([]int8, n), V2: make([]int8, n), Events: make([]Event, n)}
+	for id, pi := range c.PIs {
 		a, ok1 := v1[pi]
 		b, ok2 := v2[pi]
 		if !ok1 || !ok2 {
@@ -113,171 +122,91 @@ func Simulate(c *netlist.Circuit, v1, v2 Vector, opts Options) (*Result, error) 
 		if (a != 0 && a != 1) || (b != 0 && b != 1) {
 			return nil, fmt.Errorf("logicsim: PI %q has non-binary value", pi)
 		}
-		res.V1[pi] = a
-		res.V2[pi] = b
-		if a != b {
-			res.Events[pi] = Event{Rising: b == 1, Arrival: opts.PIArrival, Trans: piTrans}
+		res.V1[id], res.V2[id] = int8(a), int8(b)
+		switch {
+		case a == b:
+		case id == victim:
+			res.Events[id] = vicEv
+		default:
+			res.Events[id] = Event{Rising: b == 1, Arrival: opts.PIArrival, Trans: piTrans}
 		}
 	}
 
-	// gateOut is one gate's evaluation result, staged per level so gates
-	// of the same logic level can run on the engine pool: within a level
-	// every gate reads only earlier levels' maps, and the writes are
-	// merged serially afterwards in topological order — identical to the
-	// serial schedule.
-	type gateOut struct {
-		o1, o2   int
-		ev       Event
-		switched bool
-	}
-	evalGate := func(gi int) (gateOut, error) {
+	// Scratch reused across gates: the two frames' input values and the
+	// causal input events.
+	var in1, in2 []int
+	var causal []core.InputEvent
+	nPI := len(c.PIs)
+	for _, gi := range c.TopoOrder() {
 		g := &c.Gates[gi]
 		cell, ok := opts.Lib.Cell(g.CellName())
 		if !ok {
-			return gateOut{}, fmt.Errorf("logicsim: no library cell %q for gate %q", g.CellName(), g.Output)
+			return nil, fmt.Errorf("logicsim: no library cell %q for gate %q", g.CellName(), g.Output)
 		}
 		opts.Metrics.Add(engine.SimGateEvals, 1)
 
-		in1 := make([]int, len(g.Inputs))
-		in2 := make([]int, len(g.Inputs))
-		for i, in := range g.Inputs {
-			in1[i] = res.V1[in]
-			in2[i] = res.V2[in]
+		ins := c.GateInputIDs(gi)
+		in1, in2 = in1[:0], in2[:0]
+		for _, in := range ins {
+			in1 = append(in1, int(res.V1[in]))
+			in2 = append(in2, int(res.V2[in]))
 		}
 		o1, err := g.Kind.Eval(in1)
 		if err != nil {
-			return gateOut{}, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
+			return nil, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
 		}
 		o2, err := g.Kind.Eval(in2)
 		if err != nil {
-			return gateOut{}, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
+			return nil, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
 		}
-		out := gateOut{o1: o1, o2: o2}
+		id := nPI + gi
+		res.V1[id], res.V2[id] = int8(o1), int8(o2)
 		if o1 == o2 {
-			return out, nil
+			continue
 		}
 
-		extraLoad := float64(c.FanoutCount(g.Output)-1) * cell.RefLoad
-		ev, err := gateEvent(c, g, cell, res, o2 == 1, extraLoad, opts.Mode, opts.NCExtension)
+		if id == victim {
+			res.Events[id] = vicEv
+			continue
+		}
+		// Under the static two-frame semantics every switching input is
+		// causal: a NAND whose output rises had all inputs at 1 in frame
+		// 1, so its switching inputs fall (to-controlling), and one whose
+		// output falls has all inputs at 1 in frame 2, so they rise
+		// (to-non-controlling); NOR is the dual. A rising NAND (or
+		// inverter, buffer) output and a falling NOR output are the
+		// to-controlling response.
+		causal = causal[:0]
+		for pin, in := range ins {
+			if res.V1[in] != res.V2[in] {
+				ev := res.Events[in]
+				causal = append(causal, core.InputEvent{Pin: pin, Arrival: ev.Arrival, Trans: ev.Trans})
+			}
+		}
+		rising := o2 == 1
+		ctrl := rising != (g.Kind == netlist.Nor)
+		extraLoad := float64(max(len(c.NetFanout(id)), 1)-1) * cell.RefLoad
+		resp, err := response(cell, causal, ctrl, extraLoad, opts)
 		if err != nil {
-			return gateOut{}, err
+			return nil, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
 		}
-		out.ev, out.switched = ev, true
-		return out, nil
-	}
-
-	for _, lv := range levelGroups(c) {
-		if err := ctxErr(opts.Ctx); err != nil {
-			return nil, fmt.Errorf("logicsim: %w", err)
-		}
-		outs := make([]gateOut, len(lv))
-		if opts.Jobs <= 1 || len(lv) == 1 {
-			for i, gi := range lv {
-				var err error
-				if outs[i], err = evalGate(gi); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			err := engine.Run(opts.Ctx, opts.Jobs, len(lv), func(_ context.Context, i int) error {
-				var err error
-				outs[i], err = evalGate(lv[i])
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		for i, gi := range lv {
-			g := &c.Gates[gi]
-			res.V1[g.Output] = outs[i].o1
-			res.V2[g.Output] = outs[i].o2
-			if outs[i].switched {
-				res.Events[g.Output] = outs[i].ev
-			}
-		}
+		res.Events[id] = Event{Rising: rising, Arrival: resp.Arrival, Trans: resp.Trans}
 	}
 	return res, nil
 }
 
-// levelGroups buckets the topological order by logic level; gates within
-// one bucket are mutually independent.
-func levelGroups(c *netlist.Circuit) [][]int {
-	var groups [][]int
-	for _, gi := range c.TopoOrder() {
-		lvl := c.Level(gi)
-		for len(groups) <= lvl {
-			groups = append(groups, nil)
-		}
-		groups[lvl] = append(groups[lvl], gi)
+// response applies the delay model to a switching output's causal input
+// events.
+func response(cell *core.CellModel, events []core.InputEvent, ctrl bool, extraLoad float64, opts Options) (core.Response, error) {
+	switch {
+	case ctrl && opts.Mode == twindow.ModePinToPin:
+		return pinToPinCtrl(cell, events, extraLoad)
+	case ctrl:
+		return cell.CtrlResponse(events, extraLoad)
+	case opts.NCExtension && opts.Mode != twindow.ModePinToPin:
+		return cell.NonCtrlResponseExt(events, extraLoad)
 	}
-	return groups
-}
-
-// ctxErr reports a nil-safe context error.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// gateEvent computes the output transition of a switching gate from its
-// switching inputs' events.
-func gateEvent(c *netlist.Circuit, g *netlist.Gate, cell *core.CellModel, res *Result, outRising bool, extraLoad float64, mode Mode, ncExt bool) (Event, error) {
-	// Determine which response this is and collect the causal input
-	// events.
-	var ctrl bool
-	switch g.Kind {
-	case netlist.Inv:
-		ctrl = outRising // falling input -> rising output is the "ctrl" table
-	case netlist.Buf:
-		ctrl = outRising
-	case netlist.Nand:
-		ctrl = outRising
-	case netlist.Nor:
-		ctrl = !outRising
-	}
-
-	var events []core.InputEvent
-	for i, in := range g.Inputs {
-		ev, switched := res.Events[in]
-		if !switched {
-			continue
-		}
-		if g.Kind == netlist.Nand || g.Kind == netlist.Nor {
-			// Only transitions in the causal direction matter:
-			// to-controlling for the ctrl response (falling for
-			// NAND), to-non-controlling otherwise.
-			cv := g.Kind.ControllingValue()
-			toCtrl := (cv == 0 && !ev.Rising) || (cv == 1 && ev.Rising)
-			if ctrl != toCtrl {
-				continue
-			}
-		}
-		events = append(events, core.InputEvent{Pin: i, Arrival: ev.Arrival, Trans: ev.Trans})
-	}
-	if len(events) == 0 {
-		return Event{}, fmt.Errorf("logicsim: gate %q output switches with no causal input event", g.Output)
-	}
-
-	var resp core.Response
-	var err error
-	if ctrl {
-		if mode == ModePinToPin {
-			resp, err = pinToPinCtrl(cell, events, extraLoad)
-		} else {
-			resp, err = cell.CtrlResponse(events, extraLoad)
-		}
-	} else if ncExt && mode != ModePinToPin {
-		resp, err = cell.NonCtrlResponseExt(events, extraLoad)
-	} else {
-		resp, err = cell.NonCtrlResponse(events, extraLoad)
-	}
-	if err != nil {
-		return Event{}, fmt.Errorf("logicsim: gate %q: %w", g.Output, err)
-	}
-	return Event{Rising: outRising, Arrival: resp.Arrival, Trans: resp.Trans}, nil
+	return cell.NonCtrlResponse(events, extraLoad)
 }
 
 // pinToPinCtrl is the pin-to-pin to-controlling response: the earliest

@@ -40,19 +40,20 @@ func TestLogicValuesMatchDirectEvaluation(t *testing.T) {
 			vals[g.Output] = v
 		}
 		for net, want := range vals {
-			if res.V2[net] != want {
-				t.Fatalf("trial %d: V2[%s] = %d, want %d", trial, net, res.V2[net], want)
+			if _, got := res.Values(net); got != want {
+				t.Fatalf("trial %d: V2[%s] = %d, want %d", trial, net, got, want)
 			}
 		}
 		// Event consistency: a net has an event iff V1 != V2, and the
 		// direction matches.
-		for net := range res.V1 {
-			ev, has := res.Events[net]
-			switched := res.V1[net] != res.V2[net]
+		for _, net := range c.Nets() {
+			ev, has := res.Event(net)
+			a, b := res.Values(net)
+			switched := a != b
 			if has != switched {
 				t.Fatalf("trial %d: net %s event presence %v but switched %v", trial, net, has, switched)
 			}
-			if has && ev.Rising != (res.V2[net] == 1) {
+			if has && ev.Rising != (b == 1) {
 				t.Fatalf("trial %d: net %s event direction wrong", trial, net)
 			}
 		}
@@ -72,14 +73,14 @@ func TestEventsRespectCausality(t *testing.T) {
 		}
 		for i := range c.Gates {
 			g := &c.Gates[i]
-			ev, has := res.Events[g.Output]
+			ev, has := res.Event(g.Output)
 			if !has {
 				continue
 			}
 			// The output must switch after at least one input event.
 			earliest := -1.0
 			for _, in := range g.Inputs {
-				if ie, ok := res.Events[in]; ok {
+				if ie, ok := res.Event(in); ok {
 					if earliest < 0 || ie.Arrival < earliest {
 						earliest = ie.Arrival
 					}
@@ -111,12 +112,8 @@ func TestSTAWindowsContainSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []Mode{ModeProposed, ModePinToPin} {
-			staMode := sta.ModeProposed
-			if mode == ModePinToPin {
-				staMode = sta.ModePinToPin
-			}
-			staRes, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: staMode})
+		for _, mode := range []sta.Mode{sta.ModeProposed, sta.ModePinToPin} {
+			staRes, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +130,11 @@ func TestSTAWindowsContainSimulation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for net, ev := range simRes.Events {
+				for _, net := range c.Nets() {
+					ev, ok := simRes.Event(net)
+					if !ok {
+						continue
+					}
 					w, ok := staRes.Window(net, ev.Rising)
 					if !ok {
 						t.Fatalf("%s: no STA window for %s", benchName, net)
@@ -162,16 +163,20 @@ func TestProposedNeverSlowerThanPinToPin(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		v1 := RandomVector(c, rng.Intn)
 		v2 := RandomVector(c, rng.Intn)
-		prop, err := Simulate(c, v1, v2, Options{Lib: lib, Mode: ModeProposed})
+		prop, err := Simulate(c, v1, v2, Options{Lib: lib, Mode: sta.ModeProposed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2p, err := Simulate(c, v1, v2, Options{Lib: lib, Mode: ModePinToPin})
+		p2p, err := Simulate(c, v1, v2, Options{Lib: lib, Mode: sta.ModePinToPin})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for net, pe := range prop.Events {
-			qe, ok := p2p.Events[net]
+		for _, net := range c.Nets() {
+			pe, ok := prop.Event(net)
+			if !ok {
+				continue
+			}
+			qe, ok := p2p.Event(net)
 			if !ok {
 				t.Fatalf("event sets differ at %s", net)
 			}
@@ -214,7 +219,7 @@ func TestBufferTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, ok := res.Events["z"]
+	ev, ok := res.Event("z")
 	if !ok || !ev.Rising {
 		t.Fatalf("buffer output should rise: %+v", ev)
 	}

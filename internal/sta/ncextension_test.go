@@ -68,12 +68,16 @@ func TestNCExtensionContainment(t *testing.T) {
 		v1 := logicsim.RandomVector(c, rng.Intn)
 		v2 := logicsim.RandomVector(c, rng.Intn)
 		sim, err := logicsim.Simulate(c, v1, v2, logicsim.Options{
-			Lib: lib, Mode: logicsim.ModeProposed, NCExtension: true,
+			Lib: lib, Mode: ModeProposed, NCExtension: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for net, ev := range sim.Events {
+		for _, net := range c.Nets() {
+			ev, ok := sim.Event(net)
+			if !ok {
+				continue
+			}
 			w, ok := staRes.Window(net, ev.Rising)
 			if !ok {
 				t.Fatalf("no window for %s", net)
@@ -108,8 +112,8 @@ func TestNCExtensionSimSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	le := legacy.Events["10"]
-	xe := ext.Events["10"]
+	le, _ := legacy.Event("10")
+	xe, _ := ext.Event("10")
 	if xe.Arrival <= le.Arrival {
 		t.Errorf("extension should slow gate 10: %g vs %g", xe.Arrival, le.Arrival)
 	}

@@ -46,7 +46,11 @@ func TestC17WindowsExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for net, ev := range sim.Events {
+			for _, net := range c.Nets() {
+				ev, ok := sim.Event(net)
+				if !ok {
+					continue
+				}
 				events++
 				w, ok := res.Window(net, ev.Rising)
 				if !ok {
@@ -58,7 +62,7 @@ func TestC17WindowsExhaustive(t *testing.T) {
 				}
 			}
 			for _, po := range c.POs {
-				if ev, ok := sim.Events[po]; ok {
+				if ev, ok := sim.Event(po); ok {
 					if ev.Arrival < bestMin {
 						bestMin = ev.Arrival
 					}

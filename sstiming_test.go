@@ -2,10 +2,15 @@ package sstiming_test
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sstiming"
+	"sstiming/internal/benchgen"
+	"sstiming/internal/logicsim"
+	"sstiming/internal/twindow"
 )
 
 const apiTestBench = `INPUT(a)
@@ -52,8 +57,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a falls -> n1 rises -> z falls.
-	if ev, ok := sim.Events["z"]; !ok || ev.Rising {
-		t.Errorf("expected falling event at z, got %+v (ok=%v)", sim.Events["z"], ok)
+	if ev, ok := sim.Event("z"); !ok || ev.Rising {
+		t.Errorf("expected falling event at z, got %+v (ok=%v)", ev, ok)
 	}
 
 	// ITR through the facade (empty cube = STA).
@@ -166,7 +171,9 @@ endmodule`
 	if !excited {
 		t.Fatal("fault should be excited")
 	}
-	if faulty.Events["n1"].Arrival <= clean.Events["n1"].Arrival {
+	fe, _ := faulty.Event("n1")
+	ce, _ := clean.Event("n1")
+	if fe.Arrival <= ce.Arrival {
 		t.Error("victim not slowed")
 	}
 
@@ -186,5 +193,42 @@ endmodule`
 	}
 	if res.MaxPOArrival() <= 0 {
 		t.Error("extended analysis degenerate")
+	}
+}
+
+// TestSimulateTimingPinToPin runs the facade's simulation under the
+// facade's own ModePinToPin and requires exactly what a direct pin-to-pin
+// logicsim.Simulate produces, on a c432 vector pair where the two delay
+// models disagree.
+func TestSimulateTimingPinToPin(t *testing.T) {
+	lib, err := sstiming.DefaultLibrary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := benchgen.Load("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	v1 := logicsim.RandomVector(c, rng.Intn)
+	v2 := logicsim.RandomVector(c, rng.Intn)
+
+	got, err := sstiming.SimulateTiming(c, v1, v2, sstiming.SimOptions{Lib: lib, Mode: sstiming.ModePinToPin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: lib, Mode: twindow.ModePinToPin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposed, err := logicsim.Simulate(c, v1, v2, logicsim.Options{Lib: lib, Mode: twindow.ModeProposed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want.Events, proposed.Events) {
+		t.Fatal("the vector pair does not tell the delay models apart")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("facade pin-to-pin simulation differs from logicsim's")
 	}
 }
