@@ -22,11 +22,17 @@ race:
 	$(GO) test -race ./...
 
 # gofmt -l . also walks perfbench/; any file it lists fails the stage.
+# internal/itr only forwards to sta until perfbench moves off it, so no
+# other non-test package of this module may import it.
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
+	@importers=$$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... | \
+		awk '$$1 != "sstiming/internal/itr" { for (i = 2; i <= NF; i++) if ($$i == "sstiming/internal/itr") print $$1 }'); \
+	if [ -n "$$importers" ]; then \
+		echo "these packages import the sstiming/internal/itr shim; use sta instead:"; echo "$$importers"; exit 1; fi
 
 # Tier-1 verification loop (see ROADMAP.md). Runs every stage through a
 # timing wrapper and prints a per-stage wall-clock summary at the end, so

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"sstiming/internal/benchgen"
-	"sstiming/internal/itr"
 	"sstiming/internal/nineval"
 	"sstiming/internal/prechar"
 	"sstiming/internal/sta"
@@ -45,7 +44,7 @@ func main() {
 		if st.net != "" {
 			cube[st.net] = st.val
 		}
-		res, err := itr.Refine(c, cube, itr.Options{Lib: lib, Mode: sta.ModeProposed})
+		res, err := sta.Refine(c, cube, sta.Options{Lib: lib, Mode: sta.ModeProposed})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +58,7 @@ func main() {
 	fmt.Println("are undefined (Section 5.1).")
 }
 
-func window(li *itr.LineInfo, rising bool) string {
+func window(li *sta.LineTiming, rising bool) string {
 	var ok bool
 	var w sta.Window
 	if rising {

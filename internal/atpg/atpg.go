@@ -14,7 +14,7 @@
 //  2. fault excitation conditions at the site and propagation conditions;
 //  3. a PODEM-style search engine that implicitly enumerates the two-frame
 //     logic search space over primary input assignments;
-//  4. incremental timing refinement (package itr) that recomputes timing
+//  4. incremental timing refinement (sta.Refine) that recomputes timing
 //     windows as values are assigned; branches whose refined windows make
 //     the required alignment impossible are pruned.
 //
@@ -36,7 +36,6 @@ import (
 
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
-	"sstiming/internal/itr"
 	"sstiming/internal/logicsim"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
@@ -108,7 +107,7 @@ type Options struct {
 	// sibling values applied as the next delta.
 	UseITR bool
 	// ITRFullRecompute forces the pre-refactor behaviour: a from-scratch
-	// itr.Refine per decision step instead of the persistent graph. The
+	// sta.Refine per decision step instead of the persistent graph. The
 	// two paths produce byte-identical windows and therefore identical
 	// searches (asserted by TestIncrementalITRMatchesFullRefine); this
 	// knob exists as the cross-check reference and for the bench harness
@@ -642,12 +641,12 @@ func (g *generator) timingFeasible() (bool, float64) {
 
 // refineWindows produces the aggressor and victim windows under the
 // implication, via the persistent graph (default) or a from-scratch
-// itr.Refine of its cube (ITRFullRecompute). A non-nil error means the
+// sta.Refine of its cube (ITRFullRecompute). A non-nil error means the
 // timing state could not be established (inconsistent cube, cancellation,
 // poisoned-graph heal failure).
 func (g *generator) refineWindows() (wa, wv sta.Window, okA, okV bool, err error) {
 	if g.opts.ITRFullRecompute {
-		res, rerr := itr.Refine(g.c, g.imp.Cube(nil), itr.Options{
+		res, rerr := sta.Refine(g.c, g.imp.Cube(nil), sta.Options{
 			Lib:  g.opts.Lib,
 			Mode: sta.ModeProposed,
 			PI:   g.opts.PI,

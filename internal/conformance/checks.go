@@ -9,7 +9,6 @@ import (
 	"sstiming/internal/baseline"
 	"sstiming/internal/core"
 	"sstiming/internal/flatsim"
-	"sstiming/internal/itr"
 	"sstiming/internal/logicsim"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
@@ -463,10 +462,10 @@ func checkITRSubset(e *seedEnv) error {
 		return err
 	}
 
-	iopts := itr.Options{Lib: e.lib, Mode: sta.ModeProposed, NCExtension: e.opts.NCExtension}
+	iopts := sta.Options{Lib: e.lib, Mode: sta.ModeProposed, NCExtension: e.opts.NCExtension}
 
 	// Empty cube: exact equality (float identity up to 1 fs).
-	empty, err := itr.Refine(c, nineval.Cube{}, iopts)
+	empty, err := sta.Refine(c, nineval.Cube{}, iopts)
 	if err != nil {
 		return err
 	}
@@ -489,7 +488,7 @@ func checkITRSubset(e *seedEnv) error {
 
 	for trial, vp := range vecs {
 		v1, v2 := vp[0], vp[1]
-		ref, err := itr.Refine(c, fullCube(c, v1, v2), iopts)
+		ref, err := sta.Refine(c, fullCube(c, v1, v2), iopts)
 		if err != nil {
 			return fmt.Errorf("trial %d: %w", trial, err)
 		}
@@ -521,7 +520,7 @@ func checkITRSubset(e *seedEnv) error {
 					if err != nil {
 						return false, err
 					}
-					ref, err := itr.Refine(c, fullCube(c, v1, v2), iopts)
+					ref, err := sta.Refine(c, fullCube(c, v1, v2), iopts)
 					if err != nil {
 						return false, nil // shrunk cube may become inconsistent
 					}
@@ -560,10 +559,10 @@ func checkITRSound(e *seedEnv) error {
 	if err != nil {
 		return err
 	}
-	iopts := itr.Options{Lib: e.lib, Mode: sta.ModeProposed, NCExtension: e.opts.NCExtension}
+	iopts := sta.Options{Lib: e.lib, Mode: sta.ModeProposed, NCExtension: e.opts.NCExtension}
 	for trial, sim := range sims {
 		v1, v2 := vecs[trial][0], vecs[trial][1]
-		ref, err := itr.Refine(c, fullCube(c, v1, v2), iopts)
+		ref, err := sta.Refine(c, fullCube(c, v1, v2), iopts)
 		if err != nil {
 			return fmt.Errorf("trial %d: %w", trial, err)
 		}
@@ -595,7 +594,7 @@ func checkITRSound(e *seedEnv) error {
 				if !switched {
 					return false, nil
 				}
-				ref, err := itr.Refine(c, fullCube(c, v1, v2), iopts)
+				ref, err := sta.Refine(c, fullCube(c, v1, v2), iopts)
 				if err != nil {
 					return false, nil
 				}

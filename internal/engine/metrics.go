@@ -54,7 +54,7 @@ const (
 	// STAArcs counts timing arcs evaluated during window propagation
 	// (input pin x direction).
 	STAArcs
-	// ITRRefines counts itr.Refine invocations.
+	// ITRRefines counts refinements: sta.Refine calls and ATPG decision steps.
 	ITRRefines
 	// ITRImplications counts per-line window refinements under implied
 	// transition states.

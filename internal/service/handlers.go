@@ -13,7 +13,6 @@ import (
 
 	"sstiming/internal/conformance"
 	"sstiming/internal/engine"
-	"sstiming/internal/itr"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
 	"sstiming/internal/reqcache"
@@ -460,7 +459,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				Mode:        mode,
 				NCExtension: req.NCExtension,
 				Ctx:         ctx,
-				Jobs:        s.opts.AnalysisJobs,
 				Metrics:     s.met,
 			})
 			if err != nil {
@@ -525,7 +523,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 			reqcache.CanonicalCube(cubeKey), reqcache.CanonicalNets(req.Nets)},
 		netlist: req.Netlist, format: req.Format, timeoutMs: req.TimeoutMs,
 		run: func(ctx context.Context, c *netlist.Circuit) (identified, error) {
-			res, err := itr.Refine(c, cube, itr.Options{
+			res, err := sta.Refine(c, cube, sta.Options{
 				Lib:         ls.lib,
 				Mode:        mode,
 				NCExtension: req.NCExtension,

@@ -126,7 +126,6 @@ func (s *Server) replaySession(st *sessionlog.State, ls *libState) (*session, er
 		Lib:         ls.lib,
 		Mode:        mode,
 		NCExtension: st.Create.NCExtension,
-		Jobs:        s.opts.AnalysisJobs,
 		Metrics:     s.met,
 	}
 	var g *tgraph.Graph

@@ -5,7 +5,7 @@
 // The request path is built for robustness (DESIGN.md §10):
 //
 //   - every request runs under a context carrying its deadline; the
-//     deadline reaches sta.Analyze, itr.Refine and ultimately the spice
+//     deadline reaches sta.Analyze, sta.Refine and ultimately the spice
 //     Newton loop, so a cancelled request answers 504 with
 //     spice.ErrCancelled in the chain and never holds a worker;
 //   - admission control is a bounded job queue (queue.go): at most
@@ -75,9 +75,6 @@ type Options struct {
 	// the running ones; above workers+depth the daemon sheds load.
 	// Negative means no waiting room; zero selects 2×workers.
 	QueueDepth int
-	// AnalysisJobs is the intra-request STA fan-out width; default 1
-	// (request-level parallelism comes from the worker pool).
-	AnalysisJobs int
 	// DefaultTimeout is the per-request deadline when the client sets
 	// none; zero means no server-imposed deadline.
 	DefaultTimeout time.Duration
@@ -148,9 +145,6 @@ func (o *Options) fill() error {
 	}
 	if o.QueueDepth < 0 {
 		o.QueueDepth = 0
-	}
-	if o.AnalysisJobs <= 0 {
-		o.AnalysisJobs = 1
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 8 << 20

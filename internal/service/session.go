@@ -644,7 +644,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			Mode:        mode,
 			NCExtension: req.NCExtension,
 			Ctx:         ctx,
-			Jobs:        s.opts.AnalysisJobs,
 			Metrics:     s.met,
 			LevelHook:   levelHook,
 		})

@@ -21,7 +21,8 @@ type PathStep struct {
 
 // CriticalPath extracts the latest-arrival path ending at the given net and
 // direction by greedy backtrace: at every gate it follows the input whose
-// worst-case candidate realises the output's latest arrival. The returned
+// worst-case candidate realises the output's latest arrival, among the
+// inputs whose transition along the arc is still possible. The returned
 // slice runs from a primary input to the requested endpoint.
 func (r *Result) CriticalPath(net string, rising bool) ([]PathStep, error) {
 	c, s := r.Circuit, r.snap
@@ -29,6 +30,9 @@ func (r *Result) CriticalPath(net string, rising bool) ([]PathStep, error) {
 	id, ok := c.NetID(net)
 	if !ok {
 		return nil, fmt.Errorf("sta: no timing for net %q", net)
+	}
+	if _, ok := r.Window(net, rising); !ok {
+		return nil, fmt.Errorf("sta: net %q cannot make that transition", net)
 	}
 	var path []PathStep
 	curRising := rising
@@ -61,9 +65,13 @@ func (r *Result) CriticalPath(net string, rising bool) ([]PathStep, error) {
 		bestGap := math.Inf(1)
 		inIDs := c.GateInputIDs(gi)
 		for x, in := range inIDs {
-			iw := s.Lines[in].Fall
+			li := &s.Lines[in]
+			iw, defined := li.Fall, li.HasFall()
 			if a.InRise {
-				iw = s.Lines[in].Rise
+				iw, defined = li.Rise, li.HasRise()
+			}
+			if !defined {
+				continue
 			}
 			p := gb.Pin(a, x)
 			_, dMax := p.Delay.MaxOver(iw.TS, iw.TL)
@@ -82,24 +90,17 @@ func (r *Result) CriticalPath(net string, rising bool) ([]PathStep, error) {
 	return nil, fmt.Errorf("sta: path extraction did not terminate (cycle?)")
 }
 
-// WorstPath returns the critical path to the latest-arriving primary output
-// transition.
+// WorstPath returns the critical path to the latest-arriving defined
+// primary output transition.
 func (r *Result) WorstPath() ([]PathStep, error) {
 	var worstNet string
 	worstRising := false
 	worst := math.Inf(-1)
-	for _, po := range r.Circuit.POs {
-		lt := r.Lines[po]
-		if lt == nil {
-			continue
+	r.eachPOWindow(func(po string, rising bool, w Window) {
+		if w.AL > worst {
+			worst, worstNet, worstRising = w.AL, po, rising
 		}
-		if lt.Rise.AL > worst {
-			worst, worstNet, worstRising = lt.Rise.AL, po, true
-		}
-		if lt.Fall.AL > worst {
-			worst, worstNet, worstRising = lt.Fall.AL, po, false
-		}
-	}
+	})
 	if worstNet == "" {
 		return nil, fmt.Errorf("sta: circuit has no timed primary outputs")
 	}

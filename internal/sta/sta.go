@@ -18,32 +18,56 @@
 //     surface at the achievable skew closest to SK_t,min, which may be
 //     non-zero.
 //
-// Backward propagation computes required-time windows and reports min
-// (hold-style) and max (setup-style) violations.
+// Incremental Timing Refinement (Section 5) recomputes the windows under
+// a partially specified two-frame vector. STA assumes every line may carry
+// either transition; during test generation, logic implications
+// progressively decide which transitions are definite (S = 1), potential
+// (S = 0) or impossible (S = -1), and the windows shrink accordingly:
+//
+//   - a line with S = -1 for a direction has no window for it (its timing
+//     fields are undefined, per Section 5.1);
+//   - the earliest to-controlling arrival may only exploit simultaneous
+//     switching between inputs that still *can* transition;
+//   - the latest to-controlling arrival tightens to the earliest worst-case
+//     corner among inputs that *must* transition (a definite faller bounds
+//     how late a NAND output can rise);
+//   - the earliest to-non-controlling arrival rises to the slowest
+//     definite riser (they all must complete before the output can fall).
+//
+// STA is the special case of ITR in which every line has S = 0, and the
+// code says so once: Analyze and Refine both build a persistent timing
+// graph (internal/tgraph) — Analyze under the empty cube, Refine under the
+// implied cube — and return the same Result, whose Cube is empty for
+// Analyze. Callers that refine many related cubes (the ATPG search refines
+// one per decision) keep a single graph alive and apply cube deltas to it
+// instead; Refine remains the from-scratch reference those incremental
+// results are cross-checked against.
+//
+// A Result holds a twindow.Snapshot — the settled lines by net ID and the
+// graph's gate bindings. Backward propagation over it computes
+// required-time windows and reports min (hold-style) and max (setup-style)
+// violations; required windows and critical paths follow only directions
+// that can still transition. The result keeps the required windows of the
+// last constraint, so RequiredTimes followed by CheckViolations runs the
+// backward pass once.
 //
 // The same engine runs under the conventional pin-to-pin (SDF-style) model
-// for the paper's Table 2 comparison.
-//
-// Since the incremental-timing refactor, Analyze is a thin shell: it builds
-// a persistent timing graph (internal/tgraph) and fully converges it once —
-// "full analysis" is literally the everything-dirty special case of
-// incremental re-convergence, so full and incremental results are
-// byte-identical by construction. The window/corner arithmetic itself lives
-// in internal/twindow, shared with itr and tgraph. A Result holds a
-// twindow.Snapshot — the settled lines by net ID and the graph's gate
-// bindings — and LineTiming is twindow's LineInfo, so required times,
-// violations and critical paths read the same arrays as ITR's.
+// for the paper's Table 2 comparison. The window/corner arithmetic lives in
+// internal/twindow, so a full analysis, a from-scratch refinement and an
+// incremental re-convergence evaluate byte-identical floats per gate.
 package sta
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
-	"sstiming/internal/core"
 	"sstiming/internal/engine"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
+	"sstiming/internal/spice"
 	"sstiming/internal/tgraph"
 	"sstiming/internal/twindow"
 )
@@ -62,8 +86,9 @@ const (
 // arrival and shortest/longest transition time, in seconds (Figure 7).
 type Window = twindow.Window
 
-// LineTiming is the timing of one line: its directional windows, plus the
-// transition states the backward pass reads, all SMaybe for STA.
+// LineTiming is the timing of one line: the implied nine-valued value, the
+// transition states (all SMaybe for STA) and the directional windows,
+// valid only when the corresponding state is not SNo (HasRise/HasFall).
 type LineTiming = twindow.LineInfo
 
 // PITiming describes the assumed stimulus at primary inputs.
@@ -87,46 +112,29 @@ type Constraint = twindow.Constraint
 // Violation reports one timing check failure.
 type Violation = twindow.Violation
 
-// Options configures an analysis.
-type Options struct {
-	// Lib is the characterised cell library (required).
-	Lib *core.Library
-	// Mode selects the delay model.
-	Mode Mode
-	// PI is the stimulus applied to every primary input; the zero value
-	// selects DefaultPITiming.
-	PI PITiming
-	// PerPI optionally overrides the stimulus for specific inputs.
-	PerPI map[string]PITiming
-	// NCExtension enables the simultaneous to-non-controlling Λ-shape
-	// model (the paper's Section 3.6 future work) in the latest-arrival
-	// and longest-transition corners of to-non-controlling responses.
-	// Requires a library characterised with charlib.Options.NCPairs.
-	// Off by default: the paper's published scope keeps pin-to-pin
-	// timing for these responses (and Table 2's max-delays identical
-	// across models).
-	NCExtension bool
-	// Ctx, when non-nil, cancels the analysis between logic levels (and
-	// inside the level-parallel fan-out). A cancelled analysis returns an
-	// error wrapping spice.ErrCancelled and the context's own error —
-	// never a partial result.
-	Ctx context.Context
-	// Jobs bounds the engine worker pool used to propagate the gates of
-	// one logic level concurrently; zero or one runs serially. Windows
-	// are independent of the worker count.
-	Jobs int
-	// Metrics, when non-nil, counts propagated gates and timing arcs.
-	Metrics *engine.Metrics
-}
+// Options configures an analysis or a refinement. It is the timing graph's
+// own options struct: Analyze and Refine pass it straight to tgraph.
+type Options = tgraph.Options
 
 // Result holds the computed windows for every line.
 type Result struct {
 	Circuit *netlist.Circuit
 	Mode    Mode
+	// Cube is the implied two-frame assignment; empty for Analyze.
+	Cube nineval.Cube
 	// Lines is a name-keyed view of the snapshot's lines.
 	Lines map[string]*LineTiming
 
 	snap *twindow.Snapshot
+	// memo holds the required windows of the last constraint asked for,
+	// so RequiredTimes followed by CheckViolations walks the graph once.
+	// A memo is never written after it is published.
+	memo atomic.Pointer[requiredMemo]
+}
+
+type requiredMemo struct {
+	cons Constraint
+	req  []LineRequired
 }
 
 // Analyze runs forward window propagation over the circuit: it builds a
@@ -140,97 +148,121 @@ func Analyze(c *netlist.Circuit, opts Options) (*Result, error) {
 	stop := opts.Metrics.StartTimer("sta/analyze")
 	defer stop()
 
-	g, err := tgraph.New(c, tgraph.Options{
-		Lib:         opts.Lib,
-		Mode:        opts.Mode,
-		PI:          opts.PI,
-		PerPI:       opts.PerPI,
-		NCExtension: opts.NCExtension,
-		Ctx:         opts.Ctx,
-		Jobs:        opts.Jobs,
-		Metrics:     opts.Metrics,
-	})
+	g, err := tgraph.New(c, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sta: %w", err)
 	}
 	return FromGraph(g), nil
 }
 
-// FromGraph snapshots a persistent timing graph's current windows as an
-// analysis Result, so graph holders get path extraction, required times and
-// violation checks without a fresh full analysis. The snapshot is a copy:
-// later graph edits do not disturb it. Whatever cube the graph holds, every
-// line's transition states read SMaybe — STA as the S = 0 special case of
-// ITR.
+// Refine implies the cube over the circuit and recomputes every line's
+// timing windows under the resulting transition states (the paper's
+// Section 5). It returns an error if the cube is logically inconsistent.
+// Its errors keep the "itr:" prefix the refinement has always reported.
+func Refine(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Result, error) {
+	if opts.Lib == nil {
+		return nil, fmt.Errorf("itr: Options.Lib is required")
+	}
+	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		return nil, fmt.Errorf("itr: %w", spice.Cancelled(opts.Ctx.Err()))
+	}
+	opts.Metrics.Add(engine.ITRRefines, 1)
+	g, err := tgraph.NewWithCube(c, cube, opts)
+	if err != nil {
+		if errors.Is(err, tgraph.ErrInconsistent) {
+			return nil, fmt.Errorf("itr: cube is logically inconsistent: %s", cube.String())
+		}
+		return nil, fmt.Errorf("itr: %w", err)
+	}
+	opts.Metrics.Add(engine.ITRImplications, int64(c.NumGates()))
+	return FromGraph(g), nil
+}
+
+// FromGraph snapshots a persistent timing graph's current windows, implied
+// values and transition states as a Result, so graph holders get path
+// extraction, required times and violation checks without a fresh
+// analysis. The snapshot is a copy: later graph edits do not disturb it.
 func FromGraph(g *tgraph.Graph) *Result {
 	snap := g.Snapshot()
-	for i := range snap.Lines {
-		li := &snap.Lines[i]
-		li.Value, li.SRise, li.SFall = nineval.VXX, nineval.SMaybe, nineval.SMaybe
-	}
-	return &Result{Circuit: snap.Circuit, Mode: snap.Mode, Lines: snap.LineMap(), snap: snap}
+	return &Result{Circuit: snap.Circuit, Mode: snap.Mode, Cube: g.ImpliedCube(), Lines: snap.LineMap(), snap: snap}
 }
 
-// Window returns the directional window of a net.
+// Window returns the directional window of a net and whether it is
+// defined: a direction whose transition state is SNo has no window.
 func (r *Result) Window(net string, rising bool) (Window, bool) {
 	lt, ok := r.Lines[net]
-	if !ok {
-		return Window{}, false
-	}
-	if rising {
+	switch {
+	case ok && rising && lt.HasRise():
 		return lt.Rise, true
+	case ok && !rising && lt.HasFall():
+		return lt.Fall, true
 	}
-	return lt.Fall, true
+	return Window{}, false
 }
 
-// MinPOArrival returns the earliest arrival over all primary outputs and
-// both directions — the paper's Table 2 "min-delay at outputs" metric (the
-// lower edge of the union of the PO timing ranges).
-func (r *Result) MinPOArrival() float64 {
-	min := math.Inf(1)
+// eachPOWindow calls f with every defined window of every primary output,
+// in declaration order, rising before falling.
+func (r *Result) eachPOWindow(f func(po string, rising bool, w Window)) {
 	for _, po := range r.Circuit.POs {
-		if lt, ok := r.Lines[po]; ok {
-			if lt.Rise.AS < min {
-				min = lt.Rise.AS
-			}
-			if lt.Fall.AS < min {
-				min = lt.Fall.AS
+		for _, rising := range [2]bool{true, false} {
+			if w, ok := r.Window(po, rising); ok {
+				f(po, rising, w)
 			}
 		}
 	}
+}
+
+// MinPOArrival returns the earliest arrival over all defined primary
+// output directions — the paper's Table 2 "min-delay at outputs" metric
+// (the lower edge of the union of the PO timing ranges).
+func (r *Result) MinPOArrival() float64 {
+	min := math.Inf(1)
+	r.eachPOWindow(func(_ string, _ bool, w Window) {
+		if w.AS < min {
+			min = w.AS
+		}
+	})
 	return min
 }
 
-// MaxPOArrival returns the latest arrival over all primary outputs and both
+// MaxPOArrival returns the latest arrival over all defined primary output
 // directions (the classical critical-path delay).
 func (r *Result) MaxPOArrival() float64 {
 	max := math.Inf(-1)
-	for _, po := range r.Circuit.POs {
-		if lt, ok := r.Lines[po]; ok {
-			if lt.Rise.AL > max {
-				max = lt.Rise.AL
-			}
-			if lt.Fall.AL > max {
-				max = lt.Fall.AL
-			}
+	r.eachPOWindow(func(_ string, _ bool, w Window) {
+		if w.AL > max {
+			max = w.AL
 		}
-	}
+	})
 	return max
+}
+
+// required returns the required windows per net ID under cons, running
+// the backward pass only when the memo holds another constraint. Callers
+// must not modify the slice.
+func (r *Result) required(cons Constraint) []LineRequired {
+	if m := r.memo.Load(); m != nil && m.cons == cons {
+		return m.req
+	}
+	req := r.snap.Required(cons)
+	r.memo.Store(&requiredMemo{cons: cons, req: req})
+	return req
 }
 
 // RequiredTimes performs the backward traversal of Section 4 and returns
 // the required-time windows of every gate output and of every primary
-// input that feeds a gate or is a primary output. It runs the backward
-// pass shared with itr (twindow.Snapshot) on lines whose transition states
-// are all SMaybe.
+// input that feeds a gate or is a primary output. Required windows
+// propagate only along arcs whose transitions are still possible, so a
+// direction with state SNo keeps the unconstrained window. The windows
+// are the caller's own copy.
 func (r *Result) RequiredTimes(cons Constraint) map[string]*LineRequired {
-	return r.snap.RequiredTimes(cons)
+	return r.snap.RequiredMap(slices.Clone(r.required(cons)))
 }
 
 // CheckViolations compares the arrival windows against the required windows
-// derived from the PO constraint and returns every failing line, ordered by
-// slack (most negative first), then net, rising before falling, setup
-// before hold.
+// derived from the PO constraint and returns every failing defined line
+// direction, ordered by slack (most negative first), then net, rising
+// before falling, setup before hold.
 func (r *Result) CheckViolations(cons Constraint) []Violation {
-	return r.snap.CheckViolations(cons)
+	return r.snap.Violations(r.required(cons))
 }

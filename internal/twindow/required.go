@@ -169,13 +169,13 @@ func (gb *Gate) Pin(a Arc, x int) *core.PinTiming {
 	return &gb.Cell.NonCtrlPins[x]
 }
 
-// RequiredTimes performs the backward traversal and returns the
-// required-time windows of every gate output and of every primary input
-// that feeds a gate or is a primary output. It uses the settled arrival
-// and transition windows to evaluate the delay bounds along each
-// input-to-output arc, under transition states (the paper defers the ITR
-// details to its technical report [9], so this follows the forward pass's
-// worst-case corner rules):
+// Required performs the backward traversal and returns the required-time
+// window of every line, indexed by net ID (TopoOrder in reverse, each
+// gate's inputs from GateInputIDs and its cell and load from the
+// snapshot's binding). It uses the settled arrival and transition windows
+// to evaluate the delay bounds along each input-to-output arc, under
+// transition states (the paper defers the ITR details to its technical
+// report [9], so this follows the forward pass's worst-case corner rules):
 //
 //   - required windows propagate only along arcs whose input and output
 //     transitions are both still possible (state != SNo), so a line
@@ -183,29 +183,7 @@ func (gb *Gate) Pin(a Arc, x int) *core.PinTiming {
 //   - under ModeProposed the minimum arc delay exploits zero-skew
 //     simultaneous switching with each partner input that can still
 //     transition in the same direction.
-//
-// The map's values point into one slice.
-func (s *Snapshot) RequiredTimes(cons Constraint) map[string]*LineRequired {
-	c := s.Circuit
-	nPI := len(c.PIs)
-	req := s.required(cons)
-	out := make(map[string]*LineRequired, len(req))
-	for id := range req {
-		if id >= nPI || len(c.NetFanout(id)) > 0 {
-			out[c.NetName(id)] = &req[id]
-		}
-	}
-	for _, po := range c.POs {
-		id, _ := c.NetID(po)
-		out[po] = &req[id]
-	}
-	return out
-}
-
-// required runs the backward traversal over net IDs: TopoOrder in
-// reverse, each gate's inputs from GateInputIDs and its cell and load from
-// the snapshot's binding.
-func (s *Snapshot) required(cons Constraint) []LineRequired {
+func (s *Snapshot) Required(cons Constraint) []LineRequired {
 	c := s.Circuit
 	nPI := len(c.PIs)
 	req := make([]LineRequired, len(s.Lines))
@@ -245,6 +223,25 @@ func (s *Snapshot) required(cons Constraint) []LineRequired {
 	return req
 }
 
+// RequiredMap returns the name-keyed view of required windows req (as
+// Required returns them) for every gate output and every primary input
+// that feeds a gate or is a primary output. Its pointers point into req.
+func (s *Snapshot) RequiredMap(req []LineRequired) map[string]*LineRequired {
+	c := s.Circuit
+	nPI := len(c.PIs)
+	out := make(map[string]*LineRequired, len(req))
+	for id := range req {
+		if id >= nPI || len(c.NetFanout(id)) > 0 {
+			out[c.NetName(id)] = &req[id]
+		}
+	}
+	for _, po := range c.POs {
+		id, _ := c.NetID(po)
+		out[po] = &req[id]
+	}
+	return out
+}
+
 // arcBounds returns [dMin, dMax] of the delay from input pin x to the gate
 // output along arc a. Under ModeProposed the minimum of a to-controlling arc
 // additionally considers zero-skew simultaneous switching with each other
@@ -275,12 +272,11 @@ func (s *Snapshot) arcBounds(gb *Gate, x int, a Arc, inWin Window, inIDs []int32
 	return dMin, dMax
 }
 
-// CheckViolations compares the settled arrival windows against the
-// required windows derived from the PO constraint and returns every
-// failing defined (state != SNo) line direction, in the total order of
-// compareViolations.
-func (s *Snapshot) CheckViolations(cons Constraint) []Violation {
-	req := s.required(cons)
+// Violations compares the settled arrival windows against required
+// windows req (as Required returns them) and returns every failing defined
+// (state != SNo) line direction, in the total order of compareViolations.
+// It only reads req.
+func (s *Snapshot) Violations(req []LineRequired) []Violation {
 	var out []Violation
 	check := func(id int, w Window, q Required, rising bool) {
 		if q == unconstrained {

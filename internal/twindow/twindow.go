@@ -1,7 +1,7 @@
 // Package twindow holds the min-max timing-window types and the worst-case
 // corner-identification arithmetic (the paper's Sections 4.2 and 5.2) shared
-// by static timing analysis (package sta), incremental timing refinement
-// (package itr) and the persistent timing graph (package tgraph).
+// by static timing analysis and incremental timing refinement (package sta)
+// and the persistent timing graph (package tgraph).
 //
 // Historically sta and itr each carried a private copy of the per-gate
 // propagation rules; the incremental-timing refactor moved the single source
@@ -18,8 +18,8 @@
 // of ITR.
 //
 // The backward pass (Snapshot: required times and violation checks) follows
-// the same rule: one state-aware traversal over net IDs serves both sta and
-// itr. A Snapshot holds the settled lines and the timing graph's per-gate
+// the same rule: one state-aware traversal over net IDs serves both STA and
+// ITR. A Snapshot holds the settled lines and the timing graph's per-gate
 // binding (kind, cell, fan-out load), so the pass looks nothing up by name;
 // STA's snapshot carries all-SMaybe lines.
 package twindow

@@ -366,7 +366,7 @@ func c17Snapshot(t *testing.T) *Snapshot {
 func TestSnapshotRequiredTimesC17(t *testing.T) {
 	s := c17Snapshot(t)
 	cons := Constraint{MinTime: 0, MaxTime: 1000 * ps}
-	req := s.RequiredTimes(cons)
+	req := s.RequiredMap(s.Required(cons))
 	if len(req) != 11 {
 		t.Errorf("%d required entries, want 11 (5 PIs feeding gates + 6 gate outputs)", len(req))
 	}
@@ -396,7 +396,7 @@ func TestSnapshotRequiredTimesC17(t *testing.T) {
 	if s.Circuit.NetName(7) != "16" {
 		t.Fatalf("net ID 7 is %s, not 16", s.Circuit.NetName(7))
 	}
-	req = s.RequiredTimes(cons)
+	req = s.RequiredMap(s.Required(cons))
 	for _, net := range []string{"16", "2"} {
 		if got := *req[net]; got.Rise != unconstrained || got.Fall != unconstrained {
 			t.Errorf("net %s behind a quiet line: required %+v, want unconstrained", net, got)
@@ -412,10 +412,10 @@ func TestSnapshotRequiredTimesC17(t *testing.T) {
 // order; LineMap views the same lines by name.
 func TestSnapshotViolations(t *testing.T) {
 	s := c17Snapshot(t)
-	if v := s.CheckViolations(Constraint{MinTime: -1e-6, MaxTime: 1e-6}); len(v) != 0 {
+	if v := s.Violations(s.Required(Constraint{MinTime: -1e-6, MaxTime: 1e-6})); len(v) != 0 {
 		t.Errorf("generous constraint: %d violations", len(v))
 	}
-	v := s.CheckViolations(Constraint{MinTime: 50 * ps, MaxTime: 60 * ps})
+	v := s.Violations(s.Required(Constraint{MinTime: 50 * ps, MaxTime: 60 * ps}))
 	if len(v) == 0 {
 		t.Fatal("tight constraint: no violations")
 	}

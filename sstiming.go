@@ -40,7 +40,6 @@ import (
 	"sstiming/internal/device"
 	"sstiming/internal/engine"
 	"sstiming/internal/holdfix"
-	"sstiming/internal/itr"
 	"sstiming/internal/logicsim"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
@@ -135,9 +134,10 @@ type (
 	// Cube is a partial two-frame assignment.
 	Cube = nineval.Cube
 	// ITROptions configures incremental timing refinement.
-	ITROptions = itr.Options
-	// ITRResult holds refined windows and transition states.
-	ITRResult = itr.Result
+	ITROptions = sta.Options
+	// ITRResult holds refined windows and transition states; it is the
+	// STAResult type.
+	ITRResult = sta.Result
 )
 
 // Timing simulation.
@@ -203,7 +203,7 @@ func AnalyzeSTA(c *Circuit, opts STAOptions) (*STAResult, error) { return sta.An
 // RefineITR runs incremental timing refinement under a partial two-frame
 // assignment.
 func RefineITR(c *Circuit, cube Cube, opts ITROptions) (*ITRResult, error) {
-	return itr.Refine(c, cube, opts)
+	return sta.Refine(c, cube, opts)
 }
 
 // SimulateTiming runs two-pattern timing simulation.
