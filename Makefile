@@ -23,7 +23,13 @@ race:
 
 # gofmt -l . also walks perfbench/; any file it lists fails the stage.
 # internal/itr only forwards to sta until perfbench moves off it, so no
-# other non-test package of this module may import it.
+# other non-test package of this module may import it. The delay model's
+# rules (the skew shapes over the pair surfaces, the pin-range extrema) live
+# in internal/core only: no non-test file of the timing layers may call
+# MinOver/MaxOver or read a pair surface.
+MODEL_LAYERS := internal/twindow internal/tgraph internal/sta internal/logicsim
+MODEL_RULES := MinOver|MaxOver|\.Pair\(|\.NCPair\(|\.SX\.|\.D0\.|\.T0\.|\.SKmin\.
+
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
@@ -33,6 +39,10 @@ vet:
 		awk '$$1 != "sstiming/internal/itr" { for (i = 2; i <= NF; i++) if ($$i == "sstiming/internal/itr") print $$1 }'); \
 	if [ -n "$$importers" ]; then \
 		echo "these packages import the sstiming/internal/itr shim; use sta instead:"; echo "$$importers"; exit 1; fi
+	@files=$$(for d in $(MODEL_LAYERS); do ls $$d/*.go; done | grep -v '_test\.go$$' | \
+		xargs grep -lE '$(MODEL_RULES)'); \
+	if [ -n "$$files" ]; then \
+		echo "these files evaluate delay-model rules outside internal/core; call core instead:"; echo "$$files"; exit 1; fi
 
 # Tier-1 verification loop (see ROADMAP.md). Runs every stage through a
 # timing wrapper and prints a per-stage wall-clock summary at the end, so

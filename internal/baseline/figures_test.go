@@ -1,0 +1,90 @@
+package baseline
+
+import (
+	"math"
+	"testing"
+
+	"sstiming/internal/cells"
+	"sstiming/internal/device"
+	"sstiming/internal/prechar"
+)
+
+// spiceNAND2Delay simulates the transistor-level NAND2 testbench of the
+// Figure 2 bench: input 0 falls at 1.2 ns with transition tx, input 1
+// falls skew later with transition ty. It returns the gate delay relative
+// to the earliest input arrival.
+func spiceNAND2Delay(t *testing.T, tx, ty, skew float64) float64 {
+	t.Helper()
+	tech := device.Default05um()
+	cfg := cells.Config{Kind: cells.NAND, N: 2, Tech: tech, LoadInverter: true}
+	ax, ay := 1.2e-9, 1.2e-9+skew
+	drives := []cells.Drive{cells.Falling(ax, tx), cells.Falling(ay, ty)}
+	tr, err := cfg.MeasureResponse(drives, true, cells.SimOptions{TStop: math.Max(ax, ay) + 3.5e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Arrival - math.Min(ax, ay)
+}
+
+// TestFigure2VShape asserts Figure 2: the V-shape model of the NAND2
+// to-controlling delay tracks the transistor-level simulation across the
+// skew sweep of EXPERIMENTS.md (Tx = Ty = 0.5 ns) — within 2% at zero skew
+// and beyond the arms, within 10% everywhere (the arms' knee is where the
+// piecewise-linear shape is coarsest) — and its minimum sits at zero skew
+// (Claim 1).
+func TestFigure2VShape(t *testing.T) {
+	nand2 := prechar.MustLibrary().MustCell("NAND2")
+	const tx, ty = 0.5e-9, 0.5e-9
+	anchors := map[float64]bool{0: true, -0.6e-9: true, 0.6e-9: true, -1.0e-9: true, 1.0e-9: true}
+	for _, skew := range []float64{-1.0e-9, -0.6e-9, -0.3e-9, -0.15e-9, 0, 0.15e-9, 0.3e-9, 0.6e-9, 1.0e-9} {
+		sim := spiceNAND2Delay(t, tx, ty, skew)
+		mod := nand2.DelayCtrl2(0, 1, tx, ty, skew, 0)
+		tol := 0.10
+		if anchors[skew] {
+			tol = 0.02
+		}
+		if e := math.Abs(mod-sim) / sim; e > tol {
+			t.Errorf("skew %.2f ns: model %.4f ns vs simulator %.4f ns, error %.1f%% > %.0f%%",
+				skew*1e9, mod*1e9, sim*1e9, 100*e, 100*tol)
+		}
+	}
+	d0 := nand2.DelayCtrl2(0, 1, tx, ty, 0, 0)
+	for ps := -1000; ps <= 1000; ps++ {
+		if d := nand2.DelayCtrl2(0, 1, tx, ty, float64(ps)*1e-12, 0); d < d0 {
+			t.Fatalf("model delay %.6g ns at skew %d ps is below its zero-skew value %.6g ns", d*1e9, ps, d0*1e9)
+		}
+	}
+}
+
+// TestFigure9CornerRule asserts Figure 9's worst-case corner rule on the
+// bi-tonic NAND2 pin-0 delay curve: MaxOver picks the right endpoint of a
+// range left of the peak, the left endpoint of a range right of it, and the
+// interior peak of a range that straddles it — and no point of the range
+// exceeds the value it reports.
+func TestFigure9CornerRule(t *testing.T) {
+	q := prechar.MustLibrary().MustCell("NAND2").CtrlPins[0].Delay
+	peak, ok := q.PeakT()
+	if !ok || peak < 2.0e-9 || peak > 2.5e-9 {
+		t.Fatalf("NAND2 pin-0 delay peak = %.3f ns (bi-tonic %t), want an interior peak near 2.23 ns", peak*1e9, ok)
+	}
+	for _, r := range []struct {
+		name   string
+		lo, hi float64
+		want   float64
+	}{
+		{"left of peak", peak - 1.2e-9, peak - 0.4e-9, peak - 0.4e-9},
+		{"right of peak", peak + 0.4e-9, peak + 1.2e-9, peak + 0.4e-9},
+		{"straddles peak", peak - 0.4e-9, peak + 0.4e-9, peak},
+	} {
+		arg, val := q.MaxOver(r.lo, r.hi)
+		if arg != r.want {
+			t.Errorf("%s [%.3f, %.3f] ns: argmax %.4f ns, want %.4f ns", r.name, r.lo*1e9, r.hi*1e9, arg*1e9, r.want*1e9)
+		}
+		for i := 0; i <= 100; i++ {
+			tt := r.lo + (r.hi-r.lo)*float64(i)/100
+			if v := q.Eval(tt); v > val {
+				t.Errorf("%s: delay %.6g ns at T = %.4f ns exceeds MaxOver's %.6g ns", r.name, v*1e9, tt*1e9, val*1e9)
+			}
+		}
+	}
+}

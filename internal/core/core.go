@@ -28,6 +28,23 @@
 // corner identification in STA and ITR — and the Quad type exposes the
 // interior-extremum helpers STA needs (Figure 9).
 //
+// # One skew shape
+//
+// The four pair timing functions are one piecewise-linear shape in δ
+// (skewShape): an apex and two arms at the pair's SX thresholds, flat
+// beyond them at the pin-to-pin values. DelayCtrl2 is the V with its
+// minimum at zero skew; TransCtrl2 is the same V with its apex at SKmin;
+// DelayNonCtrl2 and TransNonCtrl2 are the Λ of the Section 3.6 extension,
+// peaking at zero skew. The V is evaluated by CtrlResponse (timing
+// simulation), by STA/ITR's earliest-arrival and shortest-transition corners
+// and by the backward pass's fastest arc; the Λ by NonCtrlResponseExt and
+// the NCExtension latest corners. The pin-to-pin rules are written here
+// once too: PinTiming.Range is Figure 9's extremum over a transition-time
+// range, and one earliest-or-latest combine backs CtrlResponse's
+// single-event case, NonCtrlResponse and PinToPinCtrlResponse. The timing
+// layers (twindow, tgraph, sta, logicsim) call these and read no surface
+// themselves; make vet enforces it.
+//
 // All public methods take and return SI seconds; coefficients are stored in
 // nanosecond units for numerical conditioning of the fits.
 package core
@@ -160,6 +177,18 @@ func (p *PinTiming) TransAt(tSec, extraLoad float64) float64 {
 	return p.Trans.Eval(tSec) + p.TransLoadSlope*extraLoad
 }
 
+// Range returns the extrema of the pin-to-pin delay and output transition
+// time over input transition times in [tsSec, tlSec] at the reference load
+// (Figure 9: an endpoint, or the interior peak or valley when it falls
+// inside the range). Callers add the load terms.
+func (p *PinTiming) Range(tsSec, tlSec float64) (dMin, dMax, tMin, tMax float64) {
+	_, dMin = p.Delay.MinOver(tsSec, tlSec)
+	_, dMax = p.Delay.MaxOver(tsSec, tlSec)
+	_, tMin = p.Trans.MinOver(tsSec, tlSec)
+	_, tMax = p.Trans.MaxOver(tsSec, tlSec)
+	return dMin, dMax, tMin, tMax
+}
+
 // PairTiming holds the simultaneous-switching timing surfaces for one
 // ordered input pair (X, Y) of a cell.
 type PairTiming struct {
@@ -234,10 +263,13 @@ type FitQuality struct {
 
 // Pair returns the timing surfaces for ordered pair (x, y), or nil if the
 // pair was not characterised.
-func (m *CellModel) Pair(x, y int) *PairTiming {
-	for i := range m.Pairs {
-		if m.Pairs[i].X == x && m.Pairs[i].Y == y {
-			return &m.Pairs[i].Timing
+func (m *CellModel) Pair(x, y int) *PairTiming { return lookup(m.Pairs, x, y) }
+
+// lookup returns the surfaces of ordered pair (x, y) in pairs, or nil.
+func lookup(pairs []PairEntry, x, y int) *PairTiming {
+	for i := range pairs {
+		if pairs[i].X == x && pairs[i].Y == y {
+			return &pairs[i].Timing
 		}
 	}
 	return nil
@@ -270,6 +302,121 @@ func (m *CellModel) Validate() error {
 // minSkewWidth guards the V-shape arms against degenerate fitted thresholds.
 const minSkewWidth = 1e-12 // 1 ps
 
+// quantity selects which of a pair's four timing functions a skewShape
+// evaluates.
+type quantity int
+
+const (
+	ctrlDelay quantity = iota // DelayCtrl2: V, apex at zero skew
+	ctrlTrans                 // TransCtrl2: V, apex at SKmin
+	ncDelay                   // DelayNonCtrl2: Λ, apex at zero skew
+	ncTrans                   // TransNonCtrl2: Λ, apex at zero skew
+)
+
+// skewShape is one timing function of an ordered input pair as a
+// piecewise-linear function of the skew δ = Ay − Ax: atApex at skew apex,
+// linear out to atLo at skew lo < apex and to atHi at skew hi > apex, and
+// flat beyond either arm. Without pair surfaces it is a step at zero skew
+// (the pin-to-pin answer).
+type skewShape struct {
+	lo, apex, hi       float64
+	atLo, atApex, atHi float64
+	step               bool
+}
+
+// at evaluates the shape at skewSec.
+func (s skewShape) at(skewSec float64) float64 {
+	switch {
+	case skewSec >= s.hi:
+		return s.atHi
+	case skewSec <= s.lo, s.step:
+		return s.atLo
+	case skewSec >= s.apex:
+		return s.atApex + (s.atHi-s.atApex)*(skewSec-s.apex)/(s.hi-s.apex)
+	default:
+		return s.atApex + (s.atLo-s.atApex)*(skewSec-s.apex)/(s.lo-s.apex)
+	}
+}
+
+// pairAt evaluates quantity q of ordered pair (x, y) at input transition
+// times txSec and tySec, skew skewSec and extraLoad farads beyond the
+// reference load: it builds the pair's skew shape and reads it at the skew.
+// The arms are the pair's SX thresholds, at least minSkewWidth from zero;
+// beyond them the earlier input alone sets a to-controlling response and
+// the later one a to-non-controlling response, so each arm settles to that
+// input's pin-to-pin value. The apex value is the pair's zero-skew surface,
+// clamped to be the V's minimum (Claim 1) or the Λ's peak. The shape is
+// built and read in one frame: returned to the caller, it was copied
+// through memory and the evaluators ran about 20% slower (go test -bench,
+// 2-vCPU x86-64 host).
+func (m *CellModel) pairAt(q quantity, x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
+	nc, trans := q >= ncDelay, q == ctrlTrans || q == ncTrans
+	pins, pairs := m.CtrlPins, m.Pairs
+	if nc {
+		pins, pairs = m.NonCtrlPins, m.NCPairs
+	}
+	px, py := &pins[x], &pins[y]
+	var vx, vy, slope float64
+	if trans {
+		vx, vy, slope = px.TransAt(txSec, extraLoad), py.TransAt(tySec, extraLoad), px.TransLoadSlope
+	} else {
+		vx, vy, slope = px.DelayAt(txSec, extraLoad), py.DelayAt(tySec, extraLoad), px.DelayLoadSlope
+	}
+	atLo, atHi := vy, vx
+	if nc {
+		atLo, atHi = vx, vy
+	}
+	pXY, pYX := lookup(pairs, x, y), lookup(pairs, y, x)
+	if pXY == nil || pYX == nil {
+		return skewShape{atLo: atLo, atHi: atHi, step: true}.at(skewSec)
+	}
+
+	hi := pXY.SX.Eval(txSec, tySec)
+	if hi < minSkewWidth {
+		hi = minSkewWidth
+	}
+	lo := -pYX.SX.Eval(tySec, txSec)
+	if lo > -minSkewWidth {
+		lo = -minSkewWidth
+	}
+	surf := &pXY.D0
+	if trans {
+		surf = &pXY.T0
+	}
+	v0 := surf.Eval(txSec, tySec) + slope*extraLoad
+	if nc {
+		if v0 < vx {
+			v0 = vx
+		}
+		if v0 < vy {
+			v0 = vy
+		}
+	} else {
+		if v0 > vx {
+			v0 = vx
+		}
+		if v0 > vy {
+			v0 = vy
+		}
+	}
+	apex := 0.0
+	if q == ctrlTrans {
+		// The transition-time minimum sits at SKmin, kept strictly inside
+		// the arms, and stays positive.
+		apex = pXY.SKmin.Eval(txSec, tySec)
+		if apex > hi-minSkewWidth {
+			apex = hi - minSkewWidth
+		}
+		if apex < lo+minSkewWidth {
+			apex = lo + minSkewWidth
+		}
+		if v0 <= 0 {
+			v0 = minSkewWidth
+		}
+	}
+	return skewShape{lo: lo, apex: apex, hi: hi, atLo: atLo, atApex: v0, atHi: atHi}.at(skewSec)
+}
+
 // DelayCtrl2 evaluates the V-shape model for the ordered pair (x, y): the
 // to-controlling gate delay, measured from the earliest input arrival, when
 // input x has transition time txSec, input y has transition time tySec, and
@@ -279,48 +426,7 @@ const minSkewWidth = 1e-12 // 1 ps
 // If the pair was not characterised the result degrades to the pin-to-pin
 // delay of the earlier input (the pin-to-pin model's answer).
 func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	dx := m.CtrlPins[x].DelayAt(txSec, extraLoad)
-	dy := m.CtrlPins[y].DelayAt(tySec, extraLoad)
-
-	pXY := m.Pair(x, y)
-	pYX := m.Pair(y, x)
-	if pXY == nil || pYX == nil {
-		// Pin-to-pin fallback: the earliest controlling input sets the
-		// output; the other is ignored.
-		if skewSec >= 0 {
-			return dx
-		}
-		return dy
-	}
-
-	sx := pXY.SX.Eval(txSec, tySec)
-	if sx < minSkewWidth {
-		sx = minSkewWidth
-	}
-	sy := -pYX.SX.Eval(tySec, txSec)
-	if sy > -minSkewWidth {
-		sy = -minSkewWidth
-	}
-	d0 := pXY.D0.Eval(txSec, tySec) + m.CtrlPins[x].DelayLoadSlope*extraLoad
-	// Claim 1: the zero-skew point is the global minimum. Keep the fitted
-	// surface consistent with it.
-	if d0 > dx {
-		d0 = dx
-	}
-	if d0 > dy {
-		d0 = dy
-	}
-
-	switch {
-	case skewSec >= sx:
-		return dx
-	case skewSec <= sy:
-		return dy
-	case skewSec >= 0:
-		return d0 + (dx-d0)*skewSec/sx
-	default:
-		return d0 + (dy-d0)*skewSec/sy
-	}
+	return m.pairAt(ctrlDelay, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
 // TransCtrl2 evaluates the output transition time of the to-controlling
@@ -328,60 +434,14 @@ func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float6
 // DelayCtrl2. The V-shape minimum T0 sits at skew SKmin, which may be
 // non-zero.
 func (m *CellModel) TransCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	tx := m.CtrlPins[x].TransAt(txSec, extraLoad)
-	ty := m.CtrlPins[y].TransAt(tySec, extraLoad)
-
-	pXY := m.Pair(x, y)
-	pYX := m.Pair(y, x)
-	if pXY == nil || pYX == nil {
-		if skewSec >= 0 {
-			return tx
-		}
-		return ty
-	}
-
-	sx := pXY.SX.Eval(txSec, tySec)
-	if sx < minSkewWidth {
-		sx = minSkewWidth
-	}
-	sy := -pYX.SX.Eval(tySec, txSec)
-	if sy > -minSkewWidth {
-		sy = -minSkewWidth
-	}
-	skmin := pXY.SKmin.Eval(txSec, tySec)
-	// Keep the minimum strictly inside the arms.
-	if skmin > sx-minSkewWidth {
-		skmin = sx - minSkewWidth
-	}
-	if skmin < sy+minSkewWidth {
-		skmin = sy + minSkewWidth
-	}
-	t0 := pXY.T0.Eval(txSec, tySec) + m.CtrlPins[x].TransLoadSlope*extraLoad
-	if t0 > tx {
-		t0 = tx
-	}
-	if t0 > ty {
-		t0 = ty
-	}
-	if t0 <= 0 {
-		t0 = minSkewWidth
-	}
-
-	switch {
-	case skewSec >= sx:
-		return tx
-	case skewSec <= sy:
-		return ty
-	case skewSec >= skmin:
-		return t0 + (tx-t0)*(skewSec-skmin)/(sx-skmin)
-	default:
-		return t0 + (ty-t0)*(skewSec-skmin)/(sy-skmin)
-	}
+	return m.pairAt(ctrlTrans, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
-// SKminAt returns the transition-time-minimising skew for pair (x, y),
-// clamped inside the V-shape arms, as used by the STA corner rules
-// (Section 4.2's SK_t,R,min).
+// SKminAt returns the transition-time-minimising skew for pair (x, y) as
+// fitted, or 0 if the pair was not characterised. Unlike TransCtrl2's apex
+// it is not clamped inside the V-shape arms: the STA shortest-transition
+// rule (Section 4.2's SK_t,R,min) clamps it only to the achievable skew
+// range.
 func (m *CellModel) SKminAt(x, y int, txSec, tySec float64) float64 {
 	pXY := m.Pair(x, y)
 	if pXY == nil {
@@ -412,20 +472,11 @@ type Response struct {
 // than two simultaneous transitions by pairwise reduction with the
 // characterised multi-input speed-up factor.
 func (m *CellModel) CtrlResponse(events []InputEvent, extraLoad float64) (Response, error) {
-	if len(events) == 0 {
-		return Response{}, fmt.Errorf("core: %s: CtrlResponse with no events", m.Name)
-	}
-	for _, e := range events {
-		if e.Pin < 0 || e.Pin >= m.N {
-			return Response{}, fmt.Errorf("core: %s: invalid pin %d", m.Name, e.Pin)
-		}
+	if err := m.validate("CtrlResponse", events); err != nil {
+		return Response{}, err
 	}
 	if len(events) == 1 {
-		e := events[0]
-		return Response{
-			Arrival: e.Arrival + m.CtrlPins[e.Pin].DelayAt(e.Trans, extraLoad),
-			Trans:   m.CtrlPins[e.Pin].TransAt(e.Trans, extraLoad),
-		}, nil
+		return pinToPin(m.CtrlPins, events, extraLoad, false), nil
 	}
 
 	evs := append([]InputEvent(nil), events...)
@@ -470,24 +521,48 @@ func (m *CellModel) CtrlResponse(events []InputEvent, extraLoad float64) (Respon
 // reaches the non-controlling value, so the arrival is the max over
 // pin-to-pin candidates.
 func (m *CellModel) NonCtrlResponse(events []InputEvent, extraLoad float64) (Response, error) {
-	if len(events) == 0 {
-		return Response{}, fmt.Errorf("core: %s: NonCtrlResponse with no events", m.Name)
+	if err := m.validate("NonCtrlResponse", events); err != nil {
+		return Response{}, err
 	}
-	var out Response
-	first := true
+	return pinToPin(m.NonCtrlPins, events, extraLoad, true), nil
+}
+
+// PinToPinCtrlResponse computes the to-controlling output response under
+// the conventional pin-to-pin model: the earliest single-input candidate
+// wins and simultaneous switching is ignored.
+func (m *CellModel) PinToPinCtrlResponse(events []InputEvent, extraLoad float64) (Response, error) {
+	if err := m.validate("PinToPinCtrlResponse", events); err != nil {
+		return Response{}, err
+	}
+	return pinToPin(m.CtrlPins, events, extraLoad, false), nil
+}
+
+// validate checks that events is non-empty and names only pins of the
+// cell; fn names the calling response in the error.
+func (m *CellModel) validate(fn string, events []InputEvent) error {
+	if len(events) == 0 {
+		return fmt.Errorf("core: %s: %s with no events", m.Name, fn)
+	}
 	for _, e := range events {
 		if e.Pin < 0 || e.Pin >= m.N {
-			return Response{}, fmt.Errorf("core: %s: invalid pin %d", m.Name, e.Pin)
-		}
-		arr := e.Arrival + m.NonCtrlPins[e.Pin].DelayAt(e.Trans, extraLoad)
-		tr := m.NonCtrlPins[e.Pin].TransAt(e.Trans, extraLoad)
-		if first || arr > out.Arrival {
-			out.Arrival = arr
-			out.Trans = tr
-			first = false
+			return fmt.Errorf("core: %s: invalid pin %d", m.Name, e.Pin)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// pinToPin combines the single-input candidates of validated events on
+// pins: the earliest output arrival wins, or the latest when latest is
+// set; the first of equal candidates wins.
+func pinToPin(pins []PinTiming, events []InputEvent, extraLoad float64, latest bool) Response {
+	var out Response
+	for i, e := range events {
+		arr := e.Arrival + pins[e.Pin].DelayAt(e.Trans, extraLoad)
+		if i == 0 || (latest && arr > out.Arrival) || (!latest && arr < out.Arrival) {
+			out = Response{Arrival: arr, Trans: pins[e.Pin].TransAt(e.Trans, extraLoad)}
+		}
+	}
+	return out
 }
 
 // Library is a characterised cell library.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -32,104 +31,21 @@ import (
 
 // NCPair returns the simultaneous to-non-controlling surfaces for ordered
 // pair (x, y), or nil if not characterised.
-func (m *CellModel) NCPair(x, y int) *PairTiming {
-	for i := range m.NCPairs {
-		if m.NCPairs[i].X == x && m.NCPairs[i].Y == y {
-			return &m.NCPairs[i].Timing
-		}
-	}
-	return nil
-}
+func (m *CellModel) NCPair(x, y int) *PairTiming { return lookup(m.NCPairs, x, y) }
 
 // DelayNonCtrl2 evaluates the Λ-shape model for ordered pair (x, y): the
 // to-non-controlling gate delay measured from the LATEST input arrival,
 // with skewSec = Ay − Ax. Falls back to the pin-to-pin delay of the later
 // input when the pair was not characterised.
 func (m *CellModel) DelayNonCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	dx := m.NonCtrlPins[x].DelayAt(txSec, extraLoad)
-	dy := m.NonCtrlPins[y].DelayAt(tySec, extraLoad)
-
-	pXY := m.NCPair(x, y)
-	pYX := m.NCPair(y, x)
-	if pXY == nil || pYX == nil {
-		if skewSec >= 0 {
-			return dy // y arrives last and determines the output
-		}
-		return dx
-	}
-
-	sPos := pXY.SX.Eval(txSec, tySec)
-	if sPos < minSkewWidth {
-		sPos = minSkewWidth
-	}
-	sNeg := -pYX.SX.Eval(tySec, txSec)
-	if sNeg > -minSkewWidth {
-		sNeg = -minSkewWidth
-	}
-	d0 := pXY.D0.Eval(txSec, tySec) + m.NonCtrlPins[x].DelayLoadSlope*extraLoad
-	// The zero-skew point is the peak: keep the fitted surface above the
-	// arms.
-	if d0 < dx {
-		d0 = dx
-	}
-	if d0 < dy {
-		d0 = dy
-	}
-
-	switch {
-	case skewSec >= sPos:
-		return dy
-	case skewSec <= sNeg:
-		return dx
-	case skewSec >= 0:
-		return d0 + (dy-d0)*skewSec/sPos
-	default:
-		return d0 + (dx-d0)*skewSec/sNeg
-	}
+	return m.pairAt(ncDelay, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
 // TransNonCtrl2 evaluates the output transition time of the
 // to-non-controlling response under the same conventions (Λ-shaped, peak T0
 // at zero skew).
 func (m *CellModel) TransNonCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	tx := m.NonCtrlPins[x].TransAt(txSec, extraLoad)
-	ty := m.NonCtrlPins[y].TransAt(tySec, extraLoad)
-
-	pXY := m.NCPair(x, y)
-	pYX := m.NCPair(y, x)
-	if pXY == nil || pYX == nil {
-		if skewSec >= 0 {
-			return ty
-		}
-		return tx
-	}
-
-	sPos := pXY.SX.Eval(txSec, tySec)
-	if sPos < minSkewWidth {
-		sPos = minSkewWidth
-	}
-	sNeg := -pYX.SX.Eval(tySec, txSec)
-	if sNeg > -minSkewWidth {
-		sNeg = -minSkewWidth
-	}
-	t0 := pXY.T0.Eval(txSec, tySec) + m.NonCtrlPins[x].TransLoadSlope*extraLoad
-	if t0 < tx {
-		t0 = tx
-	}
-	if t0 < ty {
-		t0 = ty
-	}
-
-	switch {
-	case skewSec >= sPos:
-		return ty
-	case skewSec <= sNeg:
-		return tx
-	case skewSec >= 0:
-		return t0 + (ty-t0)*skewSec/sPos
-	default:
-		return t0 + (tx-t0)*skewSec/sNeg
-	}
+	return m.pairAt(ncTrans, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
 // NonCtrlResponseExt computes the output response for simultaneous
@@ -139,16 +55,14 @@ func (m *CellModel) TransNonCtrl2(x, y int, txSec, tySec, skewSec, extraLoad flo
 // event, or without characterised NC pairs, it degrades to the pin-to-pin
 // NonCtrlResponse.
 func (m *CellModel) NonCtrlResponseExt(events []InputEvent, extraLoad float64) (Response, error) {
-	if len(events) == 0 {
-		return Response{}, fmt.Errorf("core: %s: NonCtrlResponseExt with no events", m.Name)
+	if err := m.validate("NonCtrlResponseExt", events); err != nil {
+		return Response{}, err
 	}
-	for _, e := range events {
-		if e.Pin < 0 || e.Pin >= m.N {
-			return Response{}, fmt.Errorf("core: %s: invalid pin %d", m.Name, e.Pin)
-		}
-	}
+	// The pin-to-pin (max-combine) answer; with one event or no NC pairs
+	// it is the response.
+	base := pinToPin(m.NonCtrlPins, events, extraLoad, true)
 	if len(events) == 1 || len(m.NCPairs) == 0 {
-		return m.NonCtrlResponse(events, extraLoad)
+		return base, nil
 	}
 
 	evs := append([]InputEvent(nil), events...)
@@ -160,12 +74,8 @@ func (m *CellModel) NonCtrlResponseExt(events []InputEvent, extraLoad float64) (
 	d := m.DelayNonCtrl2(x.Pin, y.Pin, x.Trans, y.Trans, skew, extraLoad)
 	tr := m.TransNonCtrl2(x.Pin, y.Pin, x.Trans, y.Trans, skew, extraLoad)
 
-	// The pin-to-pin (max-combine) answer is a lower bound; the Λ model
-	// can only add the simultaneous-switching penalty on top of it.
-	base, err := m.NonCtrlResponse(events, extraLoad)
-	if err != nil {
-		return Response{}, err
-	}
+	// The pin-to-pin answer is a lower bound; the Λ model can only add
+	// the simultaneous-switching penalty on top of it.
 	arr := latest + d
 	if arr < base.Arrival {
 		arr = base.Arrival

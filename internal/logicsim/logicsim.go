@@ -200,33 +200,13 @@ func simulate(c *netlist.Circuit, v1, v2 Vector, opts Options, victim int, vicEv
 func response(cell *core.CellModel, events []core.InputEvent, ctrl bool, extraLoad float64, opts Options) (core.Response, error) {
 	switch {
 	case ctrl && opts.Mode == twindow.ModePinToPin:
-		return pinToPinCtrl(cell, events, extraLoad)
+		return cell.PinToPinCtrlResponse(events, extraLoad)
 	case ctrl:
 		return cell.CtrlResponse(events, extraLoad)
 	case opts.NCExtension && opts.Mode != twindow.ModePinToPin:
 		return cell.NonCtrlResponseExt(events, extraLoad)
 	}
 	return cell.NonCtrlResponse(events, extraLoad)
-}
-
-// pinToPinCtrl is the pin-to-pin to-controlling response: the earliest
-// single-input candidate wins; simultaneous switching is ignored.
-func pinToPinCtrl(cell *core.CellModel, events []core.InputEvent, extraLoad float64) (core.Response, error) {
-	var out core.Response
-	first := true
-	for _, e := range events {
-		if e.Pin < 0 || e.Pin >= cell.N {
-			return core.Response{}, fmt.Errorf("invalid pin %d", e.Pin)
-		}
-		arr := e.Arrival + cell.CtrlPins[e.Pin].DelayAt(e.Trans, extraLoad)
-		tr := cell.CtrlPins[e.Pin].TransAt(e.Trans, extraLoad)
-		if first || arr < out.Arrival {
-			out.Arrival = arr
-			out.Trans = tr
-			first = false
-		}
-	}
-	return out, nil
 }
 
 // RandomVector draws a uniformly random vector for the circuit's PIs using

@@ -74,7 +74,7 @@ func (r *Result) CriticalPath(net string, rising bool) ([]PathStep, error) {
 				continue
 			}
 			p := gb.Pin(a, x)
-			_, dMax := p.Delay.MaxOver(iw.TS, iw.TL)
+			_, dMax, _, _ := p.Range(iw.TS, iw.TL)
 			cand := iw.AL + dMax + p.DelayLoadSlope*gb.ExtraLoad
 			if gap := math.Abs(cand - w.AL); gap < bestGap {
 				bestGap = gap

@@ -142,13 +142,14 @@ type Arc struct {
 
 var (
 	// Buffers borrow the inverter cell's timing with non-inverting
-	// direction mapping, as in PropagateGate.
+	// direction mapping (library approximation, see package sta doc).
 	invArcs = []Arc{{false, true, true}, {true, false, false}}
 	bufArcs = []Arc{{true, true, true}, {false, false, false}}
 	norArcs = []Arc{{true, false, true}, {false, true, false}}
 )
 
-// Arcs lists the timing arcs from each input pin of a gate kind.
+// Arcs lists the timing arcs from each input pin of a gate kind, the
+// to-controlling arc first (nil for an unsupported kind).
 func Arcs(kind netlist.GateKind) []Arc {
 	switch kind {
 	case netlist.Inv, netlist.Nand:
@@ -162,11 +163,14 @@ func Arcs(kind netlist.GateKind) []Arc {
 }
 
 // Pin returns the timing of input pin x along arc a.
-func (gb *Gate) Pin(a Arc, x int) *core.PinTiming {
+func (gb *Gate) Pin(a Arc, x int) *core.PinTiming { return &arcPins(gb.Cell, a)[x] }
+
+// arcPins returns the cell's per-pin timing table arc a uses.
+func arcPins(cell *core.CellModel, a Arc) []core.PinTiming {
 	if a.Ctrl {
-		return &gb.Cell.CtrlPins[x]
+		return cell.CtrlPins
 	}
-	return &gb.Cell.NonCtrlPins[x]
+	return cell.NonCtrlPins
 }
 
 // Required performs the backward traversal and returns the required-time
@@ -250,8 +254,7 @@ func (s *Snapshot) RequiredMap(req []LineRequired) map[string]*LineRequired {
 func (s *Snapshot) arcBounds(gb *Gate, x int, a Arc, inWin Window, inIDs []int32) (dMin, dMax float64) {
 	p := gb.Pin(a, x)
 	loadD := p.DelayLoadSlope * gb.ExtraLoad
-	_, dMin = p.Delay.MinOver(inWin.TS, inWin.TL)
-	_, dMax = p.Delay.MaxOver(inWin.TS, inWin.TL)
+	dMin, dMax, _, _ = p.Range(inWin.TS, inWin.TL)
 	dMin += loadD
 	dMax += loadD
 

@@ -109,77 +109,53 @@ func PILine(v nineval.Value, p PITiming) LineInfo {
 // PropagateGate computes one gate's output LineInfo from the already-settled
 // LineInfos of its inputs under the implied output value outV. It is a pure
 // function of its arguments — the invariant the incremental timing graph's
-// byte-identical-to-full-recompute guarantee rests on.
+// byte-identical-to-full-recompute guarantee rests on. It walks the gate
+// kind's Arcs in order (the to-controlling arc first) and skips an output
+// direction whose transition is impossible.
 func PropagateGate(cell *core.CellModel, kind netlist.GateKind, ins []*LineInfo, outV nineval.Value, extraLoad float64, mode Mode, ncExt bool) (LineInfo, error) {
-	li := LineInfo{Value: outV, SRise: outV.StateRise(), SFall: outV.StateFall()}
-	var err error
-	switch kind {
-	case netlist.Inv:
-		if li.HasRise() {
-			li.Rise, err = propagateSingle(cell, ins[0], false, true, extraLoad)
-		}
-		if err == nil && li.HasFall() {
-			li.Fall, err = propagateSingle(cell, ins[0], true, false, extraLoad)
-		}
-	case netlist.Buf:
-		// Buffers borrow the inverter cell's timing with non-inverting
-		// direction mapping (library approximation, see package sta doc).
-		if li.HasRise() {
-			li.Rise, err = propagateSingle(cell, ins[0], true, true, extraLoad)
-		}
-		if err == nil && li.HasFall() {
-			li.Fall, err = propagateSingle(cell, ins[0], false, false, extraLoad)
-		}
-	case netlist.Nand:
-		if li.HasRise() {
-			li.Rise, err = propagateCtrl(cell, ins, false, extraLoad, mode)
-		}
-		if err == nil && li.HasFall() {
-			li.Fall, err = propagateNonCtrl(cell, ins, true, extraLoad, mode, ncExt)
-		}
-	case netlist.Nor:
-		if li.HasFall() {
-			li.Fall, err = propagateCtrl(cell, ins, true, extraLoad, mode)
-		}
-		if err == nil && li.HasRise() {
-			li.Rise, err = propagateNonCtrl(cell, ins, false, extraLoad, mode, ncExt)
-		}
-	default:
-		err = fmt.Errorf("unsupported gate kind %v", kind)
+	arcs := Arcs(kind)
+	if arcs == nil {
+		return LineInfo{}, fmt.Errorf("unsupported gate kind %v", kind)
 	}
-	if err != nil {
-		return LineInfo{}, err
+	li := LineInfo{Value: outV, SRise: outV.StateRise(), SFall: outV.StateFall()}
+	single := kind == netlist.Inv || kind == netlist.Buf
+	for _, a := range arcs {
+		if s, _ := li.dir(a.OutRise); s == nineval.SNo {
+			continue
+		}
+		out := &li.Fall
+		if a.OutRise {
+			out = &li.Rise
+		}
+		var err error
+		switch {
+		case single:
+			*out, err = propagateSingle(cell, ins[0], a, extraLoad)
+		case a.Ctrl:
+			*out, err = propagateCtrl(cell, ins, a.InRise, extraLoad, mode)
+		default:
+			*out, err = propagateNonCtrl(cell, ins, a.InRise, extraLoad, mode, ncExt)
+		}
+		if err != nil {
+			return LineInfo{}, err
+		}
 	}
 	return li, nil
 }
 
-// propagateSingle handles one-input cells. inRising selects which input
-// direction drives this output direction; ctrl is true when the arc uses the
-// cell's CtrlPins table.
-func propagateSingle(cell *core.CellModel, in *LineInfo, inRising, ctrl bool, extraLoad float64) (Window, error) {
-	var w Window
-	var inState nineval.State
-	if inRising {
-		inState = in.SRise
-		w = in.Rise
-	} else {
-		inState = in.SFall
-		w = in.Fall
-	}
+// propagateSingle handles the one-input cells (INV, and BUF on the
+// inverter's timing) along arc a.
+func propagateSingle(cell *core.CellModel, in *LineInfo, a Arc, extraLoad float64) (Window, error) {
+	inState, w := in.dir(a.InRise)
 	if inState == nineval.SNo {
 		return Window{}, fmt.Errorf("output may transition but input cannot (state inconsistency)")
 	}
-	pins := cell.NonCtrlPins
-	if ctrl {
-		pins = cell.CtrlPins
-	}
-	p := &pins[0]
+	p := &arcPins(cell, a)[0]
 	loadD := p.DelayLoadSlope * extraLoad
 	loadT := p.TransLoadSlope * extraLoad
-	_, dMin := p.Delay.MinOver(w.TS, w.TL)
-	_, dMax := p.Delay.MaxOver(w.TS, w.TL)
-	_, tMin := p.Trans.MinOver(w.TS, w.TL)
-	_, tMax := p.Trans.MaxOver(w.TS, w.TL)
+	dMin, dMax, tMin, tMax := p.Range(w.TS, w.TL)
+	// Arrival plus delay, then load, unlike collect, which adds the load
+	// to the delay first; the goldens pin each association bit for bit.
 	return Window{
 		AS: w.AS + dMin + loadD,
 		AL: w.AL + dMax + loadD,
@@ -189,11 +165,13 @@ func propagateSingle(cell *core.CellModel, in *LineInfo, inRising, ctrl bool, ex
 }
 
 // ctrlInput captures one input that can make a transition in the direction
-// under consideration.
+// under consideration, with its single-input (pin-to-pin) delay and output
+// transition bounds over its transition-time range, load included.
 type ctrlInput struct {
-	pin      int
-	w        Window
-	definite bool
+	pin                    int
+	w                      Window
+	definite               bool
+	dMin, dMax, tMin, tMax float64
 }
 
 // maxPins is the widest cell whose candidate inputs collect gathers in a
@@ -202,21 +180,23 @@ type ctrlInput struct {
 const maxPins = 4
 
 // collect returns the inputs whose transition in the given direction is not
-// ruled out, with their windows, in buf's storage.
-func collect(buf *[maxPins]ctrlInput, ins []*LineInfo, rising bool) []ctrlInput {
+// ruled out, with their windows and their bounds on pins at extraLoad, in
+// buf's storage.
+func collect(buf *[maxPins]ctrlInput, ins []*LineInfo, rising bool, pins []core.PinTiming, extraLoad float64) []ctrlInput {
 	out := buf[:0]
 	for i, li := range ins {
-		var s nineval.State
-		var w Window
-		if rising {
-			s, w = li.SRise, li.Rise
-		} else {
-			s, w = li.SFall, li.Fall
-		}
+		s, w := li.dir(rising)
 		if s == nineval.SNo {
 			continue
 		}
-		out = append(out, ctrlInput{pin: i, w: w, definite: s == nineval.SYes})
+		p := &pins[i]
+		loadD := p.DelayLoadSlope * extraLoad
+		loadT := p.TransLoadSlope * extraLoad
+		dMin, dMax, tMin, tMax := p.Range(w.TS, w.TL)
+		out = append(out, ctrlInput{
+			pin: i, w: w, definite: s == nineval.SYes,
+			dMin: dMin + loadD, dMax: dMax + loadD, tMin: tMin + loadT, tMax: tMax + loadT,
+		})
 	}
 	return out
 }
@@ -237,7 +217,7 @@ func anyDefinite(allowed []ctrlInput) bool {
 // rising for NOR). Pure STA is the all-SMaybe special case.
 func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extraLoad float64, mode Mode) (Window, error) {
 	var buf [maxPins]ctrlInput
-	allowed := collect(&buf, ins, ctrlRising)
+	allowed := collect(&buf, ins, ctrlRising, cell.CtrlPins, extraLoad)
 	if len(allowed) == 0 {
 		return Window{}, fmt.Errorf("to-controlling response possible but no input can transition")
 	}
@@ -247,17 +227,6 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 	out.TS = math.Inf(1)
 	out.TL = math.Inf(-1)
 
-	single := func(a ctrlInput) (dMin, dMax, tMin, tMax float64) {
-		p := &cell.CtrlPins[a.pin]
-		loadD := p.DelayLoadSlope * extraLoad
-		loadT := p.TransLoadSlope * extraLoad
-		_, dMin = p.Delay.MinOver(a.w.TS, a.w.TL)
-		_, dMax = p.Delay.MaxOver(a.w.TS, a.w.TL)
-		_, tMin = p.Trans.MinOver(a.w.TS, a.w.TL)
-		_, tMax = p.Trans.MaxOver(a.w.TS, a.w.TL)
-		return dMin + loadD, dMax + loadD, tMin + loadT, tMax + loadT
-	}
-
 	// Latest arrival (Table 1's A..L rules): definite switchers bound how
 	// late the output can switch — take the min over their worst-case
 	// corners; with no definite switcher, the slowest potential single
@@ -265,19 +234,14 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 	if anyDefinite(allowed) {
 		out.AL = math.Inf(1)
 		for _, a := range allowed {
-			if !a.definite {
-				continue
-			}
-			_, dMax, _, _ := single(a)
-			if v := a.w.AL + dMax; v < out.AL {
+			if v := a.w.AL + a.dMax; a.definite && v < out.AL {
 				out.AL = v
 			}
 		}
 	} else {
 		out.AL = math.Inf(-1)
 		for _, a := range allowed {
-			_, dMax, _, _ := single(a)
-			if v := a.w.AL + dMax; v > out.AL {
+			if v := a.w.AL + a.dMax; v > out.AL {
 				out.AL = v
 			}
 		}
@@ -286,15 +250,14 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 	// Earliest arrival and transition bounds over the allowed set
 	// (single-input candidates; what remains in pin-to-pin mode).
 	for _, a := range allowed {
-		dMin, _, tMin, tMax := single(a)
-		if v := a.w.AS + dMin; v < out.AS {
+		if v := a.w.AS + a.dMin; v < out.AS {
 			out.AS = v
 		}
-		if tMin < out.TS {
-			out.TS = tMin
+		if a.tMin < out.TS {
+			out.TS = a.tMin
 		}
-		if tMax > out.TL {
-			out.TL = tMax
+		if a.tMax > out.TL {
+			out.TL = a.tMax
 		}
 	}
 
@@ -354,7 +317,7 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 // corners through the Λ-shape surfaces.
 func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extraLoad float64, mode Mode, ncExt bool) (Window, error) {
 	var buf [maxPins]ctrlInput
-	allowed := collect(&buf, ins, ncRising)
+	allowed := collect(&buf, ins, ncRising, cell.NonCtrlPins, extraLoad)
 	if len(allowed) == 0 {
 		return Window{}, fmt.Errorf("to-non-controlling response possible but no input can transition")
 	}
@@ -364,51 +327,34 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 	out.TS = math.Inf(1)
 	out.TL = math.Inf(-1)
 
-	single := func(a ctrlInput) (dMin, dMax, tMin, tMax float64) {
-		p := &cell.NonCtrlPins[a.pin]
-		loadD := p.DelayLoadSlope * extraLoad
-		loadT := p.TransLoadSlope * extraLoad
-		_, dMin = p.Delay.MinOver(a.w.TS, a.w.TL)
-		_, dMax = p.Delay.MaxOver(a.w.TS, a.w.TL)
-		_, tMin = p.Trans.MinOver(a.w.TS, a.w.TL)
-		_, tMax = p.Trans.MaxOver(a.w.TS, a.w.TL)
-		return dMin + loadD, dMax + loadD, tMin + loadT, tMax + loadT
-	}
-
 	// Earliest arrival: every definite switcher must complete (max over
 	// them at their earliest corners); with no definite switcher, the
 	// fastest single suffices.
 	if anyDefinite(allowed) {
 		out.AS = math.Inf(-1)
 		for _, a := range allowed {
-			if !a.definite {
-				continue
-			}
-			dMin, _, _, _ := single(a)
-			if v := a.w.AS + dMin; v > out.AS {
+			if v := a.w.AS + a.dMin; a.definite && v > out.AS {
 				out.AS = v
 			}
 		}
 	} else {
 		out.AS = math.Inf(1)
 		for _, a := range allowed {
-			dMin, _, _, _ := single(a)
-			if v := a.w.AS + dMin; v < out.AS {
+			if v := a.w.AS + a.dMin; v < out.AS {
 				out.AS = v
 			}
 		}
 	}
 
 	for _, a := range allowed {
-		_, dMax, tMin, tMax := single(a)
-		if v := a.w.AL + dMax; v > out.AL {
+		if v := a.w.AL + a.dMax; v > out.AL {
 			out.AL = v
 		}
-		if tMin < out.TS {
-			out.TS = tMin
+		if a.tMin < out.TS {
+			out.TS = a.tMin
 		}
-		if tMax > out.TL {
-			out.TL = tMax
+		if a.tMax > out.TL {
+			out.TL = a.tMax
 		}
 	}
 
