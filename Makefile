@@ -25,9 +25,9 @@ race:
 # internal/itr only forwards to sta until perfbench moves off it, so no
 # other non-test package of this module may import it. The delay model's
 # rules (the skew shapes over the pair surfaces, the pin-range extrema) live
-# in internal/core only: no non-test file of the timing layers may call
-# MinOver/MaxOver or read a pair surface.
-MODEL_LAYERS := internal/twindow internal/tgraph internal/sta internal/logicsim
+# in internal/core only: no non-test file of the timing layers or of the SDF
+# writer may call MinOver/MaxOver or read a pair surface.
+MODEL_LAYERS := internal/twindow internal/tgraph internal/sta internal/logicsim internal/sdf
 MODEL_RULES := MinOver|MaxOver|\.Pair\(|\.NCPair\(|\.SX\.|\.D0\.|\.T0\.|\.SKmin\.
 
 vet:
@@ -103,10 +103,12 @@ store-chaos:
 # internal/faultinject), restarted, and required to come back byte-identical
 # to an uninterrupted run; journals that cannot replay must quarantine with
 # a reasoned 404 instead of wedging startup (see internal/sessionlog and
-# DESIGN.md §16).
+# DESIGN.md §16). The tgraph snapshot tests cover the reader that recovery
+# restores graphs with.
 session-chaos:
 	$(GO) test -race -run 'TestSessionChaos|TestSessionRecover|TestSessionEviction' ./internal/service
 	$(GO) test -race ./internal/sessionlog
+	$(GO) test -race -run 'Snapshot|Restore' ./internal/tgraph
 
 # Sharded-campaign chaos suite: real coordinator/worker campaigns with
 # seeded worker kills, hangs and artefact corruption mid-run — every one

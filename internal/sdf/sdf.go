@@ -87,8 +87,8 @@ func (o *Options) fill() {
 // FromLibrary builds the SDF annotation of a circuit from a characterised
 // library: for every gate instance and input pin, the output rise and fall
 // delays are the extrema of the pin-to-pin timing functions over the
-// transition-time range (using the corner-aware MinOver/MaxOver, so bi-tonic
-// interior peaks are honoured).
+// transition-time range (core.PinTiming.Range, which honours bi-tonic
+// interior peaks).
 func FromLibrary(c *netlist.Circuit, lib *core.Library, opts Options) (*File, error) {
 	if err := c.EnsureBuilt(); err != nil {
 		return nil, fmt.Errorf("sdf: %w", err)
@@ -135,8 +135,7 @@ func FromLibrary(c *netlist.Circuit, lib *core.Library, opts Options) (*File, er
 
 func tripleOf(p *core.PinTiming, opts Options, extraLoad float64) Triple {
 	loadD := p.DelayLoadSlope * extraLoad
-	_, dMin := p.Delay.MinOver(opts.TransMin, opts.TransMax)
-	_, dMax := p.Delay.MaxOver(opts.TransMin, opts.TransMax)
+	dMin, dMax, _, _ := p.Range(opts.TransMin, opts.TransMax)
 	return Triple{
 		Min: dMin + loadD,
 		Typ: p.Delay.Eval(opts.TransTyp) + loadD,

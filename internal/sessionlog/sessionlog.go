@@ -15,7 +15,8 @@
 //	    snapshot.json  — optional compaction checkpoint: the converged
 //	                     tgraph state (tgraph.EncodeSnapshot), the sequence
 //	                     number it folds in, and a SHA-256 over the graph
-//	                     bytes. Written atomically (temp+fsync+rename).
+//	                     bytes, the graph last (see Snapshot). Written
+//	                     atomically (temp+fsync+rename).
 //
 // Compaction is crash-safe by sequence-number dedup: the snapshot is made
 // durable first, then the log is atomically rewritten to just the create
@@ -41,6 +42,7 @@ import (
 	"strings"
 	"sync"
 
+	"sstiming/internal/jsonread"
 	"sstiming/internal/store"
 )
 
@@ -158,7 +160,11 @@ func DecodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// Snapshot is the compaction checkpoint sidecar.
+// Snapshot is the compaction checkpoint sidecar, written by Compact as
+// json.Marshal of this struct. Open reads it back in that exact form and
+// relies on the field order: Graph is the last field, so Open takes the
+// graph bytes as the rest of the file without parsing them (the digest
+// vouches for them). Keep Graph last.
 type Snapshot struct {
 	SchemaVersion int    `json:"schema_version"`
 	SessionID     string `json:"session_id"`
@@ -170,8 +176,44 @@ type Snapshot struct {
 	// SHA256 is the hex digest of Graph (defence against bit rot — the
 	// snapshot is written atomically, so tearing is already excluded).
 	SHA256 string `json:"sha256"`
-	// Graph is tgraph.EncodeSnapshot output.
+	// Graph is tgraph.EncodeSnapshot output. It must stay the last field.
 	Graph json.RawMessage `json:"graph"`
+}
+
+// decodeSnapshot reads a sidecar in the form Compact's json.Marshal writes
+// it: the header fields in declaration order, then the graph, which Graph
+// takes as a subslice of data — the field is last, so it runs to the
+// sidecar's closing brace. The graph bytes are not parsed here; the
+// digest is what vouches for them, and tgraph.RestoreSnapshot parses
+// them. Any other form is ErrCorrupt.
+func decodeSnapshot(data []byte, sessionID string) (*Snapshot, error) {
+	r := jsonread.New(data)
+	r.Expect(`{"schema_version":`)
+	version := r.Int()
+	r.Expect(`,"session_id":`)
+	id := r.Text()
+	r.Expect(`,"seq":`)
+	seq := r.Int()
+	r.Expect(`,"edit":`)
+	edit := r.Int()
+	r.Expect(`,"sha256":`)
+	sum := string(r.Text())
+	r.Expect(`,"graph":`)
+	rest := r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: snapshot: %v", ErrCorrupt, err)
+	}
+	if len(rest) < 2 || rest[len(rest)-1] != '}' {
+		return nil, fmt.Errorf("%w: snapshot does not end with its graph", ErrCorrupt)
+	}
+	if version != SchemaVersion || string(id) != sessionID {
+		return nil, fmt.Errorf("%w: snapshot identity mismatch", ErrCorrupt)
+	}
+	graph := rest[:len(rest)-1]
+	if digest := sha256.Sum256(graph); hex.EncodeToString(digest[:]) != sum {
+		return nil, fmt.Errorf("%w: snapshot graph digest mismatch", ErrCorrupt)
+	}
+	return &Snapshot{SchemaVersion: SchemaVersion, SessionID: sessionID, Seq: seq, Edit: edit, SHA256: sum, Graph: graph}, nil
 }
 
 // State is everything recovery needs about one journal: its identity, the
@@ -291,17 +333,11 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	case err != nil:
 		return nil, nil, fmt.Errorf("%w: reading snapshot: %v", ErrCorrupt, err)
 	default:
-		var snap Snapshot
-		if err := json.Unmarshal(snapBytes, &snap); err != nil {
-			return nil, nil, fmt.Errorf("%w: snapshot is not valid JSON: %v", ErrCorrupt, err)
+		snap, err := decodeSnapshot(snapBytes, st.Meta.SessionID)
+		if err != nil {
+			return nil, nil, err
 		}
-		if snap.SchemaVersion != SchemaVersion || snap.SessionID != st.Meta.SessionID {
-			return nil, nil, fmt.Errorf("%w: snapshot identity mismatch", ErrCorrupt)
-		}
-		if digest := sha256.Sum256(snap.Graph); hex.EncodeToString(digest[:]) != snap.SHA256 {
-			return nil, nil, fmt.Errorf("%w: snapshot graph digest mismatch", ErrCorrupt)
-		}
-		st.Snapshot = &snap
+		st.Snapshot = snap
 		st.LastSeq = snap.Seq
 	}
 

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
+	"sstiming/internal/jsonread"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
 	"sstiming/internal/twindow"
@@ -27,6 +27,13 @@ import (
 // it reflects in-place gate swaps (SwapGate mutates the circuit), and
 // parsing it back reproduces gates in declaration order, which levelization
 // and window convergence are deterministic over.
+//
+// The encoding is json.Marshal of snapshotJSON, and RestoreSnapshot reads
+// exactly that form in one pass (internal/jsonread), so snapshotJSON's field
+// order is part of the format: the header fields come first, so the graph
+// skeleton exists before the first line entry arrives, and lines come last,
+// so each entry goes straight into its net's slot. Reordering, renaming or
+// retyping a field changes the format.
 
 // ErrBadSnapshot reports a snapshot that cannot be decoded or fails
 // validation against the circuit it claims to describe.
@@ -69,13 +76,6 @@ func encodeWindow(w twindow.Window) snapshotWindow {
 	}
 }
 
-func decodeWindow(w snapshotWindow) twindow.Window {
-	return twindow.Window{
-		AS: math.Float64frombits(w.AS), AL: math.Float64frombits(w.AL),
-		TS: math.Float64frombits(w.TS), TL: math.Float64frombits(w.TL),
-	}
-}
-
 func encodePI(p twindow.PITiming) snapshotPI {
 	return snapshotPI{
 		ArrivalEarly: math.Float64bits(p.ArrivalEarly),
@@ -85,18 +85,9 @@ func encodePI(p twindow.PITiming) snapshotPI {
 	}
 }
 
-func decodePI(p snapshotPI) twindow.PITiming {
-	return twindow.PITiming{
-		ArrivalEarly: math.Float64frombits(p.ArrivalEarly),
-		ArrivalLate:  math.Float64frombits(p.ArrivalLate),
-		TransShort:   math.Float64frombits(p.TransShort),
-		TransLong:    math.Float64frombits(p.TransLong),
-	}
-}
-
 // parseValue decodes the two-character form nineval.Value.String emits
 // ("01", "x1", ...).
-func parseValue(s string) (nineval.Value, error) {
+func parseValue(s []byte) (nineval.Value, error) {
 	if len(s) != 2 {
 		return nineval.Value{}, fmt.Errorf("value %q is not two frames of [01x]", s)
 	}
@@ -167,6 +158,12 @@ func (g *Graph) EncodeSnapshot() ([]byte, error) {
 // are installed verbatim (values and states re-derived from the implied
 // cube). The restored graph is byte-identical to the encoded one.
 //
+// The snapshot is read in one pass, in the order EncodeSnapshot's
+// json.Marshal writes it (internal/jsonread): the header fields, then the
+// per-PI stimuli and the raw cube, then each line entry straight into its
+// net's slot. Input in any other form, even JSON that encoding/json would
+// accept, is refused.
+//
 // opts supplies the environment the snapshot cannot carry — the library,
 // metrics sink, context and worker budget. Mode and NCExtension in opts
 // must match the snapshot (an operator pointing a differently-configured
@@ -175,51 +172,84 @@ func (g *Graph) EncodeSnapshot() ([]byte, error) {
 // override opts. All failures are typed ErrBadSnapshot; malformed input
 // never panics.
 func RestoreSnapshot(data []byte, opts Options) (*Graph, error) {
-	var s snapshotJSON
-	if err := json.Unmarshal(data, &s); err != nil {
+	r := jsonread.New(data)
+	r.Expect(`{"version":`)
+	version := r.Int()
+	r.Expect(`,"name":`)
+	name := string(r.Text())
+	r.Expect(`,"netlist":`)
+	text := r.Text()
+	r.Expect(`,"mode":`)
+	mode := r.Text()
+	r.Expect(`,"nc_extension":`)
+	nc := r.Bool()
+	r.Expect(`,"pi":`)
+	pi := readPI(&r)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if s.Version != snapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrBadSnapshot, s.Version, snapshotVersion)
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrBadSnapshot, version, snapshotVersion)
 	}
-	if got, want := s.Mode, opts.Mode.String(); got != want {
+	if got, want := string(mode), opts.Mode.String(); got != want {
 		return nil, fmt.Errorf("%w: snapshot mode %q, graph options want %q", ErrBadSnapshot, got, want)
 	}
-	if s.NCExtension != opts.NCExtension {
-		return nil, fmt.Errorf("%w: snapshot nc_extension=%v, graph options want %v", ErrBadSnapshot, s.NCExtension, opts.NCExtension)
+	if nc != opts.NCExtension {
+		return nil, fmt.Errorf("%w: snapshot nc_extension=%v, graph options want %v", ErrBadSnapshot, nc, opts.NCExtension)
 	}
 	// The .bench text carries no circuit name, so the snapshot stores it
 	// separately — a restored session must answer with the name it was
 	// created under, not a placeholder.
-	name := s.Name
 	if name == "" {
 		name = "snapshot"
 	}
-	c, err := netlist.Parse(name, strings.NewReader(s.Netlist))
+	c, err := netlist.Parse(name, bytes.NewReader(text))
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedded netlist: %v", ErrBadSnapshot, err)
 	}
-	opts.PI = decodePI(s.PI)
+	opts.PI = pi
 	opts.PerPI = nil
 	g, err := newSkeleton(c, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	for name, p := range s.PerPI {
-		id, ok := c.NetID(name)
-		if !ok || id >= len(c.PIs) {
-			return nil, fmt.Errorf("%w: per-PI stimulus for %q, which is not a primary input", ErrBadSnapshot, name)
+	if r.Accept(`,"per_pi":{`) {
+		for n := 0; r.More(n); n++ {
+			net := r.Key()
+			p := readPI(&r)
+			if r.Err() != nil {
+				break
+			}
+			id, ok := c.NetID(string(net))
+			if !ok || id >= len(c.PIs) {
+				return nil, fmt.Errorf("%w: per-PI stimulus for %q, which is not a primary input", ErrBadSnapshot, net)
+			}
+			if g.perPI[id] {
+				return nil, fmt.Errorf("%w: duplicate per-PI stimulus for %q", ErrBadSnapshot, net)
+			}
+			g.piTiming[id], g.perPI[id] = p, true
 		}
-		g.piTiming[id], g.perPI[id] = decodePI(p), true
 	}
-
 	raw := nineval.Cube{}
-	for net, vs := range s.RawCube {
-		v, err := parseValue(vs)
-		if err != nil {
-			return nil, fmt.Errorf("%w: raw cube net %q: %v", ErrBadSnapshot, net, err)
+	if r.Accept(`,"raw_cube":{`) {
+		for n := 0; r.More(n); n++ {
+			net := string(r.Key())
+			vs := r.Text()
+			if r.Err() != nil {
+				break
+			}
+			v, err := parseValue(vs)
+			if err != nil {
+				return nil, fmt.Errorf("%w: raw cube net %q: %v", ErrBadSnapshot, net, err)
+			}
+			if _, dup := raw[net]; dup {
+				return nil, fmt.Errorf("%w: duplicate raw cube net %q", ErrBadSnapshot, net)
+			}
+			raw[net] = v
 		}
-		raw[net] = v
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if err := g.checkNets(raw); err != nil {
 		return nil, fmt.Errorf("%w: raw cube: %v", ErrBadSnapshot, err)
@@ -232,20 +262,71 @@ func RestoreSnapshot(data []byte, opts Options) (*Graph, error) {
 
 	// Install the checkpointed windows over every line the graph owns —
 	// each primary input and each gate output, no more, no fewer.
-	for id := range g.lines {
-		net := c.NetName(id)
-		sl, ok := s.Lines[net]
-		if !ok {
-			return nil, fmt.Errorf("%w: no line state for net %q", ErrBadSnapshot, net)
+	seen := make([]bool, len(g.lines))
+	r.Expect(`,"lines":{`)
+	for n := 0; r.More(n); n++ {
+		net := r.Key()
+		rise := readWindow(&r, `{"r":`)
+		fall := readWindow(&r, `,"f":`)
+		r.Expect("}")
+		if r.Err() != nil {
+			break
 		}
+		id, ok := c.NetID(string(net))
+		if !ok {
+			return nil, fmt.Errorf("%w: line state for net %q, which the circuit does not have", ErrBadSnapshot, net)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("%w: duplicate line state for net %q", ErrBadSnapshot, net)
+		}
+		seen[id] = true
 		v := g.imp.Value(id)
 		g.lines[id] = twindow.LineInfo{
 			Value: v, SRise: v.StateRise(), SFall: v.StateFall(),
-			Rise: decodeWindow(sl.Rise), Fall: decodeWindow(sl.Fall),
+			Rise: rise, Fall: fall,
 		}
 	}
-	if len(s.Lines) != len(g.lines) {
-		return nil, fmt.Errorf("%w: %d line entries for a circuit with %d lines", ErrBadSnapshot, len(s.Lines), len(g.lines))
+	r.Expect("}")
+	r.End()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	for id, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("%w: no line state for net %q", ErrBadSnapshot, c.NetName(id))
+		}
 	}
 	return g, nil
+}
+
+// readPI reads one snapshotPI object.
+func readPI(r *jsonread.Reader) twindow.PITiming {
+	p := twindow.PITiming{
+		ArrivalEarly: readBits(r, `{"ae":`),
+		ArrivalLate:  readBits(r, `,"al":`),
+		TransShort:   readBits(r, `,"ts":`),
+		TransLong:    readBits(r, `,"tl":`),
+	}
+	r.Expect("}")
+	return p
+}
+
+// readWindow reads one snapshotWindow object after the literal lit.
+func readWindow(r *jsonread.Reader, lit string) twindow.Window {
+	r.Expect(lit)
+	w := twindow.Window{
+		AS: readBits(r, `{"AS":`),
+		AL: readBits(r, `,"AL":`),
+		TS: readBits(r, `,"TS":`),
+		TL: readBits(r, `,"TL":`),
+	}
+	r.Expect("}")
+	return w
+}
+
+// readBits reads a float64 stored as its math.Float64bits, after the
+// literal lit.
+func readBits(r *jsonread.Reader, lit string) float64 {
+	r.Expect(lit)
+	return math.Float64frombits(r.Uint())
 }

@@ -15,7 +15,7 @@ import (
 // editedGraph builds a c432 graph and walks it through a mixed edit script
 // (cube edits, PI retimes, a gate swap when the library has the dual) so
 // snapshots are exercised on a state that is not just the initial build.
-func editedGraph(t *testing.T, seed int64) (*Graph, Options) {
+func editedGraph(t testing.TB, seed int64) (*Graph, Options) {
 	t.Helper()
 	lib := prechar.MustLibrary()
 	c, err := benchgen.Load("c432")
