@@ -127,9 +127,11 @@ shard-chaos:
 # mid-campaign — every scenario must publish a library byte-identical to
 # the single-process run (see internal/shardnet and DESIGN.md §15). All
 # suites honour CHAOS_SEED=<n> to replay a specific schedule; failures
-# print the seed.
+# print the seed. The coordinator protocol tests (TestServer*) run here
+# too, under the race detector: duplicated claims race promotion through
+# the claim idempotency map.
 net-chaos:
-	$(GO) test -race -run 'TestNetChaos' ./internal/shardnet
+	$(GO) test -race -run 'TestNetChaos|TestServer' ./internal/shardnet
 
 # Service smoke test: start the timingd daemon on a random loopback port,
 # POST an example netlist, require a 200 STA response and a clean graceful

@@ -37,7 +37,7 @@
 // For multi-machine campaigns, -shard-serve starts the campaign coordinator
 // over HTTP (internal/shardnet) and -shard-worker runs a remote worker that
 // pulls shards from -coordinator, characterises them locally under
-// -worker-dir and streams verified artefacts back. Worker modes exit 0 when
+// -worker-dir and sends verified artefacts back. Worker modes exit 0 when
 // the campaign resolved, 2 when a lease was lost or reassigned (restart the
 // worker), and 3 on fatal conditions retrying cannot fix (plan mismatch,
 // unknown shard); see README "remote workers".
@@ -433,7 +433,7 @@ func runServe(so shard.Options, cfg shardConfig) {
 }
 
 // runRemoteWorker is the remote worker mode: pull shards from the
-// coordinator, characterise them in a private local work directory, stream
+// coordinator, characterise them in a private local work directory, send
 // verified artefacts back, and exit with the worker exit-code contract.
 func runRemoteWorker(so shard.Options, cfg shardConfig) {
 	if cfg.coordinator == "" {

@@ -33,10 +33,8 @@ import (
 	"strings"
 
 	"sstiming/internal/conformance"
-	"sstiming/internal/core"
 	"sstiming/internal/engine"
 	"sstiming/internal/prechar"
-	"sstiming/internal/store"
 )
 
 func main() {
@@ -69,7 +67,7 @@ func main() {
 		defer met.WriteText(os.Stderr)
 	}
 
-	lib, err := loadLibrary(*libPath, *strictLib, met)
+	lib, err := prechar.Load("conformance", *libPath, *strictLib, met)
 	if err != nil {
 		fail(err)
 	}
@@ -159,30 +157,6 @@ func parseTol(spec string) (conformance.Tolerances, error) {
 		}
 	}
 	return tol, nil
-}
-
-// loadLibrary loads the timing library through the verifying store; see
-// cmd/ssta. Strict mode refuses degraded or unverified artefacts — the
-// conformance campaign's oracle should normally rest on verified tables.
-func loadLibrary(path string, strict bool, met *engine.Metrics) (*core.Library, error) {
-	if path == "" {
-		return prechar.Library()
-	}
-	lib, rep, err := store.LoadFile(path, store.LoadOptions{
-		Strict:          strict,
-		AllowUnverified: !strict,
-		Metrics:         met,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rep.Unverified {
-		fmt.Fprintf(os.Stderr, "conformance: %s has no manifest; loaded unverified (use -strict-lib to refuse)\n", path)
-	}
-	for _, q := range rep.Quarantined {
-		fmt.Fprintf(os.Stderr, "conformance: quarantined %s\n", q)
-	}
-	return lib, nil
 }
 
 func fail(err error) {

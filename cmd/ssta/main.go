@@ -16,13 +16,11 @@ import (
 	"strings"
 
 	"sstiming/internal/benchgen"
-	"sstiming/internal/core"
 	"sstiming/internal/engine"
 	"sstiming/internal/netlist"
 	"sstiming/internal/prechar"
 	"sstiming/internal/sdf"
 	"sstiming/internal/sta"
-	"sstiming/internal/store"
 )
 
 func main() {
@@ -44,7 +42,7 @@ func main() {
 		defer met.WriteText(os.Stderr)
 	}
 
-	lib, err := loadLibrary(*libPath, *strictLib, met)
+	lib, err := prechar.Load("ssta", *libPath, *strictLib, met)
 	if err != nil {
 		fail(err)
 	}
@@ -125,31 +123,6 @@ func main() {
 				lt.Fall.AS*1e9, lt.Fall.AL*1e9, lt.Fall.TS*1e9, lt.Fall.TL*1e9)
 		}
 	}
-}
-
-// loadLibrary loads the timing library through the verifying store: the
-// sidecar manifest is checked, corrupt cells are quarantined onto the
-// analytic fallback (reported on stderr), and strict mode refuses any
-// degraded or unverified artefact with a typed error.
-func loadLibrary(path string, strict bool, met *engine.Metrics) (*core.Library, error) {
-	if path == "" {
-		return prechar.Library()
-	}
-	lib, rep, err := store.LoadFile(path, store.LoadOptions{
-		Strict:          strict,
-		AllowUnverified: !strict,
-		Metrics:         met,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rep.Unverified {
-		fmt.Fprintf(os.Stderr, "ssta: %s has no manifest; loaded unverified (use -strict-lib to refuse)\n", path)
-	}
-	for _, q := range rep.Quarantined {
-		fmt.Fprintf(os.Stderr, "ssta: quarantined %s\n", q)
-	}
-	return lib, nil
 }
 
 func fail(err error) {

@@ -70,7 +70,6 @@ import (
 	"sstiming/internal/engine"
 	"sstiming/internal/prechar"
 	"sstiming/internal/service"
-	"sstiming/internal/store"
 )
 
 func main() {
@@ -99,7 +98,8 @@ func main() {
 	// Metrics exist before the first load so quarantined cells are counted
 	// from boot.
 	met := engine.NewMetrics()
-	loader := libLoader(*libPath, *strictLib, met)
+	// The same loader runs at boot and on every reload.
+	loader := func() (*core.Library, error) { return prechar.Load("timingd", *libPath, *strictLib, met) }
 	lib, err := loader()
 	if err != nil {
 		fail(err)
@@ -264,34 +264,6 @@ func expectStatus(client *http.Client, url string, want int) error {
 		return fmt.Errorf("GET %s returned %d (want %d): %s", url, resp.StatusCode, want, raw)
 	}
 	return nil
-}
-
-// libLoader builds the verifying library loader used at boot and on every
-// reload. An empty path serves the embedded pre-characterised library
-// (already manifest-verified by internal/prechar); a file is loaded through
-// the store, quarantining corrupt cells onto the analytic fallback unless
-// strict mode refuses degraded libraries outright.
-func libLoader(path string, strict bool, met *engine.Metrics) func() (*core.Library, error) {
-	return func() (*core.Library, error) {
-		if path == "" {
-			return prechar.Library()
-		}
-		lib, rep, err := store.LoadFile(path, store.LoadOptions{
-			Strict:          strict,
-			AllowUnverified: !strict,
-			Metrics:         met,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if rep.Unverified {
-			fmt.Fprintf(os.Stderr, "timingd: %s has no manifest; serving unverified (use -strict-lib to refuse)\n", path)
-		}
-		for _, q := range rep.Quarantined {
-			fmt.Fprintf(os.Stderr, "timingd: quarantined %s\n", q)
-		}
-		return lib, nil
-	}
 }
 
 func fail(err error) {

@@ -161,8 +161,9 @@ const (
 	// NetRetries counts shardnet client attempts beyond each call's first
 	// (network errors, 5xx/429 responses, undecodable replies).
 	NetRetries
-	// NetBytesUploaded counts artefact bytes remote workers uploaded to a
-	// campaign coordinator (resent chunks count again).
+	// NetBytesUploaded counts artefact bytes a campaign coordinator
+	// received in completion claims, once per claim idempotency key (a
+	// replayed claim does not count again).
 	NetBytesUploaded
 	// SvcSessionRecovered counts sessions rebuilt from their write-ahead
 	// logs at daemon startup (snapshot restore + delta replay).

@@ -19,9 +19,12 @@ package prechar
 
 import (
 	_ "embed"
+	"fmt"
+	"os"
 	"sync"
 
 	"sstiming/internal/core"
+	"sstiming/internal/engine"
 	"sstiming/internal/store"
 )
 
@@ -59,3 +62,31 @@ func MustLibrary() *core.Library {
 // Raw returns the embedded library and manifest bytes (for tests that need
 // a real artefact to corrupt).
 func Raw() (libBytes, manBytes []byte) { return data, manifestData }
+
+// Load is the library loader of the command-line tools. The empty path
+// selects the embedded Library; any other path is read through
+// store.LoadFile: corrupt cells are quarantined onto the analytic
+// fallback, and strict refuses any degraded or unverified library
+// (without strict, a library without a manifest loads unverified). The
+// no-manifest warning and each quarantined cell are printed to stderr,
+// prefixed with the command name.
+func Load(command, path string, strict bool, met *engine.Metrics) (*core.Library, error) {
+	if path == "" {
+		return Library()
+	}
+	lib, rep, err := store.LoadFile(path, store.LoadOptions{
+		Strict:          strict,
+		AllowUnverified: !strict,
+		Metrics:         met,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rep.Unverified {
+		fmt.Fprintf(os.Stderr, "%s: %s has no manifest; loaded unverified (use -strict-lib to refuse)\n", command, path)
+	}
+	for _, q := range rep.Quarantined {
+		fmt.Fprintf(os.Stderr, "%s: quarantined %s\n", command, q)
+	}
+	return lib, nil
+}

@@ -415,21 +415,8 @@ func parseGateKind(kind string) (netlist.GateKind, error) {
 }
 
 // kindName is parseGateKind's inverse: the canonical wire name journaled
-// for a swap edit.
-func kindName(kind netlist.GateKind) string {
-	switch kind {
-	case netlist.Inv:
-		return "not"
-	case netlist.Buf:
-		return "buff"
-	case netlist.Nand:
-		return "nand"
-	case netlist.Nor:
-		return "nor"
-	default:
-		return fmt.Sprintf("kind-%d", int(kind))
-	}
-}
+// for a swap edit, the netlist spelling in lower case.
+func kindName(kind netlist.GateKind) string { return strings.ToLower(kind.String()) }
 
 // wireCube renders a cube in the two-frame wire encoding (the same form
 // requests carry and journals store).

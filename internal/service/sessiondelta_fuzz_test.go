@@ -27,6 +27,8 @@ func FuzzSessionDeltaDecode(f *testing.F) {
 		`{"retract":["1"]}`,
 		`{"set_pi":{"net":"1","arrival_early_s":1e-10,"arrival_late_s":3.5e-10,"trans_short_s":1.5e-10,"trans_long_s":4e-10}}`,
 		`{"swap_gate":{"net":"10","kind":"nor"}}`,
+		`{"swap_gate":{"net":"10","kind":"NOT"}}`,
+		`{"swap_gate":{"net":"10","kind":"buf"}}`,
 		`{"assign":{"1":"2x"}}`,
 		`{"kind":"delta","seq":1,"edit":1,"assign":{"1":"01"}}`,
 		`{"kind":"delta","seq":2,"swap_gate":{"net":"10","kind":"nand"}}`,
@@ -56,9 +58,13 @@ func FuzzSessionDeltaDecode(f *testing.F) {
 			if req.SwapGate != nil {
 				swap = &sessionlog.SwapRecord{Net: req.SwapGate.Net, Kind: req.SwapGate.Kind}
 			}
-			if _, err := parseDeltaOps(req.Assign, req.Retract, setPI, swap); err == nil && swap != nil {
+			if ops, err := parseDeltaOps(req.Assign, req.Retract, setPI, swap); err == nil && swap != nil {
 				if _, kerr := parseGateKind(swap.Kind); kerr != nil {
 					t.Fatalf("parseDeltaOps accepted a gate kind parseGateKind rejects: %q", swap.Kind)
+				}
+				// The journaled name must parse back to the same kind.
+				if k, kerr := parseGateKind(kindName(ops.swapKind)); kerr != nil || k != ops.swapKind {
+					t.Fatalf("kindName(%v) = %q does not parse back: %v, %v", ops.swapKind, kindName(ops.swapKind), k, kerr)
 				}
 			}
 		}

@@ -31,6 +31,7 @@
 package sessionlog
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -453,12 +454,24 @@ func (l *Log) fault(op string) error {
 // seq-dedup drops them.
 func (l *Log) Compact(snap Snapshot) error {
 	snap.SchemaVersion = SchemaVersion
-	digest := sha256.Sum256(snap.Graph)
+	// json.Marshal compacts and HTML-escapes a RawMessage, so the graph is
+	// put in that form once and the digest covers exactly the bytes the
+	// sidecar holds (tgraph.EncodeSnapshot output is already in that form
+	// and comes out unchanged). The graph is the last field: the header is
+	// marshalled with a null graph and the graph appended in its place, so
+	// the graph is not compacted a second time.
+	graph, err := json.Marshal(snap.Graph)
+	if err != nil {
+		return fmt.Errorf("sessionlog: encoding snapshot graph: %w", err)
+	}
+	digest := sha256.Sum256(graph)
 	snap.SHA256 = hex.EncodeToString(digest[:])
-	snapBytes, err := json.Marshal(snap)
+	snap.Graph = nil
+	head, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("sessionlog: encoding snapshot: %w", err)
 	}
+	snapBytes := append(append(bytes.TrimSuffix(head, []byte("null}")), graph...), '}')
 
 	l.mu.Lock()
 	defer l.mu.Unlock()

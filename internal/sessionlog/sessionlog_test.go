@@ -142,6 +142,24 @@ func TestCompactTruncatesLogAndDedupsSeq(t *testing.T) {
 	}
 }
 
+// TestCompactHashesTheWrittenGraph: a graph not already in json.Marshal's
+// form (here with '<' and '&', which Marshal escapes) must round-trip
+// through Compact and Open; the digest covers the bytes the sidecar holds.
+func TestCompactHashesTheWrittenGraph(t *testing.T) {
+	l, dir := newTestLog(t)
+	if err := l.Compact(Snapshot{SessionID: "s1", Seq: 1, Edit: 1, Graph: []byte(`{"name":"a<b&c", "lines":[]}`)}); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	l.Close()
+	_, st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open after Compact: %v", err)
+	}
+	if got, want := string(st.Snapshot.Graph), `{"name":"a\u003cb\u0026c","lines":[]}`; got != want {
+		t.Fatalf("recovered graph %s, want %s", got, want)
+	}
+}
+
 func TestCrashMidCompactionDropsFoldedFrames(t *testing.T) {
 	// OpCompact faults after the snapshot is durable but before the log is
 	// truncated: recovery must drop the frames the snapshot folds in.

@@ -17,16 +17,19 @@ import (
 //	campaign.json            — schema version, campaign fingerprint hash and
 //	                           the shard table; a resume whose plan differs
 //	                           is refused with store.ErrStale.
-//	shards/<id>/a<gen>/      — one directory per lease attempt, holding the
-//	                           attempt's write-ahead journal (store.Journal
-//	                           layout) and, if the attempt finished, its
-//	                           staged artefact shard.json. Attempts never
-//	                           share files, so a hung worker of attempt g
-//	                           cannot corrupt attempt g+1.
-//	shards/<id>/shard.json   — the promoted artefact: the coordinator copies
-//	                           a staged artefact here (atomically) only after
-//	                           it verifies. Promotion is the shard's commit
-//	                           point; merge reads promoted artefacts only.
+//	shards/<id>/a<gen>/      — one directory per lease attempt. A networked
+//	                           coordinator creates it, synced, when it grants
+//	                           the lease, so a restarted coordinator never
+//	                           reuses the generation. A worker sharing the
+//	                           directory keeps the attempt's write-ahead
+//	                           journal there (store.Journal layout); attempts
+//	                           never share files, so a hung worker of attempt
+//	                           g cannot corrupt attempt g+1.
+//	shards/<id>/shard.json   — the promoted artefact, the one durable copy:
+//	                           the coordinator writes a claimed artefact here
+//	                           (atomically) only after it verifies. Promotion
+//	                           is the shard's commit point; merge reads
+//	                           promoted artefacts only.
 
 const (
 	campaignMetaName = "campaign.json"

@@ -39,7 +39,7 @@ const (
 	// CompleteDuplicate means the shard was already resolved; the (verified
 	// or not) completion was discarded idempotently.
 	CompleteDuplicate
-	// CompleteRejected means the staged artefact failed verification; the
+	// CompleteRejected means the claimed artefact failed verification; the
 	// accompanying error carries the store taxonomy reason.
 	CompleteRejected
 )
@@ -173,8 +173,8 @@ func (t *Tracker) prepareDir() error {
 // past any attempt directory already on disk, so the next lease grant never
 // collides with a generation a previous coordinator handed out. A restarted
 // networked coordinator calls this: remote workers may still hold (and be
-// uploading under) leases the old process granted, and attempt directories
-// must stay private to their lease.
+// characterising under) leases the old process granted, and TryAcquire
+// made each granted attempt's directory durable before answering the grant.
 func (t *Tracker) SeedAttemptsFromDisk() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -218,17 +218,6 @@ func (t *Tracker) IndexOf(id string) (int, bool) {
 	return 0, false
 }
 
-// StagedPath returns the staged-artefact path for one lease attempt
-// (shards/<id>/a<attempt>/shard.json under the campaign directory).
-func (t *Tracker) StagedPath(id string, attempt int) string {
-	return filepath.Join(attemptDir(t.opts.Dir, id, attempt), artifactName)
-}
-
-// AttemptDir returns the per-lease-attempt directory for one shard.
-func (t *Tracker) AttemptDir(id string, attempt int) string {
-	return attemptDir(t.opts.Dir, id, attempt)
-}
-
 // Lease blocks until a shard is grantable, returning nil once the campaign
 // is resolved (every shard completed or quarantined) and ctx's error once
 // ctx fires.
@@ -250,11 +239,34 @@ func (t *Tracker) Lease(ctx context.Context) (*Grant, error) {
 // TryAcquire is the non-blocking grant path the networked coordinator
 // serves: it returns a grant, or (nil, wait, false) with a backoff hint when
 // nothing is currently grantable, or (nil, 0, true) once the campaign is
-// resolved.
-func (t *Tracker) TryAcquire() (*Grant, time.Duration, bool) {
+// resolved. A grant's attempt directory is created and synced before the
+// grant is returned, so SeedAttemptsFromDisk in a restarted coordinator
+// advances past every generation ever handed out. If the directory cannot
+// be made, the lease fails back to the pool and the error is returned.
+func (t *Tracker) TryAcquire() (*Grant, time.Duration, bool, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tryAcquireLocked()
+	g, wait, done := t.tryAcquireLocked()
+	t.mu.Unlock()
+	if g == nil {
+		return nil, wait, done, nil
+	}
+	if err := t.makeAttemptDir(g.Spec.ID, g.Attempt); err != nil {
+		_ = t.Fail(context.Background(), *g, err)
+		return nil, 0, false, err
+	}
+	return g, 0, false, nil
+}
+
+// makeAttemptDir creates shards/<id>/a<attempt>/ and syncs each directory
+// that gained an entry, so the attempt survives a coordinator crash.
+func (t *Tracker) makeAttemptDir(id string, attempt int) error {
+	if err := os.MkdirAll(attemptDir(t.opts.Dir, id, attempt), 0o755); err != nil {
+		return fmt.Errorf("shard: creating attempt dir: %w", err)
+	}
+	store.SyncDir(shardDir(t.opts.Dir, id))
+	store.SyncDir(filepath.Join(t.opts.Dir, shardsDirName))
+	store.SyncDir(t.opts.Dir)
+	return nil
 }
 
 // tryAcquireLocked grants the first available pending shard. Caller holds
@@ -467,9 +479,9 @@ func (t *Tracker) Complete(_ context.Context, g Grant, b []byte) (CompleteStatus
 }
 
 // Fail handles a worker-reported attempt failure (the worker is alive but
-// its attempt produced no stageable artefact). Stale reports — the lease
-// already expired or the shard resolved another way — are absorbed
-// idempotently. It never fails.
+// its attempt produced no artefact). Stale reports — the lease already
+// expired or the shard resolved another way — are absorbed idempotently.
+// It never fails.
 func (t *Tracker) Fail(_ context.Context, g Grant, cause error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -30,9 +30,9 @@ type Coordinator interface {
 	Lease(ctx context.Context) (*Grant, error)
 	// Heartbeat renews g's lease; false means the lease is gone.
 	Heartbeat(ctx context.Context, g Grant) (held bool, err error)
-	// Complete claims g with its staged artefact bytes. A claim the
-	// coordinator resolved against the worker returns an error wrapping
-	// ErrRejected; any other error means the claim's fate is unknown.
+	// Complete claims g with its artefact bytes. A claim the coordinator
+	// resolved against the worker returns an error wrapping ErrRejected;
+	// any other error means the claim's fate is unknown.
 	Complete(ctx context.Context, g Grant, artefact []byte) (CompleteStatus, error)
 	// Fail reports that g's attempt produced no artefact.
 	Fail(ctx context.Context, g Grant, cause error) error
@@ -133,13 +133,13 @@ func heartbeat(ctx context.Context, c Coordinator, g Grant) {
 	}
 }
 
-// runShardWork characterises one shard for one lease attempt, stages the
-// artefact at shards/<id>/a<attempt>/shard.json under opts.Dir and returns
-// its bytes. Every completed cell is write-ahead journaled (store.Journal)
-// in the attempt's own directory, and the journals of all earlier attempts
-// are replayed read-only first — a crashed or killed attempt costs at most
-// the cell that was in flight, and a hung-but-alive previous attempt can
-// keep appending to its own journal without corrupting this one.
+// runShardWork characterises one shard for one lease attempt and returns
+// its artefact bytes. Every completed cell is write-ahead journaled
+// (store.Journal) in the attempt's own directory, and the journals of all
+// earlier attempts are replayed read-only first — a crashed or killed
+// attempt costs at most the cell that was in flight, and a hung-but-alive
+// previous attempt can keep appending to its own journal without
+// corrupting this one.
 func runShardWork(ctx context.Context, opts Options, fp store.Fingerprint, spec Spec, attempt int, fault faultinject.ShardFault) ([]byte, error) {
 	cfgs, err := configsFor(opts.Charlib, spec)
 	if err != nil {
@@ -224,16 +224,12 @@ func runShardWork(ctx context.Context, opts Options, fp store.Fingerprint, spec 
 			b[off+i] ^= 0x5a
 		}
 	}
-	if err := store.AtomicWrite(filepath.Join(adir, artifactName), b); err != nil {
-		return nil, err
-	}
 	return b, nil
 }
 
 // RunAttempt characterises one shard for one lease attempt against a work
-// directory laid out like a campaign directory (opts.Dir), stages the
-// artefact there and returns the staged bytes, verified unless opts.Fault
-// corrupted them.
+// directory laid out like a campaign directory (opts.Dir) and returns the
+// artefact bytes, verified unless opts.Fault corrupted them.
 func RunAttempt(opts Options, spec Spec, attempt int) ([]byte, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -325,10 +321,10 @@ func PlanCampaign(opts Options) ([]Spec, error) {
 
 // RunWorker is the standalone worker mode: it characterises one shard of an
 // existing campaign directory (verifying the plan matches this process's
-// options first), stages the artefact under a fresh attempt generation,
-// verifies it and promotes it to the shard's committed slot. The options
-// must match the planning process's bit-for-bit — anything else is refused
-// with store.ErrStale before any work happens.
+// options first) under a fresh attempt generation, verifies the artefact
+// and promotes it to the shard's committed slot. The options must match
+// the planning process's bit-for-bit — anything else is refused with
+// store.ErrStale before any work happens.
 func RunWorker(opts Options, shardID string) error {
 	if err := opts.fill(); err != nil {
 		return err
@@ -349,12 +345,12 @@ func RunWorker(opts Options, shardID string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownShard, shardID)
 	}
 
-	staged, err := RunAttempt(opts, *spec, NextAttemptGen(opts.Dir, spec.ID))
+	b, err := RunAttempt(opts, *spec, NextAttemptGen(opts.Dir, spec.ID))
 	if err != nil {
 		return err
 	}
-	if _, err := decodeArtifact(staged, fp, *spec); err != nil {
+	if _, err := decodeArtifact(b, fp, *spec); err != nil {
 		return err
 	}
-	return store.AtomicWrite(promotedPath(opts.Dir, spec.ID), staged)
+	return store.AtomicWrite(promotedPath(opts.Dir, spec.ID), b)
 }

@@ -153,7 +153,7 @@ func TestNetChaosPartition(t *testing.T) {
 	seed := chaosSeed(t, 44)
 	plan := faultinject.NewNetPlan(seed, [6]float64{}, 5*time.Millisecond)
 	// Exchanges 4..15 are dropped. The window opens at ordinal 4 so even the
-	// fastest campaign (campaign fetch, lease, two chunks, claim) is already
+	// fastest campaign (campaign fetch, lease, claim, next lease) is already
 	// inside it, and retries burn through its far edge.
 	plan.Partition(4, 12)
 
@@ -329,6 +329,49 @@ func TestNetChaosCoordinatorRestart(t *testing.T) {
 	}
 	if len(rep2.Quarantined) != 0 {
 		t.Fatalf("restart quarantined shards: %+v", rep2.Quarantined)
+	}
+}
+
+// TestNetChaosRestartAdvancesPastGrants: a worker leases a shard over the
+// wire and sends nothing back; the coordinator restarts over the same
+// campaign directory. The successor must not grant that attempt generation
+// again: the shard's next grant is attempt 2 or later, so the first holder
+// hears held=false and its failure report cannot fail the new lease.
+func TestNetChaosRestartAdvancesPastGrants(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "lib.json")
+	ctx := context.Background()
+	srv1, ln1 := startCoordinator(t, coordinatorOptions(t, out), "")
+	r, err := testClient(t, "http://"+ln1.Addr().String(), nil).Lease(ctx, "w0", "w0-l000001")
+	if err != nil || r.Grant == nil {
+		t.Fatalf("lease: %+v, %v", r, err)
+	}
+	first := *r.Grant
+	if err := srv1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown of first coordinator: %v", err)
+	}
+
+	opts := coordinatorOptions(t, out)
+	opts.Resume = true
+	srv2, ln2 := startCoordinator(t, opts, "")
+	defer srv2.Shutdown(ctx)
+	c := testClient(t, "http://"+ln2.Addr().String(), nil)
+	r, err = c.Lease(ctx, "w1", "w1-l000001")
+	if err != nil || r.Grant == nil {
+		t.Fatalf("lease after restart: %+v, %v", r, err)
+	}
+	if r.Grant.ShardID != first.ShardID || r.Grant.Attempt < 2 {
+		t.Fatalf("after restart shard %s was granted at attempt %d; %s attempt %d is still out there",
+			r.Grant.ShardID, r.Grant.Attempt, first.ShardID, first.Attempt)
+	}
+	held, err := c.Heartbeat(ctx, first.ShardID, first.Attempt)
+	if err != nil || held {
+		t.Fatalf("first holder's heartbeat: held=%v err=%v, want held=false", held, err)
+	}
+	if err := c.Fail(ctx, first.ShardID, first.Attempt, "first holder gave up"); err != nil {
+		t.Fatalf("first holder's failure report: %v", err)
+	}
+	if !srv2.Tracker().LeaseHeld(r.Grant.Index, r.Grant.Attempt) {
+		t.Fatal("the first holder's failure report failed the new lease")
 	}
 }
 

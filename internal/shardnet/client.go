@@ -23,9 +23,10 @@ import (
 // its lease, which is not a transport failure at all.
 var (
 	// ErrRetryable marks transient call failures: network errors, 5xx/429
-	// responses, undecodable reply bytes. The client retries these under
-	// its backoff budget; seeing one in a returned error chain means the
-	// budget is exhausted.
+	// responses, a 409 for a claim whose artefact arrived damaged,
+	// undecodable reply bytes. The client retries these under its backoff
+	// budget; seeing one in a returned error chain means the budget is
+	// exhausted.
 	ErrRetryable = errors.New("shardnet: retryable call failure")
 	// ErrFatal marks failures retrying cannot fix: protocol-level 4xx
 	// rejections, plan/fingerprint mismatches.
@@ -50,8 +51,6 @@ type ClientOptions struct {
 	MaxBackoff time.Duration
 	// PerTryTimeout bounds each attempt; 0 selects 10s.
 	PerTryTimeout time.Duration
-	// ChunkBytes is the artefact upload chunk size; 0 selects 256 KiB.
-	ChunkBytes int
 	// Seed seeds the backoff jitter (deterministic tests).
 	Seed int64
 	// Transport overrides the HTTP transport (fault injection); nil
@@ -92,9 +91,6 @@ func NewClient(opts ClientOptions) (*Client, error) {
 	if opts.PerTryTimeout <= 0 {
 		opts.PerTryTimeout = 10 * time.Second
 	}
-	if opts.ChunkBytes <= 0 {
-		opts.ChunkBytes = 256 << 10
-	}
 	if opts.Progress == nil {
 		opts.Progress = func(string, ...any) {}
 	}
@@ -130,9 +126,8 @@ func (c *Client) backoff(attempt int, retryAfterMs int64) time.Duration {
 // call issues one wire call with the full retry envelope: the request body
 // is encoded once and replayed per attempt; each attempt runs under its own
 // deadline; retryable failures back off and retry until the budget runs
-// out. conflictOK lets callers opt into receiving 409 replies (the upload
-// resync path) instead of treating them as fatal.
-func (c *Client) call(ctx context.Context, method, path string, body []byte, out wireMessage, conflictOK bool) (status int, err error) {
+// out.
+func (c *Client) call(ctx context.Context, method, path string, body []byte, out wireMessage) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -147,23 +142,20 @@ func (c *Client) call(ctx context.Context, method, path string, body []byte, out
 				method, path, d, attempt, c.opts.MaxAttempts, lastErr)
 			select {
 			case <-ctx.Done():
-				return 0, fmt.Errorf("%w: %v (last: %v)", ErrRetryable, ctx.Err(), lastErr)
+				return fmt.Errorf("%w: %v (last: %v)", ErrRetryable, ctx.Err(), lastErr)
 			case <-time.After(d):
 			}
 		}
-		status, err := c.attempt(ctx, method, path, body, out, conflictOK)
-		if err == nil {
-			return status, nil
-		}
-		if errors.Is(err, ErrFatal) {
-			return status, err
+		err := c.attempt(ctx, method, path, body, out)
+		if err == nil || errors.Is(err, ErrFatal) {
+			return err
 		}
 		if ctx.Err() != nil {
-			return status, fmt.Errorf("%w: %v (last: %v)", ErrRetryable, ctx.Err(), err)
+			return fmt.Errorf("%w: %v (last: %v)", ErrRetryable, ctx.Err(), err)
 		}
 		lastErr = err
 	}
-	return 0, fmt.Errorf("%w: %d attempts exhausted: %v", ErrRetryable, c.opts.MaxAttempts, lastErr)
+	return fmt.Errorf("%w: %d attempts exhausted: %v", ErrRetryable, c.opts.MaxAttempts, lastErr)
 }
 
 // replyError carries a non-2xx reply through the retry loop.
@@ -179,13 +171,13 @@ func (e *replyError) Error() string {
 }
 
 // attempt issues one HTTP exchange.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out wireMessage, conflictOK bool) (int, error) {
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out wireMessage) error {
 	c.met.Add(engine.NetRequests, 1)
 	actx, cancel := context.WithTimeout(ctx, c.opts.PerTryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, method, c.opts.Base+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, fmt.Errorf("%w: building request: %v", ErrFatal, err)
+		return fmt.Errorf("%w: building request: %v", ErrFatal, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -193,7 +185,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		// Network-level failure (includes injected drops/partitions).
-		return 0, fmt.Errorf("%w: %v", ErrRetryable, err)
+		return fmt.Errorf("%w: %v", ErrRetryable, err)
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -203,44 +195,44 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if err != nil {
 		// Truncated/reset mid-body: the exchange's outcome is unknown —
 		// retry and let server idempotency absorb the replay.
-		return resp.StatusCode, fmt.Errorf("%w: reading reply: %v", ErrRetryable, err)
+		return fmt.Errorf("%w: reading reply: %v", ErrRetryable, err)
 	}
 
-	switch {
-	case resp.StatusCode == http.StatusOK,
-		conflictOK && resp.StatusCode == http.StatusConflict:
+	if resp.StatusCode == http.StatusOK {
 		if err := DecodeMessage(rb, out); err != nil {
 			// Undecodable success bytes are indistinguishable from a
 			// damaged wire: retry.
-			return resp.StatusCode, fmt.Errorf("%w: %v", ErrRetryable, err)
+			return fmt.Errorf("%w: %v", ErrRetryable, err)
 		}
-		return resp.StatusCode, nil
-	default:
-		re := &replyError{status: resp.StatusCode, kind: "unknown"}
-		var er ErrorReply
-		if derr := DecodeMessage(rb, &er); derr == nil {
-			re.kind, re.msg, re.retryAfterMs = er.Kind, er.Error, er.RetryAfterMs
-		} else {
-			re.msg = fmt.Sprintf("undecodable error body (%d bytes)", len(rb))
-		}
-		if re.retryAfterMs == 0 {
-			if ra, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && ra > 0 {
-				re.retryAfterMs = int64(ra) * 1000
-			}
-		}
-		if resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusRequestTimeout ||
-			resp.StatusCode >= 500 {
-			return resp.StatusCode, fmt.Errorf("%w: %w", ErrRetryable, re)
-		}
-		return resp.StatusCode, fmt.Errorf("%w: %w", ErrFatal, re)
+		return nil
 	}
+	re := &replyError{status: resp.StatusCode, kind: "unknown"}
+	var er ErrorReply
+	if derr := DecodeMessage(rb, &er); derr == nil {
+		re.kind, re.msg, re.retryAfterMs = er.Kind, er.Error, er.RetryAfterMs
+	} else {
+		re.msg = fmt.Sprintf("undecodable error body (%d bytes)", len(rb))
+	}
+	if re.retryAfterMs == 0 {
+		if ra, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && ra > 0 {
+			re.retryAfterMs = int64(ra) * 1000
+		}
+	}
+	// 409 answers a claim whose artefact does not match its digest: the
+	// request was damaged in transit, and re-sending it can succeed.
+	if resp.StatusCode == http.StatusTooManyRequests ||
+		resp.StatusCode == http.StatusRequestTimeout ||
+		resp.StatusCode == http.StatusConflict ||
+		resp.StatusCode >= 500 {
+		return fmt.Errorf("%w: %w", ErrRetryable, re)
+	}
+	return fmt.Errorf("%w: %w", ErrFatal, re)
 }
 
 // Campaign fetches and validates the coordinator's campaign advertisement.
 func (c *Client) Campaign(ctx context.Context) (*CampaignInfo, error) {
 	var info CampaignInfo
-	if _, err := c.call(ctx, http.MethodGet, PathPrefix+"/campaign", nil, &info, false); err != nil {
+	if err := c.call(ctx, http.MethodGet, PathPrefix+"/campaign", nil, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -254,7 +246,7 @@ func (c *Client) Lease(ctx context.Context, worker, idempotencyKey string) (*Lea
 		return nil, fmt.Errorf("%w: %v", ErrFatal, err)
 	}
 	var reply LeaseReply
-	if _, err := c.call(ctx, http.MethodPost, PathPrefix+"/lease", body, &reply, false); err != nil {
+	if err := c.call(ctx, http.MethodPost, PathPrefix+"/lease", body, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -267,69 +259,27 @@ func (c *Client) Heartbeat(ctx context.Context, shardID string, attempt int) (bo
 		return false, fmt.Errorf("%w: %v", ErrFatal, err)
 	}
 	var reply HeartbeatReply
-	if _, err := c.call(ctx, http.MethodPost, PathPrefix+"/heartbeat", body, &reply, false); err != nil {
+	if err := c.call(ctx, http.MethodPost, PathPrefix+"/heartbeat", body, &reply); err != nil {
 		return false, err
 	}
 	return reply.Held, nil
 }
 
-// UploadArtifact streams artefact bytes in resumable chunks. The
-// coordinator's received size is authoritative: every acknowledgement (200
-// or 409) resynchronises the next offset, so lost ACKs, duplicated chunks
-// and coordinator restarts all converge on one durable byte sequence.
-func (c *Client) UploadArtifact(ctx context.Context, shardID string, attempt int, data []byte) error {
-	offset := int64(0)
-	for offset < int64(len(data)) {
-		end := offset + int64(c.opts.ChunkBytes)
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		path := fmt.Sprintf("%s/artifact?shard=%s&attempt=%d&offset=%d",
-			PathPrefix, shardID, attempt, offset)
-		var reply ChunkReply
-		if _, err := c.call(ctx, http.MethodPut, path, data[offset:end], &reply, true); err != nil {
-			return err
-		}
-		if reply.Received > int64(len(data)) {
-			return fmt.Errorf("%w: coordinator reports %d bytes received for a %d-byte artefact",
-				ErrFatal, reply.Received, len(data))
-		}
-		if reply.Received == offset {
-			// Unreachable under the chunk protocol (an accepted or absorbed
-			// chunk always advances past offset; a 409 resyncs to a
-			// different size); fail closed instead of spinning.
-			return fmt.Errorf("%w: upload made no progress at offset %d", ErrFatal, offset)
-		}
-		// Resynchronise to the coordinator's truth: forward past an
-		// absorbed replay, or backward after a restart lost partial bytes.
-		offset = reply.Received
-	}
-	return nil
-}
-
-// Complete claims completion of an uploaded artefact (size + SHA-256). The
-// reply status follows the tracker taxonomy; "duplicate" is success for a
-// retrying caller. A 409 "upload-incomplete" reply returns errUploadIncomplete
-// so the worker re-uploads and claims again.
+// Complete claims completion of one attempt with its artefact bytes and
+// their SHA-256, in one exchange. The reply status follows the tracker
+// taxonomy; "duplicate" is success for a retrying caller. A claim whose
+// bytes arrive damaged is answered 409 and re-sent within the retry budget.
 func (c *Client) Complete(ctx context.Context, req *CompleteRequest) (*CompleteReply, error) {
 	body, err := EncodeMessage(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFatal, err)
 	}
 	var reply CompleteReply
-	status, err := c.call(ctx, http.MethodPost, PathPrefix+"/complete", body, &reply, false)
-	if err != nil {
-		if status == http.StatusConflict {
-			return nil, fmt.Errorf("%w: %v", errUploadIncomplete, err)
-		}
+	if err := c.call(ctx, http.MethodPost, PathPrefix+"/complete", body, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
 }
-
-// errUploadIncomplete marks a completion claim the coordinator refused
-// because the uploaded bytes do not (yet) match it; re-upload and re-claim.
-var errUploadIncomplete = errors.New("shardnet: upload incomplete")
 
 // Fail reports a worker-side attempt failure.
 func (c *Client) Fail(ctx context.Context, shardID string, attempt int, reason string) error {
@@ -338,14 +288,13 @@ func (c *Client) Fail(ctx context.Context, shardID string, attempt int, reason s
 		return fmt.Errorf("%w: %v", ErrFatal, err)
 	}
 	var reply OKReply
-	_, err = c.call(ctx, http.MethodPost, PathPrefix+"/fail", body, &reply, false)
-	return err
+	return c.call(ctx, http.MethodPost, PathPrefix+"/fail", body, &reply)
 }
 
 // Status fetches campaign progress.
 func (c *Client) Status(ctx context.Context) (*StatusReply, error) {
 	var reply StatusReply
-	if _, err := c.call(ctx, http.MethodGet, PathPrefix+"/status", nil, &reply, false); err != nil {
+	if err := c.call(ctx, http.MethodGet, PathPrefix+"/status", nil, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil

@@ -9,8 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -19,17 +17,17 @@ import (
 	"sstiming/internal/engine"
 	"sstiming/internal/service"
 	"sstiming/internal/shard"
-	"sstiming/internal/store"
 )
 
-// uploadPartialName is the in-progress artefact upload file inside an
-// attempt directory; a verified completion turns it into the staged
-// shard.json.
-const uploadPartialName = "upload.partial"
+// maxRequestBytes bounds one request body. A completion claim carries a
+// whole shard artefact, base64-encoded: a one-cell shard's is 2–52 KB over
+// the default library's cells, so the bound leaves two orders of magnitude
+// of headroom for larger shards while still refusing an unbounded body.
+const maxRequestBytes = 16 << 20
 
 // serverEndpoints is the instrumented endpoint set (histogram render
 // order), shared with the timingd middleware.
-var serverEndpoints = []string{"campaign", "lease", "heartbeat", "artifact", "complete", "fail", "status"}
+var serverEndpoints = []string{"campaign", "lease", "heartbeat", "complete", "fail", "status"}
 
 // ServerOptions configures a campaign coordinator server.
 type ServerOptions struct {
@@ -42,8 +40,6 @@ type ServerOptions struct {
 	// coordinator sheds with 429 + Retry-After; 0 selects 64, negative
 	// disables shedding.
 	MaxInflight int
-	// MaxChunkBytes caps one artefact chunk upload; 0 selects 1 MiB.
-	MaxChunkBytes int64
 	// Metrics is the instrumentation sink; nil selects Shard.Metrics.
 	Metrics *engine.Metrics
 }
@@ -54,12 +50,13 @@ type grantEntry struct {
 	grant LeaseGrant
 }
 
-// upload tracks one attempt's resumable artefact upload. size mirrors the
-// partial file's length; it is rebuilt from disk lazily, so uploads survive
-// a coordinator restart.
-type upload struct {
-	mu   sync.Mutex
-	size int64
+// claimEntry remembers a completion claim's resolution under its
+// idempotency key. once runs the claim through the tracker exactly once:
+// a duplicated delivery racing the first waits for, and re-receives, its
+// resolution.
+type claimEntry struct {
+	once  sync.Once
+	reply CompleteReply
 }
 
 // Server is the networked campaign coordinator: the shard.Tracker lease
@@ -72,14 +69,12 @@ type Server struct {
 	inst *service.Instrumenter
 	gate *service.Gate
 	mux  *http.ServeMux
-	opts ServerOptions
 	info []byte // pre-encoded CampaignInfo
 
-	mu        sync.Mutex
-	grants    map[string]grantEntry    // lease idempotency key -> grant
-	completes map[string]CompleteReply // completion idempotency key -> reply
-	uploads   map[string]*upload       // shardID/attempt -> upload state
-	workers   map[string]bool          // worker name -> last lease reply was Done
+	mu      sync.Mutex
+	grants  map[string]grantEntry  // lease idempotency key -> grant
+	claims  map[string]*claimEntry // completion idempotency key -> resolution
+	workers map[string]bool        // worker name -> last lease reply was Done
 
 	stopSweeper func()
 	httpSrv     *http.Server
@@ -90,8 +85,8 @@ type Server struct {
 // Shard.Resume set, an existing campaign is resumed: verified promoted
 // artefacts are kept, and attempt generations advance past everything on
 // disk so grants from this coordinator never collide with attempts a
-// previous incarnation handed out (remote workers may still be uploading
-// under them).
+// previous incarnation handed out (remote workers may still be
+// characterising under them).
 func NewServer(opts ServerOptions) (*Server, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = opts.Shard.Metrics
@@ -103,9 +98,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if opts.MaxInflight == 0 {
 		opts.MaxInflight = 64
 	}
-	if opts.MaxChunkBytes <= 0 {
-		opts.MaxChunkBytes = 1 << 20
-	}
 	tr, err := shard.NewTracker(opts.Shard)
 	if err != nil {
 		return nil, err
@@ -114,17 +106,15 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		tr.SeedAttemptsFromDisk()
 	}
 	s := &Server{
-		tr:        tr,
-		met:       opts.Metrics,
-		inst:      service.NewInstrumenter(opts.Metrics, serverEndpoints),
-		gate:      service.NewGate(opts.MaxInflight, opts.Metrics),
-		mux:       http.NewServeMux(),
-		opts:      opts,
-		grants:    make(map[string]grantEntry),
-		completes: make(map[string]CompleteReply),
-		uploads:   make(map[string]*upload),
-		workers:   make(map[string]bool),
-		serveErr:  make(chan error, 1),
+		tr:       tr,
+		met:      opts.Metrics,
+		inst:     service.NewInstrumenter(opts.Metrics, serverEndpoints),
+		gate:     service.NewGate(opts.MaxInflight, opts.Metrics),
+		mux:      http.NewServeMux(),
+		grants:   make(map[string]grantEntry),
+		claims:   make(map[string]*claimEntry),
+		workers:  make(map[string]bool),
+		serveErr: make(chan error, 1),
 	}
 	s.info, err = EncodeMessage(&CampaignInfo{
 		SchemaVersion: WireVersion,
@@ -137,7 +127,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	s.mux.Handle("GET "+PathPrefix+"/campaign", s.inst.Wrap("campaign", s.handleCampaign))
 	s.mux.Handle("POST "+PathPrefix+"/lease", s.inst.Wrap("lease", s.gated(s.handleLease)))
 	s.mux.Handle("POST "+PathPrefix+"/heartbeat", s.inst.Wrap("heartbeat", s.gated(s.handleHeartbeat)))
-	s.mux.Handle("PUT "+PathPrefix+"/artifact", s.inst.Wrap("artifact", s.gated(s.handleArtifact)))
 	s.mux.Handle("POST "+PathPrefix+"/complete", s.inst.Wrap("complete", s.gated(s.handleComplete)))
 	s.mux.Handle("POST "+PathPrefix+"/fail", s.inst.Wrap("fail", s.gated(s.handleFail)))
 	s.mux.Handle("GET "+PathPrefix+"/status", s.inst.Wrap("status", s.handleStatus))
@@ -278,7 +267,10 @@ func writeReply(w http.ResponseWriter, status int, msg wireMessage) {
 
 // readMessage strictly decodes a bounded request body into msg.
 func (s *Server) readMessage(w http.ResponseWriter, r *http.Request, msg wireMessage) bool {
-	b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	b, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	if err == nil && len(b) > maxRequestBytes {
+		err = fmt.Errorf("%w: request body exceeds %d bytes", ErrBadMessage, maxRequestBytes)
+	}
 	if err == nil {
 		err = DecodeMessage(b, msg)
 	}
@@ -318,7 +310,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	g, wait, done := s.tr.TryAcquire()
+	g, wait, done, err := s.tr.TryAcquire()
+	if err != nil {
+		s.writeErr(w, http.StatusInternalServerError, "internal", err, 0)
+		return
+	}
 	if done {
 		s.mu.Lock()
 		s.workers[req.Worker] = true
@@ -373,179 +369,45 @@ func (s *Server) grantFor(w http.ResponseWriter, shardID string, attempt int) (s
 	return shard.Grant{Spec: s.tr.Specs()[idx], Attempt: attempt}, true
 }
 
-// uploadFor returns the upload state for one attempt, rebuilding its size
-// from the partial file if this coordinator has never seen it (resumed
-// campaigns inherit in-flight uploads from their predecessor).
-func (s *Server) uploadFor(shardID string, attempt int) *upload {
-	key := fmt.Sprintf("%s/%d", shardID, attempt)
-	s.mu.Lock()
-	u, ok := s.uploads[key]
-	if !ok {
-		u = &upload{size: -1}
-		s.uploads[key] = u
-	}
-	s.mu.Unlock()
-	u.mu.Lock()
-	if u.size < 0 {
-		u.size = 0
-		if fi, err := os.Stat(s.partialPath(shardID, attempt)); err == nil {
-			u.size = fi.Size()
-		}
-	}
-	u.mu.Unlock()
-	return u
-}
-
-// partialPath is the attempt's in-progress upload file.
-func (s *Server) partialPath(shardID string, attempt int) string {
-	return filepath.Join(s.tr.AttemptDir(shardID, attempt), uploadPartialName)
-}
-
-// handleArtifact accepts one artefact chunk:
-// PUT /shard/v1/artifact?shard=<id>&attempt=<n>&offset=<bytes>. A chunk at
-// the current size appends; a chunk entirely inside the received prefix is
-// an absorbed replay; anything else answers 409 with the authoritative
-// received size so the client resynchronises. Chunks are accepted even for
-// expired leases — correctness lives in the completion verification, and a
-// late uploader's bytes can still win the shard if it is still open.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	shardID := q.Get("shard")
-	attempt, err := strconv.Atoi(q.Get("attempt"))
-	if err != nil || attempt < 1 || shardID == "" {
-		s.writeErr(w, http.StatusBadRequest, "bad-message",
-			fmt.Errorf("%w: artifact upload needs shard and attempt", ErrBadMessage), 0)
-		return
-	}
-	offset, err := strconv.ParseInt(q.Get("offset"), 10, 64)
-	if err != nil || offset < 0 {
-		s.writeErr(w, http.StatusBadRequest, "bad-message",
-			fmt.Errorf("%w: artifact upload needs a non-negative offset", ErrBadMessage), 0)
-		return
-	}
-	if _, ok := s.grantFor(w, shardID, attempt); !ok {
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxChunkBytes+1))
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, "bad-message",
-			fmt.Errorf("%w: reading chunk: %v", ErrBadMessage, err), 0)
-		return
-	}
-	if int64(len(body)) > s.opts.MaxChunkBytes {
-		s.writeErr(w, http.StatusRequestEntityTooLarge, "bad-message",
-			fmt.Errorf("%w: chunk exceeds %d bytes", ErrBadMessage, s.opts.MaxChunkBytes), 0)
-		return
-	}
-
-	u := s.uploadFor(shardID, attempt)
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	switch {
-	case offset == u.size:
-		path := s.partialPath(shardID, attempt)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, "internal", err, 0)
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			s.writeErr(w, http.StatusInternalServerError, "internal", err, 0)
-			return
-		}
-		_, werr := f.Write(body)
-		cerr := f.Close()
-		if werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			// The file may hold a torn tail now; resync size from disk so
-			// the client's retry lands at the truth.
-			if fi, serr := os.Stat(path); serr == nil {
-				u.size = fi.Size()
-			}
-			s.writeErr(w, http.StatusInternalServerError, "internal", werr, 0)
-			return
-		}
-		u.size += int64(len(body))
-		s.met.Add(engine.NetBytesUploaded, int64(len(body)))
-		writeReply(w, http.StatusOK, &ChunkReply{Received: u.size})
-	case offset+int64(len(body)) <= u.size:
-		// A replayed chunk (duplicated request, or a retry whose first
-		// acknowledgement was lost): already durable, absorb it.
-		writeReply(w, http.StatusOK, &ChunkReply{Received: u.size})
-	default:
-		writeReply(w, http.StatusConflict, &ChunkReply{Received: u.size})
-	}
-}
-
-// handleComplete resolves a completion claim: the uploaded bytes must match
-// the claimed size and SHA-256, then they are staged and pushed through the
-// tracker's verify-before-accept path. A replayed idempotency key
-// re-receives the original resolution; a claim for an already-resolved
-// shard resolves "duplicate" — both absorb retries after lost
-// acknowledgements.
+// handleComplete resolves a completion claim in one exchange. The claimed
+// bytes must match the claimed SHA-256; a mismatch means the channel
+// damaged them, so the claim answers 409 without reaching the tracker
+// (the shard stays open) and without being remembered, and the worker's
+// re-send is judged afresh. Matching bytes go straight to the tracker's
+// verify-before-accept path, which promotes them atomically. A replayed
+// idempotency key re-receives the original resolution; a claim for an
+// already-resolved shard resolves "duplicate" — both absorb retries after
+// lost acknowledgements.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if !s.readMessage(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	if reply, ok := s.completes[req.IdempotencyKey]; ok {
-		s.mu.Unlock()
-		writeReply(w, http.StatusOK, &reply)
-		return
-	}
-	s.mu.Unlock()
 	g, ok := s.grantFor(w, req.ShardID, req.Attempt)
 	if !ok {
 		return
 	}
-
-	// The upload must be byte-complete before the claim means anything. A
-	// retried claim whose first processing already staged the artefact finds
-	// the staged bytes instead.
-	u := s.uploadFor(req.ShardID, req.Attempt)
-	u.mu.Lock()
-	b, err := os.ReadFile(s.partialPath(req.ShardID, req.Attempt))
-	u.mu.Unlock()
-	if err != nil {
-		b, err = os.ReadFile(s.tr.StagedPath(req.ShardID, req.Attempt))
-	}
-	if err != nil {
-		s.writeErr(w, http.StatusConflict, "upload-incomplete",
-			fmt.Errorf("no uploaded artefact for %s attempt %d", req.ShardID, req.Attempt), 0)
+	if sum := sha256.Sum256(req.Artifact); hex.EncodeToString(sum[:]) != req.SHA256 {
+		s.writeErr(w, http.StatusConflict, "digest-mismatch",
+			fmt.Errorf("artifact for %s attempt %d does not match the claimed sha256", req.ShardID, req.Attempt), 0)
 		return
-	}
-	if int64(len(b)) != req.Size {
-		s.writeErr(w, http.StatusConflict, "upload-incomplete",
-			fmt.Errorf("uploaded %d bytes, claim says %d", len(b), req.Size), 0)
-		return
-	}
-	sum := sha256.Sum256(b)
-	if hex.EncodeToString(sum[:]) != req.SHA256 {
-		// The artefact arrived whole but wrong (corrupt upload). Stage it
-		// anyway? No: reject here, the claimed digest is the worker's own
-		// word for what it sent, and a mismatch means the channel damaged
-		// it. The worker re-uploads.
-		s.writeErr(w, http.StatusConflict, "upload-incomplete",
-			fmt.Errorf("uploaded artefact sha256 differs from claim"), 0)
-		return
-	}
-	if err := store.AtomicWrite(s.tr.StagedPath(req.ShardID, req.Attempt), b); err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "internal", err, 0)
-		return
-	}
-
-	status, cerr := s.tr.Complete(r.Context(), g, b)
-	reply := CompleteReply{Status: status.String()}
-	if cerr != nil && status == shard.CompleteRejected {
-		reply.Reason = cerr.Error()
 	}
 	s.mu.Lock()
-	s.completes[req.IdempotencyKey] = reply
+	c, ok := s.claims[req.IdempotencyKey]
+	if !ok {
+		c = &claimEntry{}
+		s.claims[req.IdempotencyKey] = c
+	}
 	s.mu.Unlock()
-	writeReply(w, http.StatusOK, &reply)
+	c.once.Do(func() {
+		s.met.Add(engine.NetBytesUploaded, int64(len(req.Artifact)))
+		status, err := s.tr.Complete(r.Context(), g, req.Artifact)
+		c.reply = CompleteReply{Status: status.String()}
+		if err != nil && status == shard.CompleteRejected {
+			c.reply.Reason = err.Error()
+		}
+	})
+	writeReply(w, http.StatusOK, &c.reply)
 }
 
 // handleFail records a worker-reported attempt failure; stale reports are

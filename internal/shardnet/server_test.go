@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,32 +89,6 @@ func TestServerLeaseIdempotency(t *testing.T) {
 	}
 }
 
-// putChunk uploads one raw artefact chunk, returning the HTTP status and
-// decoded ChunkReply.
-func putChunk(t *testing.T, base, shardID string, attempt int, offset int64, body []byte) (int, ChunkReply) {
-	t.Helper()
-	url := fmt.Sprintf("%s%s/artifact?shard=%s&attempt=%d&offset=%d",
-		base, PathPrefix, shardID, attempt, offset)
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("building chunk request: %v", err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("chunk request: %v", err)
-	}
-	defer resp.Body.Close()
-	rb, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading chunk reply: %v", err)
-	}
-	var reply ChunkReply
-	if err := DecodeMessage(rb, &reply); err != nil {
-		t.Fatalf("decoding chunk reply (HTTP %d, %q): %v", resp.StatusCode, rb, err)
-	}
-	return resp.StatusCode, reply
-}
-
 // workerArtifact characterises one granted shard in a private work dir and
 // returns its verified artefact bytes (what an honest worker would upload).
 // TestServerDrainWorkers: a resolved coordinator must not close its
@@ -147,14 +123,11 @@ func TestServerDrainWorkers(t *testing.T) {
 	grant := r.Grant
 	for seq := 2; ; seq++ {
 		b := workerArtifact(t, grant)
-		if err := c.UploadArtifact(ctx, grant.ShardID, grant.Attempt, b); err != nil {
-			t.Fatalf("upload %s: %v", grant.ShardID, err)
-		}
 		sum := sha256.Sum256(b)
 		reply, err := c.Complete(ctx, &CompleteRequest{
 			ShardID:        grant.ShardID,
 			Attempt:        grant.Attempt,
-			Size:           int64(len(b)),
+			Artifact:       b,
 			SHA256:         hex.EncodeToString(sum[:]),
 			IdempotencyKey: fmt.Sprintf("drain-c%d", seq),
 		})
@@ -192,57 +165,49 @@ func workerArtifact(t *testing.T, grant *LeaseGrant) []byte {
 	return b
 }
 
-// TestServerChunkProtocol: gaps are refused with the authoritative received
-// size, replays are absorbed, and the complete claim verifies size and
-// digest before anything reaches the tracker.
-func TestServerChunkProtocol(t *testing.T) {
-	_, hs := testServer(t)
+// TestServerClaimProtocol: a claim whose bytes do not match its digest
+// never reaches the tracker and leaves the shard open (the client re-sends
+// it until its budget runs out); a replayed key re-receives its resolution
+// without counting the bytes twice, also when the duplicates race; a late
+// claim on a resolved shard resolves "duplicate".
+func TestServerClaimProtocol(t *testing.T) {
+	srv, hs := testServer(t)
 	c := testClient(t, hs.URL, nil)
 	ctx := context.Background()
 
-	r, err := c.Lease(ctx, "w0", "chunk-key")
+	r, err := c.Lease(ctx, "w0", "claim-key")
 	if err != nil || r.Grant == nil {
 		t.Fatalf("lease: %+v, %v", r, err)
 	}
 	g := r.Grant
 	art := workerArtifact(t, g)
-	half := len(art) / 2
-
-	// A gap: nothing received yet, offset beyond it → 409 + received=0.
-	if status, reply := putChunk(t, hs.URL, g.ShardID, g.Attempt, 64, art[64:128]); status != http.StatusConflict || reply.Received != 0 {
-		t.Fatalf("gap chunk: HTTP %d received %d", status, reply.Received)
-	}
-	// First half appends.
-	if status, reply := putChunk(t, hs.URL, g.ShardID, g.Attempt, 0, art[:half]); status != http.StatusOK || reply.Received != int64(half) {
-		t.Fatalf("first chunk: HTTP %d received %d", status, reply.Received)
-	}
-	// Replaying it (duplicate delivery / lost ACK retry) is absorbed.
-	if status, reply := putChunk(t, hs.URL, g.ShardID, g.Attempt, 0, art[:half]); status != http.StatusOK || reply.Received != int64(half) {
-		t.Fatalf("replayed chunk: HTTP %d received %d", status, reply.Received)
-	}
-	// Remainder appends to completion.
-	if status, reply := putChunk(t, hs.URL, g.ShardID, g.Attempt, int64(half), art[half:]); status != http.StatusOK || reply.Received != int64(len(art)) {
-		t.Fatalf("final chunk: HTTP %d received %d", status, reply.Received)
-	}
-
-	// A claim with the wrong digest is refused as upload-incomplete.
 	sum := sha256.Sum256(art)
-	wrong := hex.EncodeToString(sum[:])
-	wrong = "00000000" + wrong[8:]
-	_, err = c.Complete(ctx, &CompleteRequest{
-		ShardID: g.ShardID, Attempt: g.Attempt, Size: int64(len(art)),
-		SHA256: wrong, IdempotencyKey: "claim-bad",
-	})
-	if !errors.Is(err, errUploadIncomplete) {
-		t.Fatalf("wrong-digest claim: %v", err)
+	claim := &CompleteRequest{
+		ShardID: g.ShardID, Attempt: g.Attempt, Artifact: art,
+		SHA256: hex.EncodeToString(sum[:]), IdempotencyKey: "claim-good",
+	}
+
+	// Bytes damaged in transit: 409 digest-mismatch on every re-send, and
+	// the tracker never hears of it.
+	damaged := *claim
+	damaged.Artifact = append([]byte(nil), art...)
+	damaged.Artifact[len(art)/2] ^= 0x5a
+	_, err = c.Complete(ctx, &damaged)
+	if !errors.Is(err, ErrRetryable) || !strings.Contains(err.Error(), "HTTP 409 (digest-mismatch)") {
+		t.Fatalf("damaged claim: %v", err)
+	}
+	if rep := srv.Report(); rep.CorruptArtifacts != 0 || rep.Completed != 0 || rep.DuplicatesDiscarded != 0 {
+		t.Fatalf("damaged claim reached the tracker: %+v", rep)
+	}
+	if !srv.Tracker().LeaseHeld(g.Index, g.Attempt) {
+		t.Fatal("damaged claim failed the shard's lease")
+	}
+	if got := srv.met.Get(engine.NetBytesUploaded); got != 0 {
+		t.Fatalf("NetBytesUploaded = %d after a damaged claim, want 0", got)
 	}
 
 	// The honest claim is accepted; replaying its key re-receives the cached
 	// resolution; a different claim on the resolved shard is a duplicate.
-	claim := &CompleteRequest{
-		ShardID: g.ShardID, Attempt: g.Attempt, Size: int64(len(art)),
-		SHA256: hex.EncodeToString(sum[:]), IdempotencyKey: "claim-good",
-	}
 	reply, err := c.Complete(ctx, claim)
 	if err != nil || reply.Status != "accepted" {
 		t.Fatalf("claim: %+v, %v", reply, err)
@@ -251,16 +216,55 @@ func TestServerChunkProtocol(t *testing.T) {
 	if err != nil || reply.Status != "accepted" {
 		t.Fatalf("replayed claim key: %+v, %v", reply, err)
 	}
+	if got := srv.met.Get(engine.NetBytesUploaded); got != int64(len(art)) {
+		t.Fatalf("NetBytesUploaded = %d after a replayed claim, want %d", got, len(art))
+	}
 	other := *claim
 	other.IdempotencyKey = "claim-late"
 	reply, err = c.Complete(ctx, &other)
 	if err != nil || reply.Status != "duplicate" {
 		t.Fatalf("late claim: %+v, %v", reply, err)
 	}
+
+	// Duplicated deliveries of one claim racing each other: the first
+	// resolves it, the rest wait for and re-receive that resolution.
+	r, err = c.Lease(ctx, "w0", "race-key")
+	if err != nil || r.Grant == nil {
+		t.Fatalf("second lease: %+v, %v", r, err)
+	}
+	art2 := workerArtifact(t, r.Grant)
+	sum2 := sha256.Sum256(art2)
+	racing := &CompleteRequest{
+		ShardID: r.Grant.ShardID, Attempt: r.Grant.Attempt, Artifact: art2,
+		SHA256: hex.EncodeToString(sum2[:]), IdempotencyKey: "claim-race",
+	}
+	var wg sync.WaitGroup
+	replies := make([]*CompleteReply, 4)
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			replies[i], _ = c.Complete(ctx, racing)
+		}(i)
+	}
+	wg.Wait()
+	for i, rp := range replies {
+		if rp == nil || rp.Status != "accepted" {
+			t.Fatalf("racing delivery %d: %+v", i, rp)
+		}
+	}
+	if rep := srv.Report(); rep.Completed != 2 || rep.DuplicatesDiscarded != 1 {
+		t.Fatalf("racing deliveries reached the tracker more than once: %+v", rep)
+	}
+	// Bytes count once per key: the honest and the late claim, then the
+	// racing one.
+	if got, want := srv.met.Get(engine.NetBytesUploaded), int64(2*len(art)+len(art2)); got != want {
+		t.Fatalf("NetBytesUploaded = %d, want %d", got, want)
+	}
 }
 
-// TestServerCompleteRejectsInvalidArtifact: bytes that upload and claim
-// consistently but are not a valid artefact must be rejected by the
+// TestServerCompleteRejectsInvalidArtifact: bytes that match their claimed
+// digest but are not a valid artefact must be rejected by the
 // tracker's verify-before-accept path, with the reason on the wire.
 func TestServerCompleteRejectsInvalidArtifact(t *testing.T) {
 	_, hs := testServer(t)
@@ -273,12 +277,9 @@ func TestServerCompleteRejectsInvalidArtifact(t *testing.T) {
 	}
 	g := r.Grant
 	bogus := []byte(`{"not":"an artifact"}`)
-	if err := c.UploadArtifact(ctx, g.ShardID, g.Attempt, bogus); err != nil {
-		t.Fatalf("upload: %v", err)
-	}
 	sum := sha256.Sum256(bogus)
 	reply, err := c.Complete(ctx, &CompleteRequest{
-		ShardID: g.ShardID, Attempt: g.Attempt, Size: int64(len(bogus)),
+		ShardID: g.ShardID, Attempt: g.Attempt, Artifact: bogus,
 		SHA256: hex.EncodeToString(sum[:]), IdempotencyKey: "bogus-claim",
 	})
 	if err != nil {

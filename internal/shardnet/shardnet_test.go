@@ -139,8 +139,7 @@ func startCoordinator(t *testing.T, opts shard.Options, addr string) (*Server, n
 
 // workerOptions builds one remote worker's options: its own local work
 // directory, a generous retry budget (chaos runs must out-retry their
-// faults), a small chunk size so artefact uploads really exercise the
-// chunk protocol, and an optional fault-injecting transport.
+// faults), and an optional fault-injecting transport.
 func workerOptions(t *testing.T, base, name string, seed int64, plan *faultinject.NetPlan) WorkerOptions {
 	t.Helper()
 	wdir := filepath.Join(t.TempDir(), name)
@@ -151,7 +150,6 @@ func workerOptions(t *testing.T, base, name string, seed int64, plan *faultinjec
 			BaseBackoff:   10 * time.Millisecond,
 			MaxBackoff:    250 * time.Millisecond,
 			PerTryTimeout: 10 * time.Second,
-			ChunkBytes:    4 << 10,
 			Seed:          seed,
 			Progress:      t.Logf,
 		},

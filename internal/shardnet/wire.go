@@ -1,7 +1,7 @@
 // Package shardnet is the HTTP transport for sharded characterisation
 // campaigns (internal/shard): a coordinator serves the campaign's lease
 // state machine over a small JSON wire protocol, and remote workers pull
-// shards, characterise them locally, and stream verified artefacts back.
+// shards, characterise them locally, and send verified artefacts back.
 //
 // The transport adds no correctness of its own — it forwards everything
 // through the shard.Tracker's verify-before-accept path — but it must stay
@@ -9,24 +9,25 @@
 //
 //   - every client call retries with jittered exponential backoff under a
 //     per-attempt deadline and a bounded budget, classifying failures as
-//     retryable (network errors, 5xx, 429, undecodable replies), fatal
+//     retryable (network errors, 5xx, 429, 409, undecodable replies), fatal
 //     (plan mismatch, other 4xx) or lease-lost;
 //   - requests carry idempotency keys: a retried lease request re-receives
 //     its original grant instead of burning a second lease, and a retried
-//     completion whose first acknowledgement was lost is absorbed as a
-//     duplicate by the coordinator;
-//   - artefacts upload in resumable chunks: a chunk landing at the current
-//     size appends, a replayed chunk inside the received prefix is
-//     absorbed, and anything else answers 409 with the coordinator's
-//     received size so the client resynchronises — then a completion claim
-//     carrying the artefact's size and SHA-256 gates promotion;
+//     completion whose first acknowledgement was lost re-receives its
+//     original resolution;
+//   - completing a shard is one exchange: the claim carries the artefact
+//     bytes beside their SHA-256, a claim whose bytes do not match the
+//     digest is answered 409 without reaching the tracker (the worker
+//     re-sends it), and a matching one goes straight to the tracker, which
+//     verifies and promotes it atomically;
 //   - the coordinator sheds load with 429 + Retry-After (the shared
 //     service.Gate) and expires vanished remote workers exactly as
 //     in-process leases expire;
 //   - a coordinator restart resumes from the campaign directory: promoted
-//     artefacts are re-verified, attempt generations advance past anything
-//     on disk, and still-live workers' in-flight leases simply expire and
-//     re-grant.
+//     artefacts are re-verified, every grant's attempt directory is on disk
+//     before the grant is answered, so attempt generations advance past
+//     everything handed out, and still-live workers' in-flight leases
+//     simply expire and re-grant.
 //
 // Everything on the wire decodes strictly (unknown fields rejected) into
 // validated messages with the ErrBadMessage taxonomy — malformed peer bytes
@@ -43,18 +44,19 @@ import (
 )
 
 // WireVersion is the wire-protocol schema version; every message embeds it
-// implicitly through the /shard/v1/ path prefix.
-const WireVersion = 1
+// implicitly through the /shard/v2/ path prefix, so a worker and a
+// coordinator of different versions part at the campaign fetch.
+const WireVersion = 2
 
 // PathPrefix is the URL prefix all coordinator endpoints live under.
-const PathPrefix = "/shard/v1"
+const PathPrefix = "/shard/v2"
 
 // ErrBadMessage marks wire bytes that do not decode into a valid protocol
 // message: malformed JSON, unknown fields, or field values violating the
 // message's contract. It is the transport-level sibling of store.ErrCorrupt.
 var ErrBadMessage = errors.New("shardnet: malformed wire message")
 
-// CampaignInfo advertises the campaign: GET /shard/v1/campaign. Workers
+// CampaignInfo advertises the campaign: GET /shard/v2/campaign. Workers
 // verify it against their own derived plan (shard.ComparePlan) before any
 // work happens.
 type CampaignInfo struct {
@@ -82,7 +84,7 @@ func (m *CampaignInfo) Validate() error {
 	return nil
 }
 
-// LeaseRequest asks for the next available shard: POST /shard/v1/lease.
+// LeaseRequest asks for the next available shard: POST /shard/v2/lease.
 // The idempotency key makes the request safe to retry or duplicate: the
 // coordinator answers a replayed key with the original grant while that
 // grant's lease is live, instead of burning a second lease.
@@ -141,7 +143,7 @@ func (m *LeaseReply) Validate() error {
 	return nil
 }
 
-// HeartbeatRequest renews one lease: POST /shard/v1/heartbeat. Naturally
+// HeartbeatRequest renews one lease: POST /shard/v2/heartbeat. Naturally
 // idempotent — renewing twice is renewing.
 type HeartbeatRequest struct {
 	ShardID string `json:"shard_id"`
@@ -166,31 +168,15 @@ type HeartbeatReply struct {
 // Validate checks the message contract (any value is valid).
 func (m *HeartbeatReply) Validate() error { return nil }
 
-// ChunkReply acknowledges an artefact chunk upload
-// (PUT /shard/v1/artifact?shard=&attempt=&offset=): Received is the
-// coordinator's total received byte count for that attempt's upload. On a
-// 409 (offset mismatch) the client resynchronises to Received and resumes.
-type ChunkReply struct {
-	Received int64 `json:"received"`
-}
-
-// Validate checks the message contract.
-func (m *ChunkReply) Validate() error {
-	if m.Received < 0 {
-		return fmt.Errorf("%w: negative received size", ErrBadMessage)
-	}
-	return nil
-}
-
 // CompleteRequest claims completion of one attempt:
-// POST /shard/v1/complete. Size and SHA256 describe the uploaded artefact;
-// the coordinator verifies both before letting the artefact anywhere near
-// the tracker's own verify-before-accept path. The idempotency key makes
-// the claim safe to retry after a lost acknowledgement.
+// POST /shard/v2/complete. It carries the artefact itself beside the
+// worker's SHA-256 of it; the coordinator hands the bytes to the tracker's
+// verify-before-accept path only if they match the digest. The idempotency
+// key makes the claim safe to retry after a lost acknowledgement.
 type CompleteRequest struct {
 	ShardID        string `json:"shard_id"`
 	Attempt        int    `json:"attempt"`
-	Size           int64  `json:"size"`
+	Artifact       []byte `json:"artifact"`
 	SHA256         string `json:"sha256"`
 	IdempotencyKey string `json:"idempotency_key"`
 }
@@ -198,10 +184,10 @@ type CompleteRequest struct {
 // Validate checks the message contract.
 func (m *CompleteRequest) Validate() error {
 	if m.ShardID == "" || m.Attempt < 1 {
-		return fmt.Errorf("%w: malformed completion claim %+v", ErrBadMessage, *m)
+		return fmt.Errorf("%w: malformed completion claim for shard %q attempt %d", ErrBadMessage, m.ShardID, m.Attempt)
 	}
-	if m.Size <= 0 {
-		return fmt.Errorf("%w: completion claim with size %d", ErrBadMessage, m.Size)
+	if len(m.Artifact) == 0 {
+		return fmt.Errorf("%w: completion claim without artifact", ErrBadMessage)
 	}
 	if len(m.SHA256) != 64 {
 		return fmt.Errorf("%w: completion claim with %d-char sha256", ErrBadMessage, len(m.SHA256))
@@ -231,7 +217,7 @@ func (m *CompleteReply) Validate() error {
 }
 
 // FailRequest reports a worker-side attempt failure (the worker is alive
-// but produced no artefact): POST /shard/v1/fail. Idempotent: a stale or
+// but produced no artefact): POST /shard/v2/fail. Idempotent: a stale or
 // replayed report of an already-expired lease is absorbed.
 type FailRequest struct {
 	ShardID string `json:"shard_id"`
@@ -256,7 +242,7 @@ type OKReply struct {
 // Validate checks the message contract (any value is valid).
 func (m *OKReply) Validate() error { return nil }
 
-// StatusReply summarises campaign progress: GET /shard/v1/status.
+// StatusReply summarises campaign progress: GET /shard/v2/status.
 type StatusReply struct {
 	Resolved bool          `json:"resolved"`
 	Report   *shard.Report `json:"report"`

@@ -15,7 +15,7 @@ import (
 func wireMessageSet() []wireMessage {
 	return []wireMessage{
 		&CampaignInfo{}, &LeaseRequest{}, &LeaseGrant{}, &LeaseReply{},
-		&HeartbeatRequest{}, &HeartbeatReply{}, &ChunkReply{},
+		&HeartbeatRequest{}, &HeartbeatReply{},
 		&CompleteRequest{}, &CompleteReply{}, &FailRequest{}, &OKReply{},
 		&StatusReply{}, &ErrorReply{},
 	}
@@ -36,8 +36,7 @@ func validWireMessages() []wireMessage {
 		&LeaseReply{RetryAfterMs: 40},
 		&HeartbeatRequest{ShardID: "s00", Attempt: 1},
 		&HeartbeatReply{Held: true},
-		&ChunkReply{Received: 4096},
-		&CompleteRequest{ShardID: "s00", Attempt: 1, Size: 512,
+		&CompleteRequest{ShardID: "s00", Attempt: 1, Artifact: []byte(`{"SchemaVersion":1}`),
 			SHA256: strings.Repeat("ab", 32), IdempotencyKey: "w0-c-s00-a1"},
 		&CompleteReply{Status: "accepted"},
 		&CompleteReply{Status: "rejected", Reason: "artifact digest mismatch"},
@@ -98,7 +97,10 @@ func malformedWireSeeds() [][]byte {
 		[]byte(`{"shard_id":"s00","attempt":1e2}`),
 		[]byte(`{"shard_id":"s00","attempt":-1}`),
 		[]byte(`{"status":"maybe"}`),
-		[]byte(`{"received":-5}`),
+		[]byte(`{"shard_id":"s00","attempt":1,"size":512,"sha256":"` + strings.Repeat("ab", 32) + `","idempotency_key":"k"}`),
+		[]byte(`{"shard_id":"s00","attempt":1,"artifact":"!not base64!","sha256":"` + strings.Repeat("ab", 32) + `","idempotency_key":"k"}`),
+		[]byte(`{"shard_id":"s00","attempt":1,"artifact":"","sha256":"` + strings.Repeat("ab", 32) + `","idempotency_key":"k"}`),
+		[]byte(`{"shard_id":"s00","attempt":1,"artifact":null,"sha256":"` + strings.Repeat("ab", 32) + `","idempotency_key":"k"}`),
 		[]byte(`{"done":true,"grant":{"shard_id":"s00","index":0,"attempt":1,"lease_ttl_ms":1}}`),
 		[]byte(`{"schema_version":99,"fingerprint":"x","shards":[{"ID":"s00","Index":0,"Cells":["INV"]}]}`),
 		[]byte("\x00\x01\x02\xff"),
@@ -166,10 +168,10 @@ func TestWireDecodeStrictness(t *testing.T) {
 		{"trailing bytes", `{"worker":"w0","idempotency_key":"k"}{}`, &LeaseRequest{}},
 		{"missing worker", `{"idempotency_key":"k"}`, &LeaseRequest{}},
 		{"zero attempt", `{"shard_id":"s00","attempt":0}`, &HeartbeatRequest{}},
-		{"short sha", `{"shard_id":"s00","attempt":1,"size":10,"sha256":"ab","idempotency_key":"k"}`, &CompleteRequest{}},
+		{"short sha", `{"shard_id":"s00","attempt":1,"artifact":"e30=","sha256":"ab","idempotency_key":"k"}`, &CompleteRequest{}},
 		{"bad status", `{"status":"perhaps"}`, &CompleteReply{}},
 		{"done and granted", `{"done":true,"grant":{"shard_id":"s","index":0,"attempt":1,"lease_ttl_ms":1}}`, &LeaseReply{}},
-		{"wrong schema", `{"schema_version":2,"fingerprint":"x","shards":[{"ID":"s00","Index":0,"Cells":["INV"]}]}`, &CampaignInfo{}},
+		{"wrong schema", `{"schema_version":1,"fingerprint":"x","shards":[{"ID":"s00","Index":0,"Cells":["INV"]}]}`, &CampaignInfo{}},
 		{"status without report", `{"resolved":true,"report":null}`, &StatusReply{}},
 	}
 	for _, c := range cases {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"time"
 
@@ -18,8 +17,8 @@ type WorkerOptions struct {
 	// Shard carries the worker's own campaign configuration: Charlib,
 	// ShardCells and friends must match the coordinator's bit-for-bit
 	// (verified against the advertised plan before any work), and Dir is
-	// the worker's private local work directory (journals, staged
-	// artefacts). Out is unused for publishing — the coordinator merges —
+	// the worker's private local work directory (attempt journals). Out
+	// is unused for publishing — the coordinator merges —
 	// but still required to derive defaults.
 	Shard shard.Options
 	// Name identifies this worker in lease requests and logs; "" selects
@@ -84,8 +83,8 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (*WorkerReport, error) {
 }
 
 // remote is the shard.Coordinator a networked worker loop talks to: each
-// call is one wire exchange (or, for Complete, the upload+claim exchange)
-// under an idempotency key, with the worker's report kept alongside.
+// call is one wire exchange, lease requests and completion claims under an
+// idempotency key, with the worker's report kept alongside.
 type remote struct {
 	c     *Client
 	opts  WorkerOptions
@@ -155,46 +154,34 @@ func (w *remote) Heartbeat(ctx context.Context, g shard.Grant) (bool, error) {
 	return held, err
 }
 
-// Complete uploads the artefact and claims it. The claim is submitted even
-// when the lease was lost: the coordinator either accepts the verified
-// artefact (shard still open) or absorbs it as a duplicate.
+// Complete claims the attempt with its artefact in one exchange. The claim
+// is submitted even when the lease was lost: the coordinator either accepts
+// the verified artefact (shard still open) or absorbs it as a duplicate.
 func (w *remote) Complete(ctx context.Context, g shard.Grant, artefact []byte) (shard.CompleteStatus, error) {
 	sum := sha256.Sum256(artefact)
-	claim := &CompleteRequest{
+	reply, err := w.c.Complete(ctx, &CompleteRequest{
 		ShardID:        g.Spec.ID,
 		Attempt:        g.Attempt,
-		Size:           int64(len(artefact)),
+		Artifact:       artefact,
 		SHA256:         hex.EncodeToString(sum[:]),
 		IdempotencyKey: fmt.Sprintf("%s-c-%s-a%d", w.opts.Name, g.Spec.ID, g.Attempt),
+	})
+	if err != nil {
+		return shard.CompleteRejected, err
 	}
-	// upload-incomplete claims re-upload and re-claim: bounded by the
-	// artefact's chunk count plus slack, not unbounded.
-	for round := 0; ; round++ {
-		if err := w.c.UploadArtifact(ctx, g.Spec.ID, g.Attempt, artefact); err != nil {
-			return shard.CompleteRejected, err
-		}
-		reply, err := w.c.Complete(ctx, claim)
-		if err != nil {
-			if errors.Is(err, errUploadIncomplete) && round < 3 {
-				w.opts.Progress("%s: claim for %s/%d needs re-upload: %v", w.opts.Name, g.Spec.ID, g.Attempt, err)
-				continue
-			}
-			return shard.CompleteRejected, err
-		}
-		switch reply.Status {
-		case "accepted":
-			w.rep.Completed++
-			w.opts.Progress("%s: shard %s completed (attempt %d)", w.opts.Name, g.Spec.ID, g.Attempt)
-			return shard.CompleteAccepted, nil
-		case "duplicate":
-			w.rep.Duplicates++
-			w.opts.Progress("%s: shard %s claim was a duplicate (attempt %d)", w.opts.Name, g.Spec.ID, g.Attempt)
-			return shard.CompleteDuplicate, nil
-		default:
-			w.rep.Rejected++
-			w.opts.Progress("%s: shard %s claim rejected (attempt %d): %s", w.opts.Name, g.Spec.ID, g.Attempt, reply.Reason)
-			return shard.CompleteRejected, fmt.Errorf("%w: %s", shard.ErrRejected, reply.Reason)
-		}
+	switch reply.Status {
+	case "accepted":
+		w.rep.Completed++
+		w.opts.Progress("%s: shard %s completed (attempt %d)", w.opts.Name, g.Spec.ID, g.Attempt)
+		return shard.CompleteAccepted, nil
+	case "duplicate":
+		w.rep.Duplicates++
+		w.opts.Progress("%s: shard %s claim was a duplicate (attempt %d)", w.opts.Name, g.Spec.ID, g.Attempt)
+		return shard.CompleteDuplicate, nil
+	default:
+		w.rep.Rejected++
+		w.opts.Progress("%s: shard %s claim rejected (attempt %d): %s", w.opts.Name, g.Spec.ID, g.Attempt, reply.Reason)
+		return shard.CompleteRejected, fmt.Errorf("%w: %s", shard.ErrRejected, reply.Reason)
 	}
 }
 
