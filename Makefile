@@ -24,11 +24,12 @@ race:
 # gofmt -l . also walks perfbench/; any file it lists fails the stage.
 # internal/itr only forwards to sta until perfbench moves off it, so no
 # other non-test package of this module may import it. The delay model's
-# rules (the skew shapes over the pair surfaces, the pin-range extrema) live
-# in internal/core only: no non-test file of the timing layers or of the SDF
-# writer may call MinOver/MaxOver or read a pair surface.
+# rules (the skew shapes over the pair surfaces, the pin-range extrema, the
+# cube roots the zero-skew surfaces read) live in internal/core only: no
+# non-test file of the timing layers or of the SDF writer may call
+# MinOver/MaxOver, read a pair surface or take a cube root (core.Root does).
 MODEL_LAYERS := internal/twindow internal/tgraph internal/sta internal/logicsim internal/sdf
-MODEL_RULES := MinOver|MaxOver|\.Pair\(|\.NCPair\(|\.SX\.|\.D0\.|\.T0\.|\.SKmin\.
+MODEL_RULES := MinOver|MaxOver|Cbrt|\.Pair\(|\.NCPair\(|\.SX\.|\.D0\.|\.T0\.|\.SKmin\.
 
 vet:
 	$(GO) vet ./...
@@ -154,14 +155,16 @@ bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
 # Engine scaling vs worker count (characterisation wall-clock; the
-# level-parallel c7552 timing-graph build, time and allocations), then two
+# level-parallel c7552 timing-graph build, time and allocations), the c7552
+# backward pass (RequiredTimes plus CheckViolations, time and allocations),
+# then two
 # serial, self-checking comparisons: SwapGate prices one gate swap on a
 # persistent c7552 graph by re-converged cone size, AblationITRIncremental
 # runs the paper's §7 ITR-pruned ATPG on the incremental graph against
 # from-scratch refinement. Both fail if their results diverge.
 bench-parallel:
 	$(GO) test -run '^$$' -bench=CharacterizeParallel -benchtime=3x .
-	$(GO) test -run '^$$' -bench='BuildParallel|SwapGate|AblationITRIncremental' -benchmem .
+	$(GO) test -run '^$$' -bench='BuildParallel|Required|SwapGate|AblationITRIncremental' -benchmem .
 
 clean:
 	$(GO) clean ./...

@@ -4,13 +4,14 @@
 // pipeline (hundreds of independent SPICE transients), so it is the
 // canonical measure of the engine's speed-up; the level-parallel
 // timing-graph build is the finest one (one engine.Run per logic level over
-// microsecond gate evaluations). Incremental edits: BenchmarkSwapGate
+// microsecond gate evaluations). BenchmarkRequired prices the backward
+// pass on the same circuit. Incremental edits: BenchmarkSwapGate
 // prices one gate swap on a persistent graph against the size of the cone
 // it re-converges.
 //
 // Run with:
 //
-//	go test -run '^$' -bench='CharacterizeParallel|BuildParallel|SwapGate' -benchtime=3x
+//	go test -run '^$' -bench='CharacterizeParallel|BuildParallel|Required|SwapGate' -benchtime=3x
 //
 // or `make bench-parallel`.
 package sstiming_test
@@ -25,6 +26,7 @@ import (
 	"sstiming/internal/charlib"
 	"sstiming/internal/netlist"
 	"sstiming/internal/prechar"
+	"sstiming/internal/sta"
 	"sstiming/internal/tgraph"
 	"sstiming/internal/twindow"
 )
@@ -67,6 +69,36 @@ func BenchmarkBuildParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRequired runs the c7552 backward pass as a sign-off flow does:
+// RequiredTimes and then CheckViolations under a constraint that some lines
+// violate. The result keeps the last constraint's required windows, so the
+// ops alternate between two constraints 1 ps apart and every op walks the
+// graph backwards once.
+func BenchmarkRequired(b *testing.B) {
+	c, err := benchgen.Load("c7552")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sta.Analyze(c, sta.Options{Lib: prechar.MustLibrary(), Mode: sta.ModeProposed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := res.MinPOArrival(), res.MaxPOArrival()
+	conss := [2]sta.Constraint{
+		{MinTime: 1.05 * lo, MaxTime: 0.95 * hi},
+		{MinTime: 1.05 * lo, MaxTime: 0.95*hi + 1e-12},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	viols := 0
+	for i := 0; i < b.N; i++ {
+		cons := conss[i%2]
+		res.RequiredTimes(cons)
+		viols += len(res.CheckViolations(cons))
+	}
+	b.ReportMetric(float64(viols)/float64(b.N), "violations/op")
 }
 
 // BenchmarkSwapGate measures incremental edits on one persistent c7552

@@ -88,3 +88,59 @@ func TestFigure9CornerRule(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure11VaryTy asserts Figure 11 (NAND2, zero skew, Tx = 0.5 ns,
+// sweeping Ty): the proposed model stays within 3% of the transistor-level
+// simulation at every Ty; the Nabavi-style baseline, which averages the two
+// transition times, is off by at least 10% at the sweep's ends and matches
+// the proposed model where Ty = Tx.
+func TestFigure11VaryTy(t *testing.T) {
+	nand2 := prechar.MustLibrary().MustCell("NAND2")
+	const tx = 0.5e-9
+	for _, ty := range []float64{0.15e-9, 0.3e-9, 0.5e-9, 0.8e-9, 1.2e-9} {
+		sim := spiceNAND2Delay(t, tx, ty, 0)
+		prop := (Proposed{}).CtrlDelay2(nand2, 0, 1, tx, ty, 0)
+		nab := (Nabavi{}).CtrlDelay2(nand2, 0, 1, tx, ty, 0)
+		if e := math.Abs(prop-sim) / sim; e > 0.03 {
+			t.Errorf("Ty %.2f ns: proposed %.4f ns vs simulator %.4f ns, error %.1f%% > 3%%", ty*1e9, prop*1e9, sim*1e9, 100*e)
+		}
+		switch ty {
+		case 0.15e-9, 1.2e-9:
+			if e := math.Abs(nab-sim) / sim; e < 0.10 {
+				t.Errorf("Ty %.2f ns: Nabavi-style %.4f ns is within %.1f%% of the simulator's %.4f ns, want >= 10%%", ty*1e9, nab*1e9, 100*e, sim*1e9)
+			}
+		case tx:
+			if math.Abs(nab-prop) > 1e-6*prop {
+				t.Errorf("Ty = Tx: Nabavi-style %.6f ns, proposed %.6f ns; want equal", nab*1e9, prop*1e9)
+			}
+		}
+	}
+}
+
+// TestFigure12VarySkew asserts Figure 12 (NAND2, Tx = Ty = 0.5 ns, sweeping
+// the skew): the proposed model stays within 6% of the transistor-level
+// simulation at every skew; the Jun-style merged arrival grows with |skew|
+// to at least 3x the simulator at +1.2 ns; the Nabavi-style baseline is
+// flat, at its zero-skew value, wherever the transitions overlap.
+func TestFigure12VarySkew(t *testing.T) {
+	nand2 := prechar.MustLibrary().MustCell("NAND2")
+	const tx, ty = 0.5e-9, 0.5e-9
+	nab0 := (Nabavi{}).CtrlDelay2(nand2, 0, 1, tx, ty, 0)
+	for _, skew := range []float64{-0.8e-9, -0.2e-9, 0, 0.4e-9, 1.2e-9} {
+		sim := spiceNAND2Delay(t, tx, ty, skew)
+		prop := (Proposed{}).CtrlDelay2(nand2, 0, 1, tx, ty, skew)
+		if e := math.Abs(prop-sim) / sim; e > 0.06 {
+			t.Errorf("skew %.2f ns: proposed %.4f ns vs simulator %.4f ns, error %.1f%% > 6%%", skew*1e9, prop*1e9, sim*1e9, 100*e)
+		}
+		switch skew {
+		case 1.2e-9:
+			if jun := (Jun{}).CtrlDelay2(nand2, 0, 1, tx, ty, skew); jun < 3*sim {
+				t.Errorf("skew +1.2 ns: Jun-style %.4f ns is below 3x the simulator's %.4f ns", jun*1e9, sim*1e9)
+			}
+		case -0.2e-9, 0.4e-9:
+			if nab := (Nabavi{}).CtrlDelay2(nand2, 0, 1, tx, ty, skew); nab != nab0 {
+				t.Errorf("skew %.2f ns: Nabavi-style %.6f ns, want its zero-skew %.6f ns", skew*1e9, nab*1e9, nab0*1e9)
+			}
+		}
+	}
+}

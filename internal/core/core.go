@@ -45,6 +45,19 @@
 // layers (twindow, tgraph, sta, logicsim) call these and read no surface
 // themselves; make vet enforces it.
 //
+// # Cube roots once per input
+//
+// The zero-skew surfaces D0 and T0 read the cube roots of both transition
+// times, and nothing else in the model does. Root takes a transition
+// time's root once; Cross.EvalRoots and the pair evaluators' Rooted forms
+// (DelayCtrl2Rooted and its three siblings) read roots the caller holds,
+// so a gate evaluation roots each input's bounds once for every pair and
+// corner that reads them. DelayCtrl2, TransCtrl2, DelayNonCtrl2,
+// TransNonCtrl2 and Cross.Eval root per call and give the same bits: the
+// root of one float64 is one float64, and the arithmetic after it is
+// unchanged. Without pair surfaces (NAND4) a pair evaluation is the
+// pin-to-pin step, which reads no root, so none is taken.
+//
 // All public methods take and return SI seconds; coefficients are stored in
 // nanosecond units for numerical conditioning of the fits.
 package core
@@ -130,11 +143,36 @@ type Cross struct {
 
 // Eval evaluates the surface at (txSec, tySec) and returns seconds.
 func (c Cross) Eval(txSec, tySec float64) float64 {
-	x := math.Cbrt(txSec / ns)
-	y := math.Cbrt(tySec / ns)
+	return c.EvalRoots(Root(txSec).Root, Root(tySec).Root)
+}
+
+// EvalRoots evaluates the surface at x = Tx^⅓ and y = Ty^⅓ (Tx, Ty in
+// nanoseconds), the roots Root takes, and returns seconds.
+func (c Cross) EvalRoots(x, y float64) float64 {
 	v := c.Kxy*x*y + c.Kx*x + c.Ky*y + c.K1
 	v += c.Kxx*x*x + c.Kyy*y*y + c.Kxxy*x*x*y + c.Kxyy*x*y*y
 	return v * ns
+}
+
+// Rooted is an input transition time, Sec in seconds, beside its cube root
+// in nanoseconds, Root = (Sec/1 ns)^⅓: the argument the zero-skew surfaces
+// D0 and T0 read. A caller that evaluates one transition time at several
+// pairs or corners takes the root once, through Root, and passes it on.
+type Rooted struct {
+	Sec, Root float64
+}
+
+// Root returns transition time tSec with its cube root taken.
+func Root(tSec float64) Rooted { return Rooted{Sec: tSec, Root: math.Cbrt(tSec / ns)} }
+
+// rooted returns tSec with its cube root taken when pairs holds surfaces
+// that read it. Without them (NAND4) every pair evaluation is the
+// pin-to-pin step, which reads no root.
+func rooted(pairs []PairEntry, tSec float64) Rooted {
+	if len(pairs) == 0 {
+		return Rooted{Sec: tSec}
+	}
+	return Root(tSec)
 }
 
 // Quad2 is the paper's SR formula family: a full two-variable quadratic
@@ -339,8 +377,10 @@ func (s skewShape) at(skewSec float64) float64 {
 }
 
 // pairAt evaluates quantity q of ordered pair (x, y) at input transition
-// times txSec and tySec, skew skewSec and extraLoad farads beyond the
-// reference load: it builds the pair's skew shape and reads it at the skew.
+// times tx and ty, skew skewSec and extraLoad farads beyond the reference
+// load: it builds the pair's skew shape and reads it at the skew. The
+// zero-skew surface reads the roots tx.Root and ty.Root, and nothing else
+// does, so a step (no pair surfaces) needs none.
 // The arms are the pair's SX thresholds, at least minSkewWidth from zero;
 // beyond them the earlier input alone sets a to-controlling response and
 // the later one a to-non-controlling response, so each arm settles to that
@@ -349,7 +389,7 @@ func (s skewShape) at(skewSec float64) float64 {
 // built and read in one frame: returned to the caller, it was copied
 // through memory and the evaluators ran about 20% slower (go test -bench,
 // 2-vCPU x86-64 host).
-func (m *CellModel) pairAt(q quantity, x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
+func (m *CellModel) pairAt(q quantity, x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
 	nc, trans := q >= ncDelay, q == ctrlTrans || q == ncTrans
 	pins, pairs := m.CtrlPins, m.Pairs
 	if nc {
@@ -358,9 +398,9 @@ func (m *CellModel) pairAt(q quantity, x, y int, txSec, tySec, skewSec, extraLoa
 	px, py := &pins[x], &pins[y]
 	var vx, vy, slope float64
 	if trans {
-		vx, vy, slope = px.TransAt(txSec, extraLoad), py.TransAt(tySec, extraLoad), px.TransLoadSlope
+		vx, vy, slope = px.TransAt(tx.Sec, extraLoad), py.TransAt(ty.Sec, extraLoad), px.TransLoadSlope
 	} else {
-		vx, vy, slope = px.DelayAt(txSec, extraLoad), py.DelayAt(tySec, extraLoad), px.DelayLoadSlope
+		vx, vy, slope = px.DelayAt(tx.Sec, extraLoad), py.DelayAt(ty.Sec, extraLoad), px.DelayLoadSlope
 	}
 	atLo, atHi := vy, vx
 	if nc {
@@ -371,11 +411,11 @@ func (m *CellModel) pairAt(q quantity, x, y int, txSec, tySec, skewSec, extraLoa
 		return skewShape{atLo: atLo, atHi: atHi, step: true}.at(skewSec)
 	}
 
-	hi := pXY.SX.Eval(txSec, tySec)
+	hi := pXY.SX.Eval(tx.Sec, ty.Sec)
 	if hi < minSkewWidth {
 		hi = minSkewWidth
 	}
-	lo := -pYX.SX.Eval(tySec, txSec)
+	lo := -pYX.SX.Eval(ty.Sec, tx.Sec)
 	if lo > -minSkewWidth {
 		lo = -minSkewWidth
 	}
@@ -383,7 +423,7 @@ func (m *CellModel) pairAt(q quantity, x, y int, txSec, tySec, skewSec, extraLoa
 	if trans {
 		surf = &pXY.T0
 	}
-	v0 := surf.Eval(txSec, tySec) + slope*extraLoad
+	v0 := surf.EvalRoots(tx.Root, ty.Root) + slope*extraLoad
 	if nc {
 		if v0 < vx {
 			v0 = vx
@@ -403,7 +443,7 @@ func (m *CellModel) pairAt(q quantity, x, y int, txSec, tySec, skewSec, extraLoa
 	if q == ctrlTrans {
 		// The transition-time minimum sits at SKmin, kept strictly inside
 		// the arms, and stays positive.
-		apex = pXY.SKmin.Eval(txSec, tySec)
+		apex = pXY.SKmin.Eval(tx.Sec, ty.Sec)
 		if apex > hi-minSkewWidth {
 			apex = hi - minSkewWidth
 		}
@@ -426,7 +466,14 @@ func (m *CellModel) pairAt(q quantity, x, y int, txSec, tySec, skewSec, extraLoa
 // If the pair was not characterised the result degrades to the pin-to-pin
 // delay of the earlier input (the pin-to-pin model's answer).
 func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ctrlDelay, x, y, txSec, tySec, skewSec, extraLoad)
+	return m.pairAt(ctrlDelay, x, y, rooted(m.Pairs, txSec), rooted(m.Pairs, tySec), skewSec, extraLoad)
+}
+
+// DelayCtrl2Rooted is DelayCtrl2 at transition times whose roots the
+// caller took (Root), bit for bit. A cell without pair surfaces reads no
+// root, so tx and ty may then carry Sec alone.
+func (m *CellModel) DelayCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
+	return m.pairAt(ctrlDelay, x, y, tx, ty, skewSec, extraLoad)
 }
 
 // TransCtrl2 evaluates the output transition time of the to-controlling
@@ -434,7 +481,13 @@ func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float6
 // DelayCtrl2. The V-shape minimum T0 sits at skew SKmin, which may be
 // non-zero.
 func (m *CellModel) TransCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ctrlTrans, x, y, txSec, tySec, skewSec, extraLoad)
+	return m.pairAt(ctrlTrans, x, y, rooted(m.Pairs, txSec), rooted(m.Pairs, tySec), skewSec, extraLoad)
+}
+
+// TransCtrl2Rooted is TransCtrl2 at rooted transition times, under
+// DelayCtrl2Rooted's conventions.
+func (m *CellModel) TransCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
+	return m.pairAt(ctrlTrans, x, y, tx, ty, skewSec, extraLoad)
 }
 
 // SKminAt returns the transition-time-minimising skew for pair (x, y) as
@@ -479,7 +532,15 @@ func (m *CellModel) CtrlResponse(events []InputEvent, extraLoad float64) (Respon
 		return pinToPin(m.CtrlPins, events, extraLoad, false), nil
 	}
 
-	evs := append([]InputEvent(nil), events...)
+	// Each event's transition time is rooted once for all its pairs.
+	type rootedEvent struct {
+		InputEvent
+		t Rooted
+	}
+	evs := make([]rootedEvent, len(events))
+	for i, e := range events {
+		evs[i] = rootedEvent{e, rooted(m.Pairs, e.Trans)}
+	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Arrival < evs[j].Arrival })
 
 	// Pairwise minimum over all ordered pairs: each pair's candidate
@@ -491,15 +552,15 @@ func (m *CellModel) CtrlResponse(events []InputEvent, extraLoad float64) (Respon
 	var bestBase float64
 	for i := 0; i < len(evs); i++ {
 		for j := i + 1; j < len(evs); j++ {
-			x, y := evs[i], evs[j]
+			x, y := &evs[i], &evs[j]
 			skew := y.Arrival - x.Arrival
-			d := m.DelayCtrl2(x.Pin, y.Pin, x.Trans, y.Trans, skew, extraLoad)
+			d := m.pairAt(ctrlDelay, x.Pin, y.Pin, x.t, y.t, skew, extraLoad)
 			base := math.Min(x.Arrival, y.Arrival)
 			if cand := base + d; cand < bestArr {
 				bestArr = cand
 				bestDelay = d
 				bestBase = base
-				bestTrans = m.TransCtrl2(x.Pin, y.Pin, x.Trans, y.Trans, skew, extraLoad)
+				bestTrans = m.pairAt(ctrlTrans, x.Pin, y.Pin, x.t, y.t, skew, extraLoad)
 			}
 		}
 	}

@@ -38,14 +38,26 @@ func (m *CellModel) NCPair(x, y int) *PairTiming { return lookup(m.NCPairs, x, y
 // with skewSec = Ay − Ax. Falls back to the pin-to-pin delay of the later
 // input when the pair was not characterised.
 func (m *CellModel) DelayNonCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ncDelay, x, y, txSec, tySec, skewSec, extraLoad)
+	return m.pairAt(ncDelay, x, y, rooted(m.NCPairs, txSec), rooted(m.NCPairs, tySec), skewSec, extraLoad)
+}
+
+// DelayNonCtrl2Rooted is DelayNonCtrl2 at rooted transition times, under
+// DelayCtrl2Rooted's conventions (here the NC pair surfaces read the roots).
+func (m *CellModel) DelayNonCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
+	return m.pairAt(ncDelay, x, y, tx, ty, skewSec, extraLoad)
 }
 
 // TransNonCtrl2 evaluates the output transition time of the
 // to-non-controlling response under the same conventions (Λ-shaped, peak T0
 // at zero skew).
 func (m *CellModel) TransNonCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ncTrans, x, y, txSec, tySec, skewSec, extraLoad)
+	return m.pairAt(ncTrans, x, y, rooted(m.NCPairs, txSec), rooted(m.NCPairs, tySec), skewSec, extraLoad)
+}
+
+// TransNonCtrl2Rooted is TransNonCtrl2 at rooted transition times, under
+// DelayNonCtrl2Rooted's conventions.
+func (m *CellModel) TransNonCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
+	return m.pairAt(ncTrans, x, y, tx, ty, skewSec, extraLoad)
 }
 
 // NonCtrlResponseExt computes the output response for simultaneous
@@ -71,8 +83,9 @@ func (m *CellModel) NonCtrlResponseExt(events []InputEvent, extraLoad float64) (
 	y := evs[len(evs)-1] // latest
 	skew := y.Arrival - x.Arrival
 	latest := math.Max(x.Arrival, y.Arrival)
-	d := m.DelayNonCtrl2(x.Pin, y.Pin, x.Trans, y.Trans, skew, extraLoad)
-	tr := m.TransNonCtrl2(x.Pin, y.Pin, x.Trans, y.Trans, skew, extraLoad)
+	tx, ty := Root(x.Trans), Root(y.Trans)
+	d := m.pairAt(ncDelay, x.Pin, y.Pin, tx, ty, skew, extraLoad)
+	tr := m.pairAt(ncTrans, x.Pin, y.Pin, tx, ty, skew, extraLoad)
 
 	// The pin-to-pin answer is a lower bound; the Λ model can only add
 	// the simultaneous-switching penalty on top of it.

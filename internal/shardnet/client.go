@@ -155,7 +155,7 @@ func (c *Client) call(ctx context.Context, method, path string, body []byte, out
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("%w: %d attempts exhausted: %v", ErrRetryable, c.opts.MaxAttempts, lastErr)
+	return fmt.Errorf("%w: %d attempts exhausted: %w", ErrRetryable, c.opts.MaxAttempts, lastErr)
 }
 
 // replyError carries a non-2xx reply through the retry loop.

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,7 +192,8 @@ func TestServerClaimProtocol(t *testing.T) {
 	damaged.Artifact = append([]byte(nil), art...)
 	damaged.Artifact[len(art)/2] ^= 0x5a
 	_, err = c.Complete(ctx, &damaged)
-	if !errors.Is(err, ErrRetryable) || !strings.Contains(err.Error(), "HTTP 409 (digest-mismatch)") {
+	var re *replyError
+	if !errors.Is(err, ErrRetryable) || !errors.As(err, &re) || re.status != http.StatusConflict || re.kind != "digest-mismatch" {
 		t.Fatalf("damaged claim: %v", err)
 	}
 	if rep := srv.Report(); rep.CorruptArtifacts != 0 || rep.Completed != 0 || rep.DuplicatesDiscarded != 0 {

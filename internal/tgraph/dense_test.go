@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -186,4 +187,44 @@ func TestSetCubeTighteningAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireLinesEqual(t, "after the tightening sequence", g, ref)
+}
+
+// TestRequiredAllocs gates the backward pass on c7552: the required
+// windows and the violation check allocate a constant plus at most one
+// per violation (the violations slice), nothing per gate or arc.
+func TestRequiredAllocs(t *testing.T) {
+	c, err := benchgen.Load("c7552")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(c, Options{Lib: prechar.MustLibrary(), Mode: twindow.ModeProposed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := g.Snapshot()
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, po := range c.POs {
+		id, _ := c.NetID(po)
+		li := &snap.Lines[id]
+		for _, w := range []struct {
+			ok bool
+			w  twindow.Window
+		}{{li.HasRise(), li.Rise}, {li.HasFall(), li.Fall}} {
+			if w.ok {
+				lo, hi = min(lo, w.w.AS), max(hi, w.w.AL)
+			}
+		}
+	}
+	cons := twindow.Constraint{MinTime: 1.05 * lo, MaxTime: 0.95 * hi}
+	viols := 0
+	n := testing.AllocsPerRun(5, func() {
+		viols = len(snap.Violations(snap.Required(cons)))
+	})
+	t.Logf("Required + Violations on %s: %v allocations, %d violations", c.Name, n, viols)
+	if viols == 0 {
+		t.Fatal("the constraint is violated nowhere; the gate would not price the violations slice")
+	}
+	if bound := 8 + viols; n > float64(bound) {
+		t.Errorf("Required + Violations made %v allocations, want <= %d (8 + one per violation)", n, bound)
+	}
 }

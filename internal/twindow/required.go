@@ -205,22 +205,28 @@ func (s *Snapshot) Required(cons Constraint) []LineRequired {
 	}
 
 	order := c.TopoOrder()
+	var pins [maxPins]*LineInfo
+	var buf [maxPins]ctrlInput
 	for i := len(order) - 1; i >= 0; i-- {
 		gi := order[i]
 		gb := &s.Gates[gi]
 		z, zReq := &s.Lines[nPI+gi], &req[nPI+gi]
 		inIDs := c.GateInputIDs(gi)
-		for x, id := range inIDs {
-			in, xReq := &s.Lines[id], &req[id]
-			for _, a := range Arcs(gb.Kind) {
-				outState, _ := z.dir(a.OutRise)
-				inState, inWin := in.dir(a.InRise)
-				if outState == nineval.SNo || inState == nineval.SNo {
-					continue
-				}
-				dMin, dMax := s.arcBounds(gb, x, a, inWin, inIDs)
-				out := zReq.dir(a.OutRise)
-				xReq.dir(a.InRise).tighten(out.QS-dMin, out.QL-dMax)
+		ins := pins[:0]
+		for _, id := range inIDs {
+			ins = append(ins, &s.Lines[id])
+		}
+		// A gate kind's arcs differ in input direction, so each input
+		// direction is still tightened in input order.
+		for _, a := range Arcs(gb.Kind) {
+			if outState, _ := z.dir(a.OutRise); outState == nineval.SNo {
+				continue
+			}
+			out := zReq.dir(a.OutRise)
+			allowed := s.arcBounds(&buf, gb, a, ins)
+			for k := range allowed {
+				in := &allowed[k]
+				req[inIDs[in.pin]].dir(a.InRise).tighten(out.QS-in.dMin, out.QL-in.dMax)
 			}
 		}
 	}
@@ -246,33 +252,32 @@ func (s *Snapshot) RequiredMap(req []LineRequired) map[string]*LineRequired {
 	return out
 }
 
-// arcBounds returns [dMin, dMax] of the delay from input pin x to the gate
-// output along arc a. Under ModeProposed the minimum of a to-controlling arc
-// additionally considers zero-skew simultaneous switching with each other
-// input that can transition in the same direction (the fastest achievable
-// corner).
-func (s *Snapshot) arcBounds(gb *Gate, x int, a Arc, inWin Window, inIDs []int32) (dMin, dMax float64) {
-	p := gb.Pin(a, x)
-	loadD := p.DelayLoadSlope * gb.ExtraLoad
-	dMin, dMax, _, _ = p.Range(inWin.TS, inWin.TL)
-	dMin += loadD
-	dMax += loadD
-
-	if a.Ctrl && s.Mode == ModeProposed && gb.Cell.N >= 2 {
-		for y, id := range inIDs {
-			if y == x {
+// arcBounds returns the inputs of gate gb that can transition along arc a,
+// each with [dMin, dMax] of its delay to the gate output, in buf's storage.
+// Under ModeProposed the minimum of a to-controlling arc additionally
+// considers zero-skew simultaneous switching with each other such input
+// (the fastest achievable corner); each input's shortest transition time
+// is rooted once for all its partners.
+func (s *Snapshot) arcBounds(buf *[maxPins]ctrlInput, gb *Gate, a Arc, ins []*LineInfo) []ctrlInput {
+	allowed := collect(buf, ins, a.InRise, arcPins(gb.Cell, a), gb.ExtraLoad)
+	if !a.Ctrl || s.Mode != ModeProposed || len(allowed) < 2 {
+		return allowed
+	}
+	if len(gb.Cell.Pairs) > 0 {
+		rootTrans(allowed, false)
+	}
+	for i := range allowed {
+		ax := &allowed[i]
+		for j := range allowed {
+			if i == j {
 				continue
 			}
-			yState, yWin := s.Lines[id].dir(a.InRise)
-			if yState == nineval.SNo {
-				continue
-			}
-			if d := gb.Cell.DelayCtrl2(x, y, inWin.TS, yWin.TS, 0, gb.ExtraLoad); d < dMin {
-				dMin = d
+			if d := gb.Cell.DelayCtrl2Rooted(ax.pin, allowed[j].pin, ax.ts, allowed[j].ts, 0, gb.ExtraLoad); d < ax.dMin {
+				ax.dMin = d
 			}
 		}
 	}
-	return dMin, dMax
+	return allowed
 }
 
 // Violations compares the settled arrival windows against required

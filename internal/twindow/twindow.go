@@ -166,12 +166,16 @@ func propagateSingle(cell *core.CellModel, in *LineInfo, a Arc, extraLoad float6
 
 // ctrlInput captures one input that can make a transition in the direction
 // under consideration, with its single-input (pin-to-pin) delay and output
-// transition bounds over its transition-time range, load included.
+// transition bounds over its transition-time range, load included. ts and
+// tl are w.TS and w.TL as the pair evaluators take them; collect leaves
+// their cube roots out, and rootTrans takes them once per gate evaluation
+// where a pair surface reads them.
 type ctrlInput struct {
 	pin                    int
 	w                      Window
 	definite               bool
 	dMin, dMax, tMin, tMax float64
+	ts, tl                 core.Rooted
 }
 
 // maxPins is the widest cell whose candidate inputs collect gathers in a
@@ -196,15 +200,30 @@ func collect(buf *[maxPins]ctrlInput, ins []*LineInfo, rising bool, pins []core.
 		out = append(out, ctrlInput{
 			pin: i, w: w, definite: s == nineval.SYes,
 			dMin: dMin + loadD, dMax: dMax + loadD, tMin: tMin + loadT, tMax: tMax + loadT,
+			ts: core.Rooted{Sec: w.TS}, tl: core.Rooted{Sec: w.TL},
 		})
 	}
 	return out
 }
 
+// rootTrans takes the cube roots of the candidates' shortest transition
+// times, and of their longest too when tl is set. Only pair surfaces read
+// them, so callers root only for a cell that has those surfaces; without
+// them (NAND4) every pair evaluation is the pin-to-pin step.
+func rootTrans(allowed []ctrlInput, tl bool) {
+	for i := range allowed {
+		a := &allowed[i]
+		a.ts = core.Root(a.w.TS)
+		if tl {
+			a.tl = core.Root(a.w.TL)
+		}
+	}
+}
+
 // anyDefinite reports whether some candidate input definitely transitions.
 func anyDefinite(allowed []ctrlInput) bool {
-	for _, a := range allowed {
-		if a.definite {
+	for i := range allowed {
+		if allowed[i].definite {
 			return true
 		}
 	}
@@ -233,14 +252,16 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 	// switcher is the bound.
 	if anyDefinite(allowed) {
 		out.AL = math.Inf(1)
-		for _, a := range allowed {
+		for i := range allowed {
+			a := &allowed[i]
 			if v := a.w.AL + a.dMax; a.definite && v < out.AL {
 				out.AL = v
 			}
 		}
 	} else {
 		out.AL = math.Inf(-1)
-		for _, a := range allowed {
+		for i := range allowed {
+			a := &allowed[i]
 			if v := a.w.AL + a.dMax; v > out.AL {
 				out.AL = v
 			}
@@ -249,7 +270,8 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 
 	// Earliest arrival and transition bounds over the allowed set
 	// (single-input candidates; what remains in pin-to-pin mode).
-	for _, a := range allowed {
+	for i := range allowed {
+		a := &allowed[i]
 		if v := a.w.AS + a.dMin; v < out.AS {
 			out.AS = v
 		}
@@ -273,16 +295,21 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 				multi = f
 			}
 		}
-		for _, ax := range allowed {
-			for _, ay := range allowed {
-				if ax.pin == ay.pin {
+		if len(cell.Pairs) > 0 {
+			rootTrans(allowed, true)
+		}
+		for i := range allowed {
+			ax := &allowed[i]
+			for j := range allowed {
+				if i == j {
 					continue
 				}
+				ay := &allowed[j]
 				skew := ay.w.AS - ax.w.AS
 				base := math.Min(ax.w.AS, ay.w.AS)
-				for _, tx := range []float64{ax.w.TS, ax.w.TL} {
-					for _, ty := range []float64{ay.w.TS, ay.w.TL} {
-						d := cell.DelayCtrl2(ax.pin, ay.pin, tx, ty, skew, extraLoad)
+				for _, tx := range [2]core.Rooted{ax.ts, ax.tl} {
+					for _, ty := range [2]core.Rooted{ay.ts, ay.tl} {
+						d := cell.DelayCtrl2Rooted(ax.pin, ay.pin, tx, ty, skew, extraLoad)
 						if v := base + d*multi; v < out.AS {
 							out.AS = v
 						}
@@ -299,7 +326,7 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 				if skm > hi {
 					skm = hi
 				}
-				if tv := cell.TransCtrl2(ax.pin, ay.pin, ax.w.TS, ay.w.TS, skm, extraLoad); tv < out.TS {
+				if tv := cell.TransCtrl2Rooted(ax.pin, ay.pin, ax.ts, ay.ts, skm, extraLoad); tv < out.TS {
 					out.TS = tv
 				}
 			}
@@ -332,21 +359,24 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 	// fastest single suffices.
 	if anyDefinite(allowed) {
 		out.AS = math.Inf(-1)
-		for _, a := range allowed {
+		for i := range allowed {
+			a := &allowed[i]
 			if v := a.w.AS + a.dMin; a.definite && v > out.AS {
 				out.AS = v
 			}
 		}
 	} else {
 		out.AS = math.Inf(1)
-		for _, a := range allowed {
+		for i := range allowed {
+			a := &allowed[i]
 			if v := a.w.AS + a.dMin; v < out.AS {
 				out.AS = v
 			}
 		}
 	}
 
-	for _, a := range allowed {
+	for i := range allowed {
+		a := &allowed[i]
 		if v := a.w.AL + a.dMax; v > out.AL {
 			out.AL = v
 		}
@@ -362,11 +392,14 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 		// Worst-case simultaneous to-non-controlling corner: both
 		// transitions at their latest arrivals, skew as close to the Λ
 		// peak (zero) as the windows allow, slowest transition times.
-		for _, ax := range allowed {
-			for _, ay := range allowed {
-				if ax.pin == ay.pin {
+		rootTrans(allowed, true)
+		for i := range allowed {
+			ax := &allowed[i]
+			for j := range allowed {
+				if i == j {
 					continue
 				}
+				ay := &allowed[j]
 				lo := ay.w.AS - ax.w.AL
 				hi := ay.w.AL - ax.w.AS
 				skew := 0.0
@@ -377,13 +410,13 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 					skew = hi
 				}
 				base := math.Max(ax.w.AL, ay.w.AL)
-				for _, tx := range []float64{ax.w.TS, ax.w.TL} {
-					for _, ty := range []float64{ay.w.TS, ay.w.TL} {
-						d := cell.DelayNonCtrl2(ax.pin, ay.pin, tx, ty, skew, extraLoad)
+				for _, tx := range [2]core.Rooted{ax.ts, ax.tl} {
+					for _, ty := range [2]core.Rooted{ay.ts, ay.tl} {
+						d := cell.DelayNonCtrl2Rooted(ax.pin, ay.pin, tx, ty, skew, extraLoad)
 						if v := base + d; v > out.AL {
 							out.AL = v
 						}
-						if tv := cell.TransNonCtrl2(ax.pin, ay.pin, tx, ty, skew, extraLoad); tv > out.TL {
+						if tv := cell.TransNonCtrl2Rooted(ax.pin, ay.pin, tx, ty, skew, extraLoad); tv > out.TL {
 							out.TL = tv
 						}
 					}

@@ -441,3 +441,38 @@ func TestSnapshotViolations(t *testing.T) {
 		t.Errorf("LineMap does not view the snapshot's lines")
 	}
 }
+
+// TestPropagateGateAllocs: evaluating one gate allocates nothing, for every
+// cell the timing layers evaluate, under both modes, with and without the
+// NC extension. The inputs' windows differ, so every corner rule runs.
+func TestPropagateGateAllocs(t *testing.T) {
+	lib := prechar.MustLibrary()
+	for _, c := range []struct {
+		name string
+		kind netlist.GateKind
+	}{
+		{"INV", netlist.Inv}, {"NAND2", netlist.Nand}, {"NAND3", netlist.Nand},
+		{"NAND4", netlist.Nand}, {"NOR2", netlist.Nor}, {"NOR3", netlist.Nor},
+	} {
+		cell := lib.MustCell(c.name)
+		ins := make([]*LineInfo, cell.N)
+		for i := range ins {
+			w := Window{AS: float64(i) * 30 * ps, AL: float64(i)*30*ps + 120*ps, TS: 150 * ps, TL: float64(i)*200*ps + 300*ps}
+			ins[i] = line(nineval.VXX, w, w)
+		}
+		for _, mode := range []Mode{ModeProposed, ModePinToPin} {
+			for _, ncExt := range []bool{false, true} {
+				var err error
+				n := testing.AllocsPerRun(100, func() {
+					_, err = PropagateGate(cell, c.kind, ins, nineval.VXX, cell.RefLoad/2, mode, ncExt)
+				})
+				if err != nil {
+					t.Fatalf("%s %v ncExt=%t: %v", c.name, mode, ncExt, err)
+				}
+				if n != 0 {
+					t.Errorf("%s %v ncExt=%t: %v allocations per PropagateGate, want 0", c.name, mode, ncExt, n)
+				}
+			}
+		}
+	}
+}
