@@ -30,6 +30,12 @@ race:
 # MinOver/MaxOver, read a pair surface or take a cube root (core.Root does).
 MODEL_LAYERS := internal/twindow internal/tgraph internal/sta internal/logicsim internal/sdf
 MODEL_RULES := MinOver|MaxOver|Cbrt|\.Pair\(|\.NCPair\(|\.SX\.|\.D0\.|\.T0\.|\.SKmin\.
+# The timing core stands alone: the non-test dependencies of twindow, tgraph
+# and sta inside this module are the delay model, the netlist, nine-valued
+# implication, the engine's counters and cancellation error, the snapshot
+# reader and each other — never the transistor simulator.
+CORE_LAYERS := ./internal/twindow ./internal/tgraph ./internal/sta
+CORE_DEPS := core|engine|jsonread|netlist|nineval|twindow|tgraph|sta
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +50,9 @@ vet:
 		xargs grep -lE '$(MODEL_RULES)'); \
 	if [ -n "$$files" ]; then \
 		echo "these files evaluate delay-model rules outside internal/core; call core instead:"; echo "$$files"; exit 1; fi
+	@deps=$$($(GO) list -deps $(CORE_LAYERS) | grep '^sstiming/' | grep -vxE 'sstiming/internal/($(CORE_DEPS))'); \
+	if [ -n "$$deps" ]; then \
+		echo "the timing core (twindow, tgraph, sta) depends on these packages outside its allowed set:"; echo "$$deps"; exit 1; fi
 
 # Tier-1 verification loop (see ROADMAP.md). Runs every stage through a
 # timing wrapper and prints a per-stage wall-clock summary at the end, so
@@ -154,17 +163,16 @@ cover:
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
-# Engine scaling vs worker count (characterisation wall-clock; the
-# level-parallel c7552 timing-graph build, time and allocations), the c7552
-# backward pass (RequiredTimes plus CheckViolations, time and allocations),
-# then two
-# serial, self-checking comparisons: SwapGate prices one gate swap on a
-# persistent c7552 graph by re-converged cone size, AblationITRIncremental
-# runs the paper's §7 ITR-pruned ATPG on the incremental graph against
-# from-scratch refinement. Both fail if their results diverge.
+# Engine scaling vs worker count (characterisation wall-clock), the serial
+# c7552 timing-graph build and backward pass (RequiredTimes plus
+# CheckViolations), time and allocations, then two serial, self-checking
+# comparisons: SwapGate prices one gate swap on a persistent c7552 graph by
+# re-converged cone size, AblationITRIncremental runs the paper's §7
+# ITR-pruned ATPG on the incremental graph against from-scratch refinement.
+# Both fail if their results diverge.
 bench-parallel:
 	$(GO) test -run '^$$' -bench=CharacterizeParallel -benchtime=3x .
-	$(GO) test -run '^$$' -bench='BuildParallel|Required|SwapGate|AblationITRIncremental' -benchmem .
+	$(GO) test -run '^$$' -bench='Build$$|Required|SwapGate|AblationITRIncremental' -benchmem .
 
 clean:
 	$(GO) clean ./...

@@ -2,16 +2,15 @@
 //
 // Parallel scaling: characterisation is the heaviest fan-out in the
 // pipeline (hundreds of independent SPICE transients), so it is the
-// canonical measure of the engine's speed-up; the level-parallel
-// timing-graph build is the finest one (one engine.Run per logic level over
-// microsecond gate evaluations). BenchmarkRequired prices the backward
-// pass on the same circuit. Incremental edits: BenchmarkSwapGate
-// prices one gate swap on a persistent graph against the size of the cone
-// it re-converges.
+// canonical measure of the engine's speed-up. The timing graph converges
+// serially: BenchmarkBuild prices one full c7552 build, and
+// BenchmarkRequired the backward pass on the same circuit. Incremental
+// edits: BenchmarkSwapGate prices one gate swap on a persistent graph
+// against the size of the cone it re-converges.
 //
 // Run with:
 //
-//	go test -run '^$' -bench='CharacterizeParallel|BuildParallel|Required|SwapGate' -benchtime=3x
+//	go test -run '^$' -bench='CharacterizeParallel|Build$|Required|SwapGate' -benchtime=3x
 //
 // or `make bench-parallel`.
 package sstiming_test
@@ -49,25 +48,20 @@ func BenchmarkCharacterizeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildParallel builds and fully converges the c7552 timing graph
-// at increasing worker counts. Windows are byte-identical across worker
-// counts (asserted by the tgraph tests); the allocation counts show the
-// fan-out's per-level cost, the timings its scaling.
-func BenchmarkBuildParallel(b *testing.B) {
+// BenchmarkBuild builds and fully converges the c7552 timing graph in one
+// serial pass.
+func BenchmarkBuild(b *testing.B) {
 	lib := prechar.MustLibrary()
 	c, err := benchgen.Load("c7552")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, jobs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := tgraph.New(c, tgraph.Options{Lib: lib, Mode: twindow.ModeProposed, Jobs: jobs}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tgraph.New(c, tgraph.Options{Lib: lib, Mode: twindow.ModeProposed}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -102,7 +96,7 @@ func BenchmarkRequired(b *testing.B) {
 }
 
 // BenchmarkSwapGate measures incremental edits on one persistent c7552
-// timing graph (one worker): an op swaps a gate to its same-arity dual
+// timing graph: an op swaps a gate to its same-arity dual
 // (NAND<->NOR, INV<->BUF) and back, re-converging its cone twice. Gates are
 // bucketed by the cone a trial swap re-converges (NumChanged), so cost
 // reads against cone size; cone_lines/op is the mean number of lines
@@ -114,7 +108,7 @@ func BenchmarkSwapGate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := tgraph.Options{Lib: lib, Mode: twindow.ModeProposed, Jobs: 1}
+	opts := tgraph.Options{Lib: lib, Mode: twindow.ModeProposed}
 	g, err := tgraph.New(c, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ssta [-lib lib.json] [-bench c880 | -netlist file.bench] [-jobs N] [-stats] [-windows]
+//	ssta [-lib lib.json] [-bench c880 | -netlist file.bench] [-stats] [-windows]
 package main
 
 import (
@@ -28,13 +28,10 @@ func main() {
 	strictLib := flag.Bool("strict-lib", false, "refuse degraded or unverified libraries instead of using analytic fallbacks")
 	bench := flag.String("bench", "c17", "benchmark name (c17, c432, c880, ...)")
 	netFile := flag.String("netlist", "", ".bench netlist file (overrides -bench)")
-	jobs := flag.Int("jobs", 0, "worker pool width (0 = all CPUs, 1 = serial)")
 	stats := flag.Bool("stats", false, "print execution statistics to stderr")
 	windows := flag.Bool("windows", false, "print per-line timing windows")
 	sdfOut := flag.String("sdf", "", "write the circuit's pin-to-pin delays to this SDF file")
 	flag.Parse()
-	// The analysis layers run Jobs <= 1 serially; "all CPUs" is resolved here.
-	*jobs = engine.Workers(*jobs)
 
 	var met *engine.Metrics
 	if *stats {
@@ -75,7 +72,7 @@ func main() {
 
 	results := map[sta.Mode]*sta.Result{}
 	for _, mode := range []sta.Mode{sta.ModePinToPin, sta.ModeProposed} {
-		res, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: mode, Jobs: *jobs, Metrics: met})
+		res, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: mode, Metrics: met})
 		if err != nil {
 			fail(err)
 		}

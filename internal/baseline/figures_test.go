@@ -56,6 +56,69 @@ func TestFigure2VShape(t *testing.T) {
 	}
 }
 
+// TestFigure5Trends asserts Figure 5's trends on NAND2, as EXPERIMENTS.md
+// records them: the pin-0 delay is bi-tonic in the input transition time
+// (rising to an interior peak at 2.23 ± 0.05 ns, then falling to 3 ns); the
+// output transition time rises strictly over 0.1–3 ns, from 0.153 to
+// 0.68 ns within 2%; at Tx = Ty = 0.5 ns the to-controlling delay is
+// smallest at zero skew and does not fall moving away from it on either
+// side; and the to-controlling transition time is V-shaped: it does not
+// rise towards its minimum and does not fall past it, and both ±0.6 ns arms
+// sit at least 10% above it. Sweeps step 1 ps in skew and 10 ps in T.
+func TestFigure5Trends(t *testing.T) {
+	nand2 := prechar.MustLibrary().MustCell("NAND2")
+	pin := nand2.CtrlPins[0]
+
+	peak, ok := pin.Delay.PeakT()
+	if !ok || math.Abs(peak-2.23e-9) > 0.05e-9 {
+		t.Fatalf("pin-0 delay peak = %.3f ns (bi-tonic %t), want an interior peak at 2.23 ± 0.05 ns", peak*1e9, ok)
+	}
+	within := func(name string, got, want float64) {
+		if e := math.Abs(got-want) / want; e > 0.02 {
+			t.Errorf("%s = %.4f ns, want %.3f ns within 2%% (off by %.1f%%)", name, got*1e9, want*1e9, 100*e)
+		}
+	}
+	within("output transition at T = 0.1 ns", pin.TransAt(0.1e-9, 0), 0.153e-9)
+	within("output transition at T = 3 ns", pin.TransAt(3e-9, 0), 0.68e-9)
+	for ns := 11; ns <= 300; ns++ {
+		lo, hi := float64(ns-1)*1e-11, float64(ns)*1e-11
+		if tl, th := pin.TransAt(lo, 0), pin.TransAt(hi, 0); th <= tl {
+			t.Fatalf("output transition falls from %.6f ns at T = %.2f ns to %.6f ns at %.2f ns", tl*1e9, lo*1e9, th*1e9, hi*1e9)
+		}
+		dl, dh := pin.DelayAt(lo, 0), pin.DelayAt(hi, 0)
+		if hi <= peak && dh <= dl || lo >= peak && dh >= dl {
+			t.Fatalf("delay %.6f ns at T = %.2f ns, %.6f ns at %.2f ns: not bi-tonic about the %.3f ns peak",
+				dl*1e9, lo*1e9, dh*1e9, hi*1e9, peak*1e9)
+		}
+	}
+
+	const tx, ty = 0.5e-9, 0.5e-9
+	delay := func(ps int) float64 { return nand2.DelayCtrl2(0, 1, tx, ty, float64(ps)*1e-12, 0) }
+	trans := func(ps int) float64 { return nand2.TransCtrl2(0, 1, tx, ty, float64(ps)*1e-12, 0) }
+	if d0 := delay(0); delay(-300) <= d0 || delay(300) <= d0 {
+		t.Errorf("delay at zero skew %.6f ns is not below both ±0.3 ns arms (%.6f, %.6f ns)", d0*1e9, delay(-300)*1e9, delay(300)*1e9)
+	}
+	argmin := -1000
+	for ps := -1000; ps <= 1000; ps++ {
+		if trans(ps) < trans(argmin) {
+			argmin = ps
+		}
+	}
+	for ps := 1; ps <= 1000; ps++ {
+		if delay(ps) < delay(ps-1) || delay(-ps) < delay(-ps+1) {
+			t.Fatalf("delay falls moving away from zero skew at ±%d ps", ps)
+		}
+	}
+	for ps := -999; ps <= 1000; ps++ {
+		if ps <= argmin && trans(ps) > trans(ps-1) || ps > argmin && trans(ps) < trans(ps-1) {
+			t.Fatalf("transition time at skew %d ps breaks the V about its minimum at %d ps", ps, argmin)
+		}
+	}
+	if m := trans(argmin); trans(-600) < 1.1*m || trans(600) < 1.1*m {
+		t.Errorf("transition arms %.4f / %.4f ns are not 10%% above the %.4f ns minimum", trans(-600)*1e9, trans(600)*1e9, m*1e9)
+	}
+}
+
 // TestFigure9CornerRule asserts Figure 9's worst-case corner rule on the
 // bi-tonic NAND2 pin-0 delay curve: MaxOver picks the right endpoint of a
 // range left of the peak, the left endpoint of a range right of it, and the

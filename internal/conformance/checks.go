@@ -8,6 +8,7 @@ import (
 
 	"sstiming/internal/baseline"
 	"sstiming/internal/core"
+	"sstiming/internal/engine"
 	"sstiming/internal/flatsim"
 	"sstiming/internal/logicsim"
 	"sstiming/internal/netlist"
@@ -136,7 +137,7 @@ func (e *seedEnv) flat() ([]*flatsim.Result, []error, error) {
 			fo.FaultHook = e.opts.NewFaultHook()
 		}
 		res, err := flatsim.Simulate(c, vecs[i][0], vecs[i][1], fo)
-		if errors.Is(err, spice.ErrCancelled) {
+		if errors.Is(err, engine.ErrCancelled) {
 			return nil, nil, err
 		}
 		if err != nil && spice.IsRecoverable(err) {

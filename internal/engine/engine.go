@@ -1,10 +1,10 @@
 // Package engine is the shared execution substrate of the reproduction.
 //
-// Every layer of the pipeline is embarrassingly parallel — thousands of
-// independent SPICE transients during characterisation, per-gate corner
-// evaluation inside one STA level, per-fault ATPG runs — and before this
-// package each layer grew its own ad-hoc goroutine fan-out (or none at
-// all). The engine centralises that machinery:
+// The coarse layers of the pipeline are embarrassingly parallel —
+// thousands of independent SPICE transients during characterisation,
+// per-fault ATPG runs, conformance seeds — and before this package each
+// layer grew its own ad-hoc goroutine fan-out (or none at all). The engine
+// centralises that machinery:
 //
 //   - Run: indexed fan-out over N independent jobs with deterministic
 //     result placement — job i writes slot i, so a parallel run produces
@@ -13,6 +13,10 @@
 //   - Safely: the same panic containment for a single job body, for
 //     callers that schedule their own goroutines (the service daemon's
 //     job queue);
+//   - ErrCancelled and Cancelled: the one cancellation error every layer
+//     reports when its caller's context fires (the solver, the timing
+//     graph, the daemon), answering errors.Is for both ErrCancelled and
+//     the context's own error;
 //   - Metrics: a process-wide instrumentation sink of atomic counters
 //     and wall-clock timers that every layer can feed (SPICE Newton
 //     iterations, transient steps, characterisation jobs, STA arcs, ITR
@@ -88,8 +92,7 @@ func Safely(fn func() error) (err error) {
 // capped at maxChunk, so early claims are coarse and the tail hands out
 // single indices for balance. Per call Run makes one derived context and
 // one recovery frame per worker; per job it does only the claim arithmetic
-// and a non-blocking cancellation check, which keeps a fan-out of
-// microsecond jobs (one STA level) at the CPU cost of a serial loop.
+// and a non-blocking cancellation check.
 func Run(ctx context.Context, workers, n int, job func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil

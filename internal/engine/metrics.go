@@ -86,7 +86,7 @@ const (
 	// job queue was full (429 responses).
 	SvcShed
 	// SvcTimeouts counts requests that exceeded their deadline (504
-	// responses with spice.ErrCancelled in the chain).
+	// responses with ErrCancelled in the chain).
 	SvcTimeouts
 	// SvcPanics counts handler or job panics converted into 500 responses
 	// instead of killing the daemon.

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunAllocsIndependentOfN: a parallel Run allocates per call, not per
-// job — the level-parallel STA loop calls it once per logic level with
-// thousands of microsecond jobs.
+// job, so a fan-out over thousands of cheap jobs (characterisation grid
+// rows, conformance seeds) pays its setup once.
 func TestRunAllocsIndependentOfN(t *testing.T) {
 	noop := func(context.Context, int) error { return nil }
 	allocs := func(n int) float64 {

@@ -16,6 +16,7 @@
 package faultinject
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"sstiming/internal/spice"
@@ -49,6 +50,31 @@ func PersistentAt(step int, kind spice.FaultKind) spice.FaultHook {
 // survives, exercising the hard-failure paths.
 func Always(kind spice.FaultKind) spice.FaultHook {
 	return func(int, float64, int) spice.FaultKind { return kind }
+}
+
+// LevelHook adapts a solver hook into a timing graph's per-level hook
+// (tgraph.Options.LevelHook): the hook is consulted once per convergence
+// level with step = level, and any kind other than FaultNone becomes an
+// injected solver error carrying the usual taxonomy sentinel — FaultNaN
+// maps to spice.ErrNumerical, everything else to spice.ErrNoConvergence,
+// and FaultPanic panics so the caller's containment is exercised. A nil
+// hook yields a nil level hook.
+func LevelHook(hook spice.FaultHook) func(level int) error {
+	if hook == nil {
+		return nil
+	}
+	return func(level int) error {
+		switch kind := hook(level, 0, 0); kind {
+		case spice.FaultNone:
+			return nil
+		case spice.FaultPanic:
+			panic(fmt.Sprintf("faultinject: injected panic at level %d", level))
+		case spice.FaultNaN:
+			return &spice.SolveError{Kind: spice.ErrNumerical, Step: level, Injected: true}
+		default:
+			return &spice.SolveError{Kind: spice.ErrNoConvergence, Step: level, Injected: true}
+		}
+	}
 }
 
 // Plan assigns faults pseudo-randomly across all transients of a run. Hooks

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"errors"
 	"testing"
 
 	"sstiming/internal/spice"
@@ -33,6 +34,40 @@ func TestAlways(t *testing.T) {
 	if got := hook(3, 1e-9, 2); got != spice.FaultPanic {
 		t.Errorf("hook = %v, want FaultPanic", got)
 	}
+}
+
+// TestLevelHookMapsKinds: each fault kind becomes the matching injected
+// solver error at its level, a panic kind panics, and no hook yields no
+// level hook.
+func TestLevelHookMapsKinds(t *testing.T) {
+	if LevelHook(nil) != nil {
+		t.Error("LevelHook(nil) is not nil")
+	}
+	for _, tc := range []struct {
+		kind spice.FaultKind
+		want error
+	}{{spice.FaultNone, nil}, {spice.FaultNaN, spice.ErrNumerical}, {spice.FaultNoConverge, spice.ErrNoConvergence}} {
+		err := LevelHook(PersistentAt(3, tc.kind))(3)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("kind %v: level hook returned %v, want nil", tc.kind, err)
+			}
+			continue
+		}
+		var se *spice.SolveError
+		if !errors.Is(err, tc.want) || !errors.As(err, &se) || !se.Injected || se.Step != 3 {
+			t.Errorf("kind %v: level hook returned %v, want an injected %v at step 3", tc.kind, err, tc.want)
+		}
+	}
+	if err := LevelHook(PersistentAt(3, spice.FaultNaN))(4); err != nil {
+		t.Errorf("level 4 faulted under a level-3 hook: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FaultPanic did not panic")
+		}
+	}()
+	_ = LevelHook(Always(spice.FaultPanic))(0)
 }
 
 func TestPlanDeterministicAcrossRuns(t *testing.T) {

@@ -69,12 +69,12 @@ type Result struct {
 }
 
 // Simulate flattens the circuit and runs the transistor-level transient.
-// A cancelled context returns an error wrapping spice.ErrCancelled — checked
+// A cancelled context returns an error wrapping engine.ErrCancelled — checked
 // up front here and per time point inside the solver's Newton loop.
 func Simulate(c *netlist.Circuit, v1, v2 logicsim.Vector, opts Options) (*Result, error) {
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("flatsim: %w", spice.Cancelled(err))
+			return nil, fmt.Errorf("flatsim: %w", engine.Cancelled(err))
 		}
 	}
 	tech := opts.Tech

@@ -6,13 +6,13 @@ import (
 	"testing"
 
 	"sstiming/internal/benchgen"
+	"sstiming/internal/engine"
 	"sstiming/internal/nineval"
 	"sstiming/internal/prechar"
-	"sstiming/internal/spice"
 )
 
 // TestRefineCancelled: a cancelled context must abort the refinement with a
-// spice.ErrCancelled-wrapped error and no partial result — the request-level
+// engine.ErrCancelled-wrapped error and no partial result — the request-level
 // counterpart of the solver's own cancellation path.
 func TestRefineCancelled(t *testing.T) {
 	lib := prechar.MustLibrary()
@@ -25,8 +25,8 @@ func TestRefineCancelled(t *testing.T) {
 	if res != nil {
 		t.Fatal("cancelled refinement returned a partial result")
 	}
-	if !errors.Is(err, spice.ErrCancelled) {
-		t.Fatalf("error does not wrap spice.ErrCancelled: %v", err)
+	if !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("error does not wrap engine.ErrCancelled: %v", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error does not wrap context.Canceled: %v", err)

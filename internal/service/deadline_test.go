@@ -11,7 +11,6 @@ import (
 
 	"sstiming/internal/benchgen"
 	"sstiming/internal/engine"
-	"sstiming/internal/spice"
 	"sstiming/internal/sta"
 )
 
@@ -29,14 +28,14 @@ func bigCircuitSrc(t *testing.T) (*benchgen.Profile, string) {
 
 // TestDeadlinePropagation is the PR's acceptance scenario: a request with a
 // 1 ms deadline against a large netlist must come back as a 504-style
-// timeout with spice.ErrCancelled in its error chain, must leave the daemon
+// timeout with engine.ErrCancelled in its error chain, must leave the daemon
 // serving, and the identical request without a deadline must then succeed.
 func TestDeadlinePropagation(t *testing.T) {
 	p, src := bigCircuitSrc(t)
 	s, hs := newTestServer(t, Options{})
 
 	// 1 ms deadline: a 504 whose kind comes from errors.Is(err,
-	// spice.ErrCancelled) in respondJobError.
+	// engine.ErrCancelled) in respondJobError.
 	resp, raw := postJSON(t, hs.URL+"/analyze", map[string]any{
 		"netlist": src, "timeout_ms": 1,
 	})
@@ -69,8 +68,8 @@ func TestDeadlinePropagation(t *testing.T) {
 		}
 		return err
 	})
-	if !errors.Is(err, spice.ErrCancelled) {
-		t.Errorf("errors.Is(err, spice.ErrCancelled) = false for %v", err)
+	if !errors.Is(err, engine.ErrCancelled) {
+		t.Errorf("errors.Is(err, engine.ErrCancelled) = false for %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("errors.Is(err, context.DeadlineExceeded) = false for %v", err)
@@ -107,7 +106,7 @@ func TestPreCancelledRequestNeverRuns(t *testing.T) {
 		ran.Store(true)
 		return nil
 	})
-	if !errors.Is(err, spice.ErrCancelled) || !errors.Is(err, context.Canceled) {
+	if !errors.Is(err, engine.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled submit error = %v, want ErrCancelled + context.Canceled", err)
 	}
 	waitFor(t, "bookkeeping to settle", func() bool { return s.queue.Inflight() == 0 })

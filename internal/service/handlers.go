@@ -16,7 +16,6 @@ import (
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
 	"sstiming/internal/reqcache"
-	"sstiming/internal/spice"
 	"sstiming/internal/sta"
 )
 
@@ -169,7 +168,7 @@ func writeError(w http.ResponseWriter, status int, requestID string, err error, 
 func errorKind(err error) string {
 	var pe *engine.PanicError
 	switch {
-	case errors.Is(err, spice.ErrCancelled):
+	case errors.Is(err, engine.ErrCancelled):
 		return "cancelled"
 	case errors.Is(err, ErrShedLoad):
 		return "shed"
@@ -191,7 +190,7 @@ func errorKind(err error) string {
 // respondJobError maps a job error to its HTTP status and writes it. The
 // mapping is the service's robustness contract:
 //
-//	deadline / cancel  -> 504 (spice.ErrCancelled in the chain)
+//	deadline / cancel  -> 504 (engine.ErrCancelled in the chain)
 //	queue full         -> 429 + Retry-After
 //	breaker open       -> 503 + Retry-After (degraded)
 //	draining           -> 503 (ErrDraining)
@@ -204,7 +203,7 @@ func errorKind(err error) string {
 func (s *Server) respondJobError(w http.ResponseWriter, id string, err error) {
 	var pe *engine.PanicError
 	switch {
-	case errors.Is(err, spice.ErrCancelled):
+	case errors.Is(err, engine.ErrCancelled):
 		s.met.Add(engine.SvcTimeouts, 1)
 		writeError(w, http.StatusGatewayTimeout, id, err, nil)
 	case errors.Is(err, ErrSessionDurability):
@@ -309,11 +308,11 @@ func (s *Server) cached(ctx context.Context, key reqcache.Key, fp string,
 // service taxonomy: a deadline is a 504 no matter which layer noticed it
 // first.
 func asJobError(err error) error {
-	if err == nil || errors.Is(err, spice.ErrCancelled) {
+	if err == nil || errors.Is(err, engine.ErrCancelled) {
 		return err
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return spice.Cancelled(err)
+		return engine.Cancelled(err)
 	}
 	return err
 }
@@ -615,7 +614,7 @@ func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
 		})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				return spice.Cancelled(cerr)
+				return engine.Cancelled(cerr)
 			}
 			return err
 		}

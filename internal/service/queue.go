@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sstiming/internal/engine"
-	"sstiming/internal/spice"
 )
 
 // ErrShedLoad is returned when the bounded job queue is full: the request
@@ -31,7 +30,7 @@ var ErrDraining = errors.New("engine: pool closed: draining")
 //   - run grants one of `workers` execution slots, so at most `workers`
 //     jobs run concurrently;
 //   - a request whose deadline fires while queued never starts and gets
-//     its spice.ErrCancelled answer; one whose deadline fires while running
+//     its engine.ErrCancelled answer; one whose deadline fires while running
 //     gets the answer immediately, and the job observes the same context
 //     and aborts at its next cancellation point;
 //   - job panics are contained per job (engine.Safely) and surface as
@@ -62,7 +61,7 @@ func newJobQueue(workers, depth int, met *engine.Metrics) *jobQueue {
 }
 
 // Submit runs fn under ctx and waits for it (or for ctx). The returned
-// error is fn's own error, ErrShedLoad, ErrDraining, a spice.ErrCancelled
+// error is fn's own error, ErrShedLoad, ErrDraining, an engine.ErrCancelled
 // wrap, or an *engine.PanicError wrap.
 func (q *jobQueue) Submit(ctx context.Context, fn func(ctx context.Context) error) error {
 	if q.closed.Load() {
@@ -79,13 +78,13 @@ func (q *jobQueue) Submit(ctx context.Context, fn func(ctx context.Context) erro
 	case <-ctx.Done():
 		// Deadline fired while queued: never start the work.
 		<-q.pending
-		return spice.Cancelled(ctx.Err())
+		return engine.Cancelled(ctx.Err())
 	}
 	if err := ctx.Err(); err != nil {
 		// Both were ready and select took the slot: still never start.
 		<-q.run
 		<-q.pending
-		return spice.Cancelled(err)
+		return engine.Cancelled(err)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -100,7 +99,7 @@ func (q *jobQueue) Submit(ctx context.Context, fn func(ctx context.Context) erro
 	case <-ctx.Done():
 		// The running job sees the same context and winds down on its
 		// own; its slots are released by the goroutine above.
-		return spice.Cancelled(ctx.Err())
+		return engine.Cancelled(ctx.Err())
 	}
 }
 

@@ -7,7 +7,7 @@
 //   - every request runs under a context carrying its deadline; the
 //     deadline reaches sta.Analyze, sta.Refine and ultimately the spice
 //     Newton loop, so a cancelled request answers 504 with
-//     spice.ErrCancelled in the chain and never holds a worker;
+//     engine.ErrCancelled in the chain and never holds a worker;
 //   - admission control is a bounded job queue (queue.go): at most
 //     `workers` jobs run at once, and beyond workers+depth admitted jobs
 //     the daemon sheds load with 429 + Retry-After instead of queueing

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sstiming/internal/engine"
+	"sstiming/internal/faultinject"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
 	"sstiming/internal/sessionlog"
@@ -624,7 +625,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		// on /conformance.
 		var levelHook func(level int) error
 		if nf := s.faultHook(); nf != nil {
-			levelHook = tgraph.FaultLevelHook(nf())
+			levelHook = faultinject.LevelHook(nf())
 		}
 		g, err := tgraph.NewWithCube(c, cube, tgraph.Options{
 			Lib:         ls.lib,

@@ -205,8 +205,8 @@ func TestChaosCancellationInsideNewtonLoop(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled analysis returned no error")
 	}
-	if !errors.Is(err, ErrCancelled) {
-		t.Errorf("errors.Is(err, ErrCancelled) = false for %v", err)
+	if !errors.Is(err, engine.ErrCancelled) {
+		t.Errorf("errors.Is(err, engine.ErrCancelled) = false for %v", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("errors.Is(err, context.Canceled) = false for %v", err)

@@ -14,17 +14,17 @@ import (
 //     ladder (step-halving retries, gmin stepping for the operating point)
 //     could not rescue it either;
 //   - ErrNumerical: the linear solve produced NaN/Inf (or a singular MNA
-//     matrix) — a numerical blow-up rather than a slow-to-converge point;
-//   - ErrCancelled: the caller's context was cancelled; the returned error
-//     also wraps the context's own error, so errors.Is(err, context.Canceled)
-//     keeps working.
+//     matrix) — a numerical blow-up rather than a slow-to-converge point.
+//
+// A cancelled context is not a solver failure: Transient reports it with
+// engine.Cancelled, so the error answers errors.Is(err, engine.ErrCancelled)
+// and errors.Is(err, context.Canceled).
 //
 // ErrNoConvergence and ErrNumerical failures additionally carry a *SolveError
 // with point-level diagnostics, retrievable with errors.As.
 var (
 	ErrNoConvergence = errors.New("newton iteration did not converge")
 	ErrNumerical     = errors.New("numerical error in linear solve")
-	ErrCancelled     = errors.New("analysis cancelled")
 )
 
 // IsRecoverable reports whether err is a solver failure the resilience
@@ -92,24 +92,4 @@ func (e *SolveError) Unwrap() []error {
 		return []error{e.Kind, e.Cause}
 	}
 	return []error{e.Kind}
-}
-
-// cancelError wraps a context error so that both errors.Is(err, ErrCancelled)
-// and errors.Is(err, context.Canceled) hold.
-type cancelError struct{ cause error }
-
-func (e *cancelError) Error() string   { return ErrCancelled.Error() + ": " + e.cause.Error() }
-func (e *cancelError) Unwrap() []error { return []error{ErrCancelled, e.cause} }
-
-// Cancelled wraps a non-nil context error (context.Canceled or
-// context.DeadlineExceeded) into the taxonomy, so that both
-// errors.Is(err, ErrCancelled) and errors.Is(err, cause) hold. Layers above
-// the solver (sta, itr, the service daemon) use it to report caller
-// cancellation uniformly with the solver's own ErrCancelled path. If cause
-// already carries ErrCancelled it is returned unchanged.
-func Cancelled(cause error) error {
-	if errors.Is(cause, ErrCancelled) {
-		return cause
-	}
-	return &cancelError{cause: cause}
 }

@@ -158,7 +158,7 @@ type TransientOpts struct {
 	// Ctx, when non-nil, cancels the analysis; it is observed inside the
 	// Newton loop of every time point, so even a single large flattened
 	// solve cancels promptly. Cancellation returns an error wrapping both
-	// ErrCancelled and the context's own error.
+	// engine.ErrCancelled and the context's own error.
 	Ctx context.Context
 	// MaxStepHalvings bounds the non-convergence recovery ladder: a time
 	// point that fails to converge is retried with the step repeatedly
@@ -476,7 +476,7 @@ func (c *Circuit) solvePoint(sc *solveCtx, volt, branch, voltPrev, capCur []floa
 		// cancellation within a single iteration, not a whole transient.
 		if sc.ctx != nil {
 			if cerr := sc.ctx.Err(); cerr != nil {
-				return iter, Cancelled(cerr)
+				return iter, engine.Cancelled(cerr)
 			}
 		}
 		s.reset()

@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"sstiming/internal/benchgen"
+	"sstiming/internal/engine"
 	"sstiming/internal/prechar"
-	"sstiming/internal/spice"
 )
 
-// TestAnalyzeCancelled: a cancelled context must abort the analysis — on
-// both the serial and the level-parallel path — with an error wrapping
-// spice.ErrCancelled, never a partial window map.
+// TestAnalyzeCancelled: a cancelled context must abort the analysis with an
+// error wrapping engine.ErrCancelled, never a partial window map.
 func TestAnalyzeCancelled(t *testing.T) {
 	lib := prechar.MustLibrary()
 	c, err := benchgen.Load("c880")
@@ -23,17 +22,15 @@ func TestAnalyzeCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, jobs := range []int{1, 4} {
-		res, err := Analyze(c, Options{Lib: lib, Ctx: ctx, Jobs: jobs})
-		if res != nil {
-			t.Fatalf("jobs=%d: cancelled analysis returned a partial result", jobs)
-		}
-		if !errors.Is(err, spice.ErrCancelled) {
-			t.Fatalf("jobs=%d: error does not wrap spice.ErrCancelled: %v", jobs, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("jobs=%d: error does not wrap context.Canceled: %v", jobs, err)
-		}
+	res, err := Analyze(c, Options{Lib: lib, Ctx: ctx})
+	if res != nil {
+		t.Fatal("cancelled analysis returned a partial result")
+	}
+	if !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("error does not wrap engine.ErrCancelled: %v", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error does not wrap context.Canceled: %v", err)
 	}
 
 	// The same analysis without a context succeeds.

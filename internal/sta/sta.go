@@ -67,7 +67,6 @@ import (
 	"sstiming/internal/engine"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
-	"sstiming/internal/spice"
 	"sstiming/internal/tgraph"
 	"sstiming/internal/twindow"
 )
@@ -164,7 +163,7 @@ func Refine(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Result, error
 		return nil, fmt.Errorf("itr: Options.Lib is required")
 	}
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return nil, fmt.Errorf("itr: %w", spice.Cancelled(opts.Ctx.Err()))
+		return nil, fmt.Errorf("itr: %w", engine.Cancelled(opts.Ctx.Err()))
 	}
 	opts.Metrics.Add(engine.ITRRefines, 1)
 	g, err := tgraph.NewWithCube(c, cube, opts)

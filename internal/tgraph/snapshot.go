@@ -165,8 +165,8 @@ func (g *Graph) EncodeSnapshot() ([]byte, error) {
 // accept, is refused.
 //
 // opts supplies the environment the snapshot cannot carry — the library,
-// metrics sink, context and worker budget. Mode and NCExtension in opts
-// must match the snapshot (an operator pointing a differently-configured
+// metrics sink and context. Mode and NCExtension in opts must match the
+// snapshot (an operator pointing a differently-configured
 // daemon at old state should hear about it, not silently serve windows
 // computed under another model); PI stimuli come from the snapshot and
 // override opts. All failures are typed ErrBadSnapshot; malformed input

@@ -3,8 +3,8 @@
 // stay alive across calls, plus an edit API whose cost is proportional to
 // the edited cone instead of the whole circuit.
 //
-// A Graph is built once (full window convergence, optionally level-parallel
-// on the engine pool) and then mutated through small edits:
+// A Graph is built once (one serial full window convergence) and then
+// mutated through small edits:
 //
 //   - SetCube assigns or relaxes the nine-valued state of lines; a graph
 //     built by NewOnImplication instead follows its caller's
@@ -52,7 +52,6 @@ import (
 	"sstiming/internal/engine"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
-	"sstiming/internal/spice"
 	"sstiming/internal/twindow"
 )
 
@@ -85,12 +84,11 @@ type Options struct {
 	NCExtension bool
 	// Ctx, when non-nil, cancels the initial full convergence between
 	// logic levels; a cancelled build returns an error wrapping
-	// spice.ErrCancelled and the context's own error, and no graph.
+	// engine.ErrCancelled and the context's own error, and no graph.
 	Ctx context.Context
-	// Jobs bounds the engine worker pool used for the initial full
-	// convergence (one logic level fans out at a time); zero or one runs
-	// serially. Windows are independent of the worker count. Incremental
-	// re-convergence is always serial: edited cones are small by design.
+	// Jobs once bounded a level-parallel initial convergence.
+	//
+	// Deprecated: ignored; convergence is serial.
 	Jobs int
 	// Metrics, when non-nil, counts propagated gates, arcs and edits.
 	Metrics *engine.Metrics
@@ -129,7 +127,6 @@ type Graph struct {
 	dirty      []bool  // per gate
 	dirtyAt    [][]int // per level; capacity fixed to the level's width
 	dirtyCount int
-	outs       []twindow.LineInfo // converge's output buffer (widest level)
 
 	// poisoned marks a graph whose last edit failed mid-convergence:
 	// window state may be partially propagated. Heal (run automatically
@@ -199,18 +196,16 @@ func newSkeleton(c *netlist.Circuit, opts Options) (*Graph, error) {
 	}
 	levelBuf, dirtyBuf := make([]int, nG), make([]int, nG)
 	g.levels, g.dirtyAt = make([][]int, nLevels), make([][]int, nLevels)
-	off, widest := 0, 0
+	off := 0
 	for lvl, w := range width {
 		g.levels[lvl] = levelBuf[off : off : off+w]
 		g.dirtyAt[lvl] = dirtyBuf[off : off : off+w]
 		off += w
-		widest = max(widest, w)
 	}
 	for _, gi := range c.TopoOrder() {
 		lvl := g.gateLevel[gi]
 		g.levels[lvl] = append(g.levels[lvl], gi)
 	}
-	g.outs = make([]twindow.LineInfo, widest)
 
 	for i := range c.Gates {
 		gate := &c.Gates[i]
@@ -269,7 +264,7 @@ func (g *Graph) build() error {
 	g.imp.DrainTouched()
 	g.seedPIs()
 	g.markAll()
-	return g.converge(g.opts.Ctx, g.opts.Jobs, false)
+	return g.converge(g.opts.Ctx, false)
 }
 
 // Circuit returns the underlying circuit. SwapGate mutates it; callers
@@ -397,16 +392,14 @@ func (g *Graph) recomputeGate(gi int) (twindow.LineInfo, error) {
 	return out, nil
 }
 
-// converge drains the dirty frontier level by level. Gates within one level
-// are independent (they read only earlier levels), so with jobs > 1 a level
-// fans out on the engine pool; results land in one reused buffer and are
-// merged in slice order, making windows independent of the worker count.
-// Convergence stops as soon as the frontier is empty: a gate is re-queued
-// only when one of its inputs or its implied output value changed, so an
-// edit whose effect dies out after k levels costs exactly those k frontier
-// levels. track records changed lines (edits and heals; not the initial
+// converge drains the dirty frontier level by level in one serial loop.
+// Gates within one level read only earlier levels, so each output is
+// installed as soon as it is evaluated. Convergence stops as soon as the
+// frontier is empty: a gate is re-queued only when one of its inputs or its
+// implied output value changed, so an edit whose effect dies out after k
+// levels costs exactly those k frontier levels. track records changed lines (edits and heals; not the initial
 // build, where every line is new).
-func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
+func (g *Graph) converge(ctx context.Context, track bool) error {
 	nPI := len(g.c.PIs)
 	for lvl := 0; lvl < len(g.dirtyAt) && g.dirtyCount > 0; lvl++ {
 		work := g.dirtyAt[lvl]
@@ -418,7 +411,7 @@ func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
 		g.dirtyAt[lvl] = work[:0]
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
+				return fmt.Errorf("tgraph: %w", engine.Cancelled(err))
 			}
 		}
 		if g.opts.LevelHook != nil {
@@ -426,16 +419,16 @@ func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
 				return fmt.Errorf("tgraph: level %d: %w", lvl, err)
 			}
 		}
-		outs := g.outs[:len(work)]
-		if err := g.recomputeLevel(ctx, jobs, work, outs); err != nil {
-			return err
-		}
 		arcs := 0
-		for i, gi := range work {
+		for _, gi := range work {
+			out, err := g.recomputeGate(gi)
+			if err != nil {
+				return err
+			}
 			g.dirty[gi] = false
 			g.dirtyCount--
 			arcs += len(g.c.Gates[gi].Inputs)
-			g.setLine(nPI+gi, outs[i], track)
+			g.setLine(nPI+gi, out, track)
 		}
 		g.opts.Metrics.Add(engine.STAGates, int64(len(work)))
 		g.opts.Metrics.Add(engine.STAArcs, 2*int64(arcs))
@@ -444,34 +437,10 @@ func (g *Graph) converge(ctx context.Context, jobs int, track bool) error {
 	// callers must never observe windows computed past their cancellation.
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
+			return fmt.Errorf("tgraph: %w", engine.Cancelled(err))
 		}
 	}
 	return nil
-}
-
-// recomputeLevel evaluates one level's dirty gates into outs, on the engine
-// pool when jobs > 1. Only this path builds a closure, so a serial pass
-// allocates nothing.
-func (g *Graph) recomputeLevel(ctx context.Context, jobs int, work []int, outs []twindow.LineInfo) error {
-	if jobs <= 1 || len(work) == 1 {
-		for i, gi := range work {
-			var err error
-			if outs[i], err = g.recomputeGate(gi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := engine.Run(ctx, jobs, len(work), func(_ context.Context, i int) error {
-		var err error
-		outs[i], err = g.recomputeGate(work[i])
-		return err
-	})
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
-	}
-	return err
 }
 
 // poison marks every window suspect after a failed pass and empties the
@@ -500,7 +469,7 @@ func (g *Graph) Heal(ctx context.Context) error {
 	}
 	g.seedPIs()
 	g.markAll()
-	if err := g.converge(ctx, 1, true); err != nil {
+	if err := g.converge(ctx, true); err != nil {
 		g.poison()
 		return err
 	}
@@ -546,7 +515,7 @@ func (g *Graph) applyTouched() {
 // graph.
 func (g *Graph) reconverge(ctx context.Context, mark int) error {
 	g.applyTouched()
-	if err := g.converge(ctx, 1, true); err != nil {
+	if err := g.converge(ctx, true); err != nil {
 		g.imp.Undo(mark)
 		g.poison()
 		return err
@@ -608,7 +577,7 @@ func (g *Graph) SyncImplication(ctx context.Context) error {
 		return err
 	}
 	g.applyTouched()
-	if err := g.converge(ctx, 1, true); err != nil {
+	if err := g.converge(ctx, true); err != nil {
 		g.poison()
 		return err
 	}
@@ -628,7 +597,7 @@ func (g *Graph) SetPI(ctx context.Context, name string, p twindow.PITiming) erro
 	prev, hadPrev := g.piTiming[id], g.perPI[id]
 	g.piTiming[id], g.perPI[id] = p, true
 	g.setLine(id, twindow.PILine(g.imp.Value(id), p), true)
-	if err := g.converge(ctx, 1, true); err != nil {
+	if err := g.converge(ctx, true); err != nil {
 		g.piTiming[id], g.perPI[id] = prev, hadPrev
 		g.poison()
 		return err
@@ -760,28 +729,3 @@ func (g *Graph) ImpliedCube() nineval.Cube { return g.imp.Cube(g.raw) }
 // RawCube returns the caller-supplied assignments (shared; valid until the
 // next edit, do not mutate).
 func (g *Graph) RawCube() nineval.Cube { return g.raw }
-
-// FaultLevelHook adapts a spice.FaultHook (see internal/faultinject for
-// seeded plan constructors) into a LevelHook: the hook is consulted once per
-// convergence level with step = level, and any kind other than FaultNone
-// becomes an injected solver error carrying the usual taxonomy sentinel —
-// FaultNaN maps to spice.ErrNumerical, everything else to
-// spice.ErrNoConvergence, and FaultPanic panics so the caller's containment
-// is exercised. A nil hook yields a nil LevelHook.
-func FaultLevelHook(hook spice.FaultHook) func(level int) error {
-	if hook == nil {
-		return nil
-	}
-	return func(level int) error {
-		switch kind := hook(level, 0, 0); kind {
-		case spice.FaultNone:
-			return nil
-		case spice.FaultPanic:
-			panic(fmt.Sprintf("tgraph: injected panic at level %d", level))
-		case spice.FaultNaN:
-			return &spice.SolveError{Kind: spice.ErrNumerical, Step: level, Injected: true}
-		default:
-			return &spice.SolveError{Kind: spice.ErrNoConvergence, Step: level, Injected: true}
-		}
-	}
-}

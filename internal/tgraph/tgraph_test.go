@@ -69,77 +69,6 @@ func requireLinesEqual(t *testing.T, label string, got, want *Graph) {
 	})
 }
 
-func TestFullConvergeMatchesParallel(t *testing.T) {
-	lib := prechar.MustLibrary()
-	c432, err := benchgen.Load("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s20k, err := benchgen.GenerateRand(benchgen.Profile{Name: "s20k", PIs: 400, POs: 200, Gates: 20000, Depth: 60},
-		rand.New(rand.NewSource(20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []*netlist.Circuit{c432, s20k} {
-		serial, err := New(c, Options{Lib: lib, Jobs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, jobs := range []int{2, 4, 8} {
-			parallel, err := New(c, Options{Lib: lib, Jobs: jobs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireLinesEqual(t, fmt.Sprintf("%s jobs=%d", c.Name, jobs), parallel, serial)
-		}
-	}
-
-	// Edits on a graph built level-parallel match from-scratch serial
-	// builds of the same state.
-	c, err := benchgen.Load("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := New(c, Options{Lib: lib, Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(15))
-	dual := map[netlist.GateKind]netlist.GateKind{
-		netlist.Nand: netlist.Nor, netlist.Nor: netlist.Nand,
-		netlist.Inv: netlist.Buf, netlist.Buf: netlist.Inv,
-	}
-	cube, perPI := nineval.Cube{}, map[string]twindow.PITiming{}
-	ctx := context.Background()
-	for step := 0; step < 12; step++ {
-		switch step % 3 {
-		case 0:
-			cube = randomPICube(c, rng)
-			if err := g.SetCube(ctx, cube); err != nil {
-				t.Fatalf("step %d: SetCube: %v", step, err)
-			}
-		case 1:
-			pi := c.PIs[rng.Intn(len(c.PIs))]
-			p := twindow.PITiming{ArrivalEarly: rng.Float64() * 1e-9, TransShort: 0.1e-9, TransLong: 0.3e-9}
-			p.ArrivalLate = p.ArrivalEarly + rng.Float64()*1e-9
-			perPI[pi] = p
-			if err := g.SetPI(ctx, pi, p); err != nil {
-				t.Fatalf("step %d: SetPI: %v", step, err)
-			}
-		case 2:
-			gi := rng.Intn(c.NumGates())
-			if err := g.SwapGate(ctx, c.Gates[gi].Output, dual[c.Gates[gi].Kind]); err != nil && !errors.Is(err, ErrInconsistent) {
-				t.Fatalf("step %d: SwapGate: %v", step, err)
-			}
-		}
-		ref, err := NewWithCube(c, cube, Options{Lib: lib, Jobs: 1, PerPI: perPI})
-		if err != nil {
-			t.Fatalf("step %d: reference build: %v", step, err)
-		}
-		requireLinesEqual(t, fmt.Sprintf("jobs=2 graph, step %d", step), g, ref)
-	}
-}
-
 func TestSetCubeMatchesFromScratch(t *testing.T) {
 	lib := prechar.MustLibrary()
 	c, err := benchgen.Load("c432")
@@ -394,24 +323,22 @@ func TestCancelledBuildAndEdit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, jobs := range []int{1, 4} {
-		g, err := New(c, Options{Lib: lib, Ctx: ctx, Jobs: jobs})
-		if g != nil {
-			t.Fatalf("jobs=%d: cancelled build returned a graph", jobs)
-		}
-		if !errors.Is(err, spice.ErrCancelled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("jobs=%d: error does not wrap the cancellation chain: %v", jobs, err)
-		}
+	g, err := New(c, Options{Lib: lib, Ctx: ctx})
+	if g != nil {
+		t.Fatal("cancelled build returned a graph")
+	}
+	if !errors.Is(err, engine.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("error does not wrap the cancellation chain: %v", err)
 	}
 
 	// A cancelled edit poisons the graph; Heal restores byte-identical
 	// state.
-	g, err := New(c, Options{Lib: lib})
+	g, err = New(c, Options{Lib: lib})
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = g.SetCube(ctx, nineval.Cube{c.PIs[0]: nineval.V01})
-	if !errors.Is(err, spice.ErrCancelled) {
+	if !errors.Is(err, engine.ErrCancelled) {
 		t.Fatalf("cancelled edit: %v", err)
 	}
 	if !g.Poisoned() {
@@ -445,7 +372,7 @@ func TestChaosInjectedFaultMidEdit(t *testing.T) {
 	// convergence level dies. Levels 2-4 are always visited by the edited
 	// cones on c432, so every seed produces a real mid-edit fault.
 	failLevel := 2 + int(chaosSeed(t, 1)%3)
-	hook := FaultLevelHook(func(step int, _ float64, _ int) spice.FaultKind {
+	hook := faultinject.LevelHook(func(step int, _ float64, _ int) spice.FaultKind {
 		if armed && step == failLevel {
 			return spice.FaultNoConverge
 		}
