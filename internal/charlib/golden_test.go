@@ -15,7 +15,7 @@ import (
 	"sstiming/internal/device"
 )
 
-var update = flag.Bool("update", false, "rewrite the charlib golden file")
+var update = flag.Bool("update", false, "rewrite the charlib golden files")
 
 // goldenOptions is the minimal deterministic characterisation the golden
 // file pins: INV + NAND2 on a 3-point grid (the smallest grid the quadratic
@@ -48,7 +48,31 @@ func TestCharlibGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "charlib_golden.json")
+	checkGolden(t, lib, "charlib_golden.json")
+}
+
+// TestCharlibGoldenNC pins the surfaces TestCharlibGolden leaves out: the
+// simultaneous to-non-controlling (Λ) pairs, and a NOR cell, whose
+// to-controlling drive rises. NOR2 alone, NCPairs on, on the golden grid.
+func TestCharlibGoldenNC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	opts := goldenOptions()
+	opts.Cells = []cells.Config{{Kind: cells.NOR, N: 2, Tech: opts.Tech, LoadInverter: true}}
+	opts.NCPairs = true
+	lib, err := Characterize(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, lib, "charlib_nc_golden.json")
+}
+
+// checkGolden compares lib with testdata/<name>, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, lib *core.Library, name string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 
 	if *update {
 		var buf bytes.Buffer
