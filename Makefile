@@ -7,7 +7,7 @@ GO ?= go
 # genuinely improves; never lower it to make a PR pass.
 COVER_FLOOR ?= 75.0
 
-.PHONY: build test race vet verify conformance cache-conformance chaos store-chaos session-chaos shard-chaos net-chaos service-smoke cover bench-go bench-parallel clean
+.PHONY: build test race vet verify conformance cache-conformance chaos store-chaos session-chaos shard-chaos net-chaos lib-check service-smoke cover bench-go bench-parallel clean
 
 # perfbench is its own module, so ./... at the root never reaches it; it is
 # compiled (not run) here so an API break surfaces in verify.
@@ -58,7 +58,7 @@ vet:
 # timing wrapper and prints a per-stage wall-clock summary at the end, so
 # a slow stage is visible instead of buried in test output.
 VERIFY_STAGES := build vet test race conformance cache-conformance chaos \
-	store-chaos session-chaos shard-chaos net-chaos service-smoke cover
+	store-chaos session-chaos shard-chaos net-chaos lib-check service-smoke cover
 
 verify:
 	@set -e; times=""; total_start=$$(date +%s); \
@@ -142,6 +142,17 @@ shard-chaos:
 # the claim idempotency map.
 net-chaos:
 	$(GO) test -race -run 'TestNetChaos|TestServer' ./internal/shardnet
+
+# Byte-identity oracle for the shipped library: regenerate it from scratch
+# (the default campaign, NCPairs on; ~40 s on 2 vCPUs) into a temporary
+# directory and require the library and its manifest to match
+# internal/prechar byte for byte. Nothing is written into the checkout.
+lib-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/characterize -no-journal -out "$$dir/lib05.json" && \
+	cmp "$$dir/lib05.json" internal/prechar/lib05.json && \
+	cmp "$$dir/lib05.json.manifest.json" internal/prechar/lib05.manifest.json && \
+	echo "lib-check: library and manifest byte-identical to internal/prechar"
 
 # Service smoke test: start the timingd daemon on a random loopback port,
 # POST an example netlist, require a 200 STA response and a clean graceful

@@ -130,7 +130,7 @@ func TestChaosDegradationInterpolatesFailedGridPoints(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	opts := nand2Options()
-	// Pin fits issue the first ~18 transients for this configuration; the
+	// Pin fits issue the first 16 transients for this configuration; the
 	// window lands safely inside the pair-surface phase.
 	opts.NewFaultHook = ordinalWindowHook(30, 34)
 	opts.Retries = -1 // disable charlib retries so the faults surface as degradation

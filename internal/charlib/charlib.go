@@ -168,14 +168,16 @@ func FastOptions() Options {
 
 // measurement is one simulated (delay, output transition) sample.
 type measurement struct {
-	delay float64 // relative to the earliest switching input arrival
+	// delay runs from the earliest switching arrival for the
+	// to-controlling response, from the latest for the to-non-controlling.
+	delay float64
 	trans float64
 }
 
-// characterizer carries shared state for one cell. The memo maps are
-// guarded by mu: pair characterisation runs concurrently across ordered
-// pairs, and simulations are deterministic, so racing goroutines that miss
-// the cache at the same key simply recompute the identical value.
+// characterizer carries shared state for one cell. The memo map is guarded
+// by mu: pair characterisation runs concurrently across ordered pairs, and
+// simulations are deterministic, so racing goroutines that miss the cache at
+// the same key simply recompute the identical value.
 type characterizer struct {
 	opts Options
 	cfg  cells.Config
@@ -183,14 +185,9 @@ type characterizer struct {
 	ctx context.Context
 
 	mu sync.Mutex
-	// memoPair caches two-input simultaneous to-controlling simulations.
-	memoPair map[pairKey]measurement
-	// memoNCPair caches the to-non-controlling counterparts.
-	memoNCPair map[pairKey]measurement
-	// singleCtrl caches single-input to-controlling measurements per
-	// (pin, grid index); singleNC the to-non-controlling ones.
-	singleCtrl map[[2]int]measurement
-	singleNC   map[[2]int]measurement
+	// memo caches every simulated characterisation point at the
+	// reference load.
+	memo map[point]measurement
 	// quality accumulates per-surface fit statistics (ns domain).
 	quality map[string]core.FitQuality
 	// health accumulates resilience bookkeeping: attempted points, retried
@@ -198,10 +195,26 @@ type characterizer struct {
 	health core.CellHealth
 }
 
-type pairKey struct {
+// point names one characterisation testbench: the response (ctrl for
+// inputs switching towards the controlling value, else away from it), the
+// switching pins x and y with their grid indices tx and ty, and y's arrival
+// after x's in whole picoseconds. A negative y is pin x switching alone.
+type point struct {
+	ctrl   bool
 	x, y   int
 	tx, ty int // grid indices
 	dps    int // skew in integer picoseconds
+}
+
+// single is the point of pin switching alone at grid index gi.
+func single(ctrl bool, pin, gi int) point {
+	return point{ctrl: ctrl, x: pin, y: -1, tx: gi}
+}
+
+// pair is the point of pins x and y switching at grid indices tx and ty,
+// y skew seconds after x (skew may be negative).
+func pair(ctrl bool, x, y, tx, ty int, skew float64) point {
+	return point{ctrl: ctrl, x: x, y: y, tx: tx, ty: ty, dps: int(math.Round(skew / 1e-12))}
 }
 
 // Characterize runs the full characterisation and returns the fitted
@@ -268,14 +281,11 @@ func characterizeCell(ctx context.Context, opts Options, cfg cells.Config) (*cor
 		n = 1
 	}
 	ch := &characterizer{
-		opts:       opts,
-		cfg:        cfg,
-		ctx:        ctx,
-		memoPair:   make(map[pairKey]measurement),
-		memoNCPair: make(map[pairKey]measurement),
-		singleCtrl: make(map[[2]int]measurement),
-		singleNC:   make(map[[2]int]measurement),
-		quality:    make(map[string]core.FitQuality),
+		opts:    opts,
+		cfg:     cfg,
+		ctx:     ctx,
+		memo:    make(map[point]measurement),
+		quality: make(map[string]core.FitQuality),
 	}
 
 	model := &core.CellModel{
@@ -308,52 +318,17 @@ func characterizeCell(ctx context.Context, opts Options, cfg cells.Config) (*cor
 		return model, nil
 	}
 
-	// Ordered-pair simultaneous-switching surfaces, characterised on the
-	// engine pool (the simulations dominate; entries land by index, so
-	// the model is identical regardless of scheduling).
-	type pairJob struct {
-		x, y int
-	}
-	var jobs []pairJob
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			if x != y {
-				jobs = append(jobs, pairJob{x, y})
-			}
-		}
-	}
-	entries := make([]core.PairEntry, len(jobs))
-	err := engine.Run(ctx, opts.Jobs, len(jobs), func(_ context.Context, i int) error {
-		job := jobs[i]
-		opts.Progress("  pair (%d,%d)", job.x, job.y)
-		e, err := ch.fitPair(job.x, job.y, model)
-		if err != nil {
-			return fmt.Errorf("pair (%d,%d): %w", job.x, job.y, err)
-		}
-		entries[i] = e
-		return nil
-	})
+	entries, err := ch.fitPairs(true)
 	if err != nil {
 		return nil, err
 	}
 	model.Pairs = append(model.Pairs, entries...)
-
 	if opts.NCPairs {
-		ncEntries := make([]core.PairEntry, len(jobs))
-		err := engine.Run(ctx, opts.Jobs, len(jobs), func(_ context.Context, i int) error {
-			job := jobs[i]
-			opts.Progress("  nc-pair (%d,%d)", job.x, job.y)
-			e, err := ch.fitNCPair(job.x, job.y)
-			if err != nil {
-				return fmt.Errorf("nc-pair (%d,%d): %w", job.x, job.y, err)
-			}
-			ncEntries[i] = e
-			return nil
-		})
+		entries, err := ch.fitPairs(false)
 		if err != nil {
 			return nil, err
 		}
-		model.NCPairs = append(model.NCPairs, ncEntries...)
+		model.NCPairs = append(model.NCPairs, entries...)
 	}
 
 	// Multi-input speed-up factors for k = 3..n simultaneous inputs.
@@ -380,18 +355,10 @@ func (ch *characterizer) record(key string, st fit.Stats) {
 // end to end) to start after t = 0.
 const stimulusArrival = 1.2e-9
 
-// ctrlDrive returns the drive for an input making a to-controlling
-// transition (falling for NAND/INV, rising for NOR).
-func (ch *characterizer) ctrlDrive(arr, tt float64) cells.Drive {
-	if ch.cfg.ControllingValue() == 0 {
-		return cells.Falling(arr, tt)
-	}
-	return cells.Rising(arr, tt)
-}
-
-// nonCtrlDrive returns the drive for a to-non-controlling transition.
-func (ch *characterizer) nonCtrlDrive(arr, tt float64) cells.Drive {
-	if ch.cfg.ControllingValue() == 0 {
+// drive returns a ramp towards the controlling value (falling for NAND/INV,
+// rising for NOR) when ctrl, away from it otherwise.
+func (ch *characterizer) drive(ctrl bool, arr, tt float64) cells.Drive {
+	if ctrl == (ch.cfg.ControllingValue() == 1) {
 		return cells.Rising(arr, tt)
 	}
 	return cells.Falling(arr, tt)
@@ -413,103 +380,86 @@ func (ch *characterizer) numInputs() int {
 }
 
 // simulate runs one testbench with the given switching-pin drives (all other
-// pins held at the non-controlling value) and measures the output response.
-// outRising selects the measured output direction; extraLoad adds farads;
-// latest is the latest input arrival (for windowing).
-func (ch *characterizer) simulate(drives map[int]cells.Drive, outRising bool, extraLoad, latest, maxTT float64) (measurement, error) {
+// pins held at the non-controlling value) and measures the output's
+// to-controlling response when ctrl, its to-non-controlling one otherwise,
+// with extraLoad farads added. The delay runs from the earliest switching
+// arrival for the to-controlling response and from the latest for the
+// to-non-controlling one.
+func (ch *characterizer) simulate(ctrl bool, drives map[int]cells.Drive, extraLoad float64) (measurement, error) {
 	n := ch.numInputs()
 	all := make([]cells.Drive, n)
-	earliest := math.Inf(1)
+	earliest, latest, maxTT := math.Inf(1), math.Inf(-1), 0.0
 	for i := 0; i < n; i++ {
-		if d, ok := drives[i]; ok {
-			all[i] = d
-			if d.Arrival < earliest {
-				earliest = d.Arrival
-			}
-		} else {
+		d, ok := drives[i]
+		if !ok {
 			all[i] = ch.steadyNonCtrl()
+			continue
 		}
+		all[i] = d
+		earliest = math.Min(earliest, d.Arrival)
+		latest = math.Max(latest, d.Arrival)
+		maxTT = math.Max(maxTT, d.Trans)
 	}
 	cfg := ch.cfg
 	cfg.ExtraLoadCap += extraLoad
-	tr, err := ch.runSim(cfg, all, outRising, latest, maxTT)
+	tr, err := ch.runSim(cfg, all, ch.cfg.OutputRisesOnControlling() == ctrl, latest, maxTT)
 	if err != nil {
 		return measurement{}, err
 	}
-	return measurement{delay: tr.Arrival - earliest, trans: tr.TransTime}, nil
+	from := latest
+	if ctrl {
+		from = earliest
+	}
+	return measurement{delay: tr.Arrival - from, trans: tr.TransTime}, nil
 }
 
-// measureSingleCtrl measures (and memoises) the single-input to-controlling
-// response for a grid transition time.
-func (ch *characterizer) measureSingleCtrl(pin, gridIdx int) (measurement, error) {
-	key := [2]int{pin, gridIdx}
+// drives returns the switching-pin drives of point p: pin x at the reference
+// arrival, pin y (when p is a pair) p.dps picoseconds later.
+func (ch *characterizer) drives(p point) map[int]cells.Drive {
+	ax, tx := stimulusArrival, ch.opts.Grid[p.tx]
+	if p.y < 0 {
+		return map[int]cells.Drive{p.x: ch.drive(p.ctrl, ax, tx)}
+	}
+	ay, ty := stimulusArrival+float64(p.dps)*1e-12, ch.opts.Grid[p.ty]
+	// Both ramps must start after t = 0 with margin, or the DC operating
+	// point would begin mid-transition. A ramp's 0%-100% sweep spans
+	// T/0.8 centred on its arrival.
+	if minStart := math.Min(ax-tx/0.8/2, ay-ty/0.8/2); minStart < 0.1e-9 {
+		shift := 0.1e-9 - minStart
+		ax += shift
+		ay += shift
+	}
+	return map[int]cells.Drive{
+		p.x: ch.drive(p.ctrl, ax, tx),
+		p.y: ch.drive(p.ctrl, ay, ty),
+	}
+}
+
+// measure simulates (and memoises) point p at the reference load.
+func (ch *characterizer) measure(p point) (measurement, error) {
+	if p.y >= 0 && p.x > p.y {
+		// Canonical key, ordered by pin index, so both pin orders of a pair
+		// hit the same simulation.
+		p = point{ctrl: p.ctrl, x: p.y, y: p.x, tx: p.ty, ty: p.tx, dps: -p.dps}
+	}
 	ch.mu.Lock()
-	m, ok := ch.singleCtrl[key]
+	m, ok := ch.memo[p]
 	ch.mu.Unlock()
 	if ok {
 		return m, nil
 	}
-	tt := ch.opts.Grid[gridIdx]
-	m, err := ch.simulate(
-		map[int]cells.Drive{pin: ch.ctrlDrive(stimulusArrival, tt)},
-		ch.cfg.OutputRisesOnControlling(), 0, stimulusArrival, tt)
+	m, err := ch.simulate(p.ctrl, ch.drives(p), 0)
 	if err != nil {
 		return measurement{}, err
 	}
 	ch.mu.Lock()
-	ch.singleCtrl[key] = m
+	ch.memo[p] = m
 	ch.mu.Unlock()
 	return m, nil
 }
 
-// measurePair measures (and memoises) the two-input simultaneous response:
-// pin x switching at the reference arrival, pin y at skew later (skew may be
-// negative).
-func (ch *characterizer) measurePair(x, y, txIdx, tyIdx int, skew float64) (measurement, error) {
-	// Canonical key: order by pin index.
-	dps := int(math.Round(skew / 1e-12))
-	key := pairKey{x: x, y: y, tx: txIdx, ty: tyIdx, dps: dps}
-	if x > y {
-		key = pairKey{x: y, y: x, tx: tyIdx, ty: txIdx, dps: -dps}
-	}
-	ch.mu.Lock()
-	m0, ok := ch.memoPair[key]
-	ch.mu.Unlock()
-	if ok {
-		return m0, nil
-	}
-	// Compute arrivals from the canonical key so both pin orders hit the
-	// same simulation.
-	axc := stimulusArrival
-	ayc := stimulusArrival + float64(key.dps)*1e-12
-	// Both ramps must start after t = 0 with margin, or the DC operating
-	// point would begin mid-transition. A ramp's 0%-100% sweep spans
-	// T/0.8 centred on its arrival.
-	txc := ch.opts.Grid[key.tx]
-	tyc := ch.opts.Grid[key.ty]
-	minStart := math.Min(axc-txc/0.8/2, ayc-tyc/0.8/2)
-	if minStart < 0.1e-9 {
-		shift := 0.1e-9 - minStart
-		axc += shift
-		ayc += shift
-	}
-	drives := map[int]cells.Drive{
-		key.x: ch.ctrlDrive(axc, ch.opts.Grid[key.tx]),
-		key.y: ch.ctrlDrive(ayc, ch.opts.Grid[key.ty]),
-	}
-	latest := math.Max(axc, ayc)
-	maxTT := math.Max(ch.opts.Grid[key.tx], ch.opts.Grid[key.ty])
-	m, err := ch.simulate(drives, ch.cfg.OutputRisesOnControlling(), 0, latest, maxTT)
-	if err != nil {
-		return measurement{}, err
-	}
-	ch.mu.Lock()
-	ch.memoPair[key] = m
-	ch.mu.Unlock()
-	return m, nil
-}
-
-// fitPin characterises one pin's single-transition timing functions.
+// fitPin characterises one pin's single-transition timing functions for the
+// to-controlling response (ctrl) or the to-non-controlling one.
 //
 // A grid sample whose simulation fails recoverably even after the retry
 // ladder is dropped from the fit and recorded as degraded; at least three
@@ -517,10 +467,6 @@ func (ch *characterizer) measurePair(x, y, txIdx, tyIdx int, skew float64) (meas
 func (ch *characterizer) fitPin(pin int, ctrl bool) (core.PinTiming, error) {
 	grid := ch.opts.Grid
 	var tsNs, delaysNs, transNs []float64
-	outRising := ch.cfg.OutputRisesOnControlling()
-	if !ctrl {
-		outRising = !outRising
-	}
 	dir := "nc"
 	if ctrl {
 		dir = "ctrl"
@@ -529,15 +475,7 @@ func (ch *characterizer) fitPin(pin int, ctrl bool) (core.PinTiming, error) {
 	ch.notePoints(len(grid) + 1) // grid samples + the load-slope point
 
 	for gi, tt := range grid {
-		var m measurement
-		var err error
-		if ctrl {
-			m, err = ch.measureSingleCtrl(pin, gi)
-		} else {
-			m, err = ch.simulate(
-				map[int]cells.Drive{pin: ch.nonCtrlDrive(stimulusArrival, tt)},
-				outRising, 0, stimulusArrival, tt)
-		}
+		m, err := ch.measure(single(ctrl, pin, gi))
 		if err != nil {
 			if !spice.IsRecoverable(err) {
 				return core.PinTiming{}, err
@@ -553,45 +491,27 @@ func (ch *characterizer) fitPin(pin int, ctrl bool) (core.PinTiming, error) {
 		return core.PinTiming{}, fmt.Errorf("only %d of %d grid samples converged, quadratic fit needs 3", len(tsNs), len(grid))
 	}
 
-	kd, kdSt, err := fit.FitQuad(tsNs, delaysNs)
-	if err != nil {
+	var pt core.PinTiming
+	var st fit.Stats
+	var err error
+	if pt.Delay, st, err = fit.FitQuad(tsNs, delaysNs); err != nil {
 		return core.PinTiming{}, fmt.Errorf("delay fit: %w", err)
 	}
-	ch.record(fmt.Sprintf("pin%d/%s/delay", pin, dir), kdSt)
-	kt, ktSt, err := fit.FitQuad(tsNs, transNs)
-	if err != nil {
+	ch.record(surface+"/delay", st)
+	if pt.Trans, st, err = fit.FitQuad(tsNs, transNs); err != nil {
 		return core.PinTiming{}, fmt.Errorf("transition fit: %w", err)
 	}
-	ch.record(fmt.Sprintf("pin%d/%s/trans", pin, dir), ktSt)
-
-	pt := core.PinTiming{
-		Delay: core.Quad{K: [3]float64{kd[0], kd[1], kd[2]}},
-		Trans: core.Quad{K: [3]float64{kt[0], kt[1], kt[2]}},
-	}
+	ch.record(surface+"/trans", st)
 
 	// Load slope (Section 3.6: delay increases linearly with load):
 	// remeasure the middle grid point with one extra inverter-load of
 	// capacitance.
-	midIdx := len(grid) / 2
-	tt := grid[midIdx]
+	mid := single(ctrl, pin, len(grid)/2)
 	extra := ch.opts.Tech.InverterInputCap()
-	var base measurement
-	if ctrl {
-		base, err = ch.measureSingleCtrl(pin, midIdx)
-	} else {
-		base, err = ch.simulate(
-			map[int]cells.Drive{pin: ch.nonCtrlDrive(stimulusArrival, tt)},
-			outRising, 0, stimulusArrival, tt)
-	}
+	base, err := ch.measure(mid)
 	if err == nil {
-		var drive cells.Drive
-		if ctrl {
-			drive = ch.ctrlDrive(stimulusArrival, tt)
-		} else {
-			drive = ch.nonCtrlDrive(stimulusArrival, tt)
-		}
 		var loaded measurement
-		loaded, err = ch.simulate(map[int]cells.Drive{pin: drive}, outRising, extra, stimulusArrival, tt)
+		loaded, err = ch.simulate(ctrl, ch.drives(mid), extra)
 		if err == nil {
 			pt.DelayLoadSlope = (loaded.delay - base.delay) / extra
 			pt.TransLoadSlope = (loaded.trans - base.trans) / extra
@@ -603,21 +523,62 @@ func (ch *characterizer) fitPin(pin int, ctrl bool) (core.PinTiming, error) {
 	}
 	// Degrade to a zero load slope (the reference-load delay stays exact);
 	// conservative only for loads above the reference.
-	ch.noteDegraded(surface+"/load", tt, 0, err)
+	ch.noteDegraded(surface+"/load", grid[mid.tx], 0, err)
 	return pt, nil
 }
 
-// fitPair characterises the simultaneous-switching surfaces of ordered pair
-// (x, y): D0/T0 at zero skew, the SR threshold by bisection, and SKmin from
-// the sampled positive arm.
-func (ch *characterizer) fitPair(x, y int, model *core.CellModel) (core.PairEntry, error) {
+// fitPairs characterises the surfaces of every ordered input pair for one
+// response on the engine pool (the simulations dominate; entries land by
+// index, so the model is identical regardless of scheduling).
+func (ch *characterizer) fitPairs(ctrl bool) ([]core.PairEntry, error) {
+	label := "nc-pair"
+	if ctrl {
+		label = "pair"
+	}
+	n := ch.numInputs()
+	var jobs [][2]int
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if x != y {
+				jobs = append(jobs, [2]int{x, y})
+			}
+		}
+	}
+	entries := make([]core.PairEntry, len(jobs))
+	err := engine.Run(ch.ctx, ch.opts.Jobs, len(jobs), func(_ context.Context, i int) error {
+		x, y := jobs[i][0], jobs[i][1]
+		ch.opts.Progress("  %s (%d,%d)", label, x, y)
+		e, err := ch.fitPair(ctrl, x, y)
+		if err != nil {
+			return fmt.Errorf("%s (%d,%d): %w", label, x, y, err)
+		}
+		entries[i] = e
+		return nil
+	})
+	return entries, err
+}
+
+// fitPair characterises the skew-shaped surfaces of ordered pair (x, y):
+// D0/T0 at zero skew and the skew threshold SR by bisection for both
+// responses, and for the to-controlling V also SKmin, the skew minimising
+// the output transition over the sampled positive arm, whose transition
+// becomes T0.
+//
+// The V's threshold is the skew at which the lagging transition on y no
+// longer pulls the delay below pin x's single-input delay; the Λ's is the
+// skew beyond which the earlier input x no longer slows the response to the
+// later input y, whose single-input delay anchors the positive arm.
+func (ch *characterizer) fitPair(ctrl bool, x, y int) (core.PairEntry, error) {
 	grid := ch.opts.Grid
 
 	// Each (Tx,Ty) grid cell needs an independent bisection of the skew
 	// threshold — the deepest fan-out of the characterisation, run on the
 	// engine pool. Rows land by index, so the fitted surfaces are
 	// byte-identical to a serial sweep.
-	pairKeyName := fmt.Sprintf("pair%d:%d", x, y)
+	name := fmt.Sprintf("pair%d:%d", x, y)
+	if !ctrl {
+		name = "nc" + name
+	}
 	type pairRow struct {
 		d0, t0, sx, skmin float64
 	}
@@ -631,23 +592,25 @@ func (ch *characterizer) fitPair(x, y int, model *core.CellModel) (core.PairEntr
 	err := engine.Run(ch.ctx, ch.opts.Jobs, len(rows), func(_ context.Context, i int) error {
 		txIdx, tyIdx := i/len(grid), i%len(grid)
 		row, err := func() (pairRow, error) {
-			dx, err := ch.measureSingleCtrl(x, txIdx)
+			ref := single(ctrl, x, txIdx)
+			if !ctrl {
+				ref = single(ctrl, y, tyIdx)
+			}
+			arm, err := ch.measure(ref)
 			if err != nil {
 				return pairRow{}, err
 			}
-
-			m0, err := ch.measurePair(x, y, txIdx, tyIdx, 0)
+			m0, err := ch.measure(pair(ctrl, x, y, txIdx, tyIdx, 0))
 			if err != nil {
 				return pairRow{}, err
 			}
-
-			sx, samples, err := ch.findSkewThreshold(x, y, txIdx, tyIdx, dx.delay)
+			sx, samples, err := ch.findSkewThreshold(ctrl, x, y, txIdx, tyIdx, arm.delay)
 			if err != nil {
 				return pairRow{}, err
 			}
-
-			// Minimal output transition time over the sampled positive
-			// arm (including zero skew).
+			if !ctrl {
+				return pairRow{d0: m0.delay, t0: m0.trans, sx: sx}, nil
+			}
 			samples = append(samples, sample{skew: 0, trans: m0.trans})
 			skMin, tMin := argminTrans(samples)
 			return pairRow{d0: m0.delay, t0: tMin, sx: sx, skmin: skMin}, nil
@@ -679,63 +642,39 @@ func (ch *characterizer) fitPair(x, y int, model *core.CellModel) (core.PairEntr
 		skminNs = append(skminNs, row.skmin/1e-9)
 	}
 	if err := interpolateGrid(len(grid), failed, d0Ns, t0Ns, sxNs, skminNs); err != nil {
-		return core.PairEntry{}, fmt.Errorf("%s: %w", pairKeyName, err)
+		return core.PairEntry{}, fmt.Errorf("%s: %w", name, err)
 	}
 	for i, f := range failed {
 		if f {
-			ch.noteDegraded(pairKeyName, grid[i/len(grid)], grid[i%len(grid)], rowErrs[i])
+			ch.noteDegraded(name, grid[i/len(grid)], grid[i%len(grid)], rowErrs[i])
 		}
 	}
 
-	fitCross := func(key string, ys []float64) (core.Cross, error) {
-		if ch.opts.PaperExactD0 {
-			k, st, err := fit.FitCrossPaper(txsNs, tysNs, ys)
-			if err != nil {
-				return core.Cross{}, err
-			}
-			ch.record(key, st)
-			return core.Cross{Kxy: k[0], Kx: k[1], Ky: k[2], K1: k[3]}, nil
-		}
-		k, st, err := fit.FitCross(txsNs, tysNs, ys)
-		if err != nil {
-			return core.Cross{}, err
-		}
-		ch.record(key, st)
-		return core.Cross{
-			Kxy: k[0], Kx: k[1], Ky: k[2], K1: k[3],
-			Kxx: k[4], Kyy: k[5], Kxxy: k[6], Kxyy: k[7],
-		}, nil
+	fitCross := fit.FitCross
+	if ch.opts.PaperExactD0 {
+		fitCross = fit.FitCrossPaper
 	}
-
-	d0, err := fitCross(pairKeyName+"/D0", d0Ns)
-	if err != nil {
+	e := core.PairEntry{X: x, Y: y}
+	var st fit.Stats
+	if e.Timing.D0, st, err = fitCross(txsNs, tysNs, d0Ns); err != nil {
 		return core.PairEntry{}, fmt.Errorf("D0 fit: %w", err)
 	}
-	t0, err := fitCross(pairKeyName+"/T0", t0Ns)
-	if err != nil {
+	ch.record(name+"/D0", st)
+	if e.Timing.T0, st, err = fitCross(txsNs, tysNs, t0Ns); err != nil {
 		return core.PairEntry{}, fmt.Errorf("T0 fit: %w", err)
 	}
-	ksx, sxSt, err := fit.FitQuad2(txsNs, tysNs, sxNs)
-	if err != nil {
+	ch.record(name+"/T0", st)
+	if e.Timing.SX, st, err = fit.FitQuad2(txsNs, tysNs, sxNs); err != nil {
 		return core.PairEntry{}, fmt.Errorf("SR fit: %w", err)
 	}
-	ch.record(pairKeyName+"/SR", sxSt)
-	kskm, skmSt, err := fit.FitQuad2(txsNs, tysNs, skminNs)
-	if err != nil {
-		return core.PairEntry{}, fmt.Errorf("SKmin fit: %w", err)
+	ch.record(name+"/SR", st)
+	if ctrl {
+		if e.Timing.SKmin, st, err = fit.FitQuad2(txsNs, tysNs, skminNs); err != nil {
+			return core.PairEntry{}, fmt.Errorf("SKmin fit: %w", err)
+		}
+		ch.record(name+"/SKmin", st)
 	}
-	ch.record(pairKeyName+"/SKmin", skmSt)
-
-	return core.PairEntry{
-		X: x,
-		Y: y,
-		Timing: core.PairTiming{
-			D0:    d0,
-			T0:    t0,
-			SX:    core.Quad2{Kxx: ksx[0], Kyy: ksx[1], Kxy: ksx[2], Kx: ksx[3], Ky: ksx[4], K1: ksx[5]},
-			SKmin: core.Quad2{Kxx: kskm[0], Kyy: kskm[1], Kxy: kskm[2], Kx: kskm[3], Ky: kskm[4], K1: kskm[5]},
-		},
-	}, nil
+	return e, nil
 }
 
 type sample struct {
@@ -743,13 +682,12 @@ type sample struct {
 	trans float64
 }
 
-// argminTrans returns the skew minimising the sampled output transition
-// time, with parabolic refinement between the neighbouring samples.
+// argminTrans returns the sampled (skew, output transition time) with the
+// smallest transition time; ties keep the earliest sample.
 func argminTrans(samples []sample) (skew, trans float64) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
-	// Sort-free scan for the minimum.
 	best := 0
 	for i := range samples {
 		if samples[i].trans < samples[best].trans {
@@ -759,28 +697,33 @@ func argminTrans(samples []sample) (skew, trans float64) {
 	return samples[best].skew, samples[best].trans
 }
 
-// findSkewThreshold locates SR(Tx,Ty): the smallest skew δ = Ay−Ax at which
-// the lagging transition on y no longer reduces the gate delay below the
-// single-input delay dxSingle. It returns the threshold and the (skew,
-// transition-time) samples collected along the way.
-func (ch *characterizer) findSkewThreshold(x, y, txIdx, tyIdx int, dxSingle float64) (float64, []sample, error) {
-	eps := math.Max(0.02*math.Abs(dxSingle), 2e-12)
+// findSkewThreshold locates the skew threshold δ = Ay−Ax of ordered pair
+// (x, y) at grid cell (txIdx, tyIdx): the smallest skew at which the pair's
+// delay settles on the single-input delay arm. The V settles once the delay
+// is no longer more than ε below it (ε = max(2%, 2 ps)); the Λ once the delay
+// is within ε of it (ε = max(4%, 3 ps)). It returns the threshold and the
+// (skew, transition-time) samples collected along the way.
+func (ch *characterizer) findSkewThreshold(ctrl bool, x, y, txIdx, tyIdx int, arm float64) (float64, []sample, error) {
+	eps, hiLimit := math.Max(0.02*math.Abs(arm), 2e-12), 16e-9
+	if !ctrl {
+		eps, hiLimit = math.Max(0.04*math.Abs(arm), 3e-12), 8e-9
+	}
 	var samples []sample
 
 	probe := func(skew float64) (bool, error) {
-		m, err := ch.measurePair(x, y, txIdx, tyIdx, skew)
+		m, err := ch.measure(pair(ctrl, x, y, txIdx, tyIdx, skew))
 		if err != nil {
 			return false, err
 		}
 		samples = append(samples, sample{skew: skew, trans: m.trans})
-		// Delay is measured from the earliest arrival = Ax for skew>=0.
-		return m.delay >= dxSingle-eps, nil
+		if ctrl {
+			return m.delay >= arm-eps, nil
+		}
+		return math.Abs(m.delay-arm) <= eps, nil
 	}
 
-	// Exponentially grow the bracket until the lagging input no longer
-	// helps.
+	// Exponentially grow the bracket until the threshold is passed.
 	hi := 0.25e-9
-	const hiLimit = 16e-9
 	for {
 		done, err := probe(hi)
 		if err != nil {
@@ -824,11 +767,11 @@ func (ch *characterizer) fitMultiFactors(model *core.CellModel) error {
 		drives := make(map[int]cells.Drive, k)
 		var events []core.InputEvent
 		for pin := 0; pin < k; pin++ {
-			drives[pin] = ch.ctrlDrive(stimulusArrival, tt)
+			drives[pin] = ch.drive(true, stimulusArrival, tt)
 			events = append(events, core.InputEvent{Pin: pin, Arrival: stimulusArrival, Trans: tt})
 		}
 		ch.notePoints(1)
-		meas, err := ch.simulate(drives, ch.cfg.OutputRisesOnControlling(), 0, stimulusArrival, tt)
+		meas, err := ch.simulate(true, drives, 0)
 		if err != nil {
 			if !spice.IsRecoverable(err) {
 				return err

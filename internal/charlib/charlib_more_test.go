@@ -6,6 +6,7 @@ import (
 	"sstiming/internal/cells"
 	"sstiming/internal/core"
 	"sstiming/internal/device"
+	"sstiming/internal/engine"
 )
 
 func TestDefaultCellsSet(t *testing.T) {
@@ -57,6 +58,22 @@ func TestSkipPairsProducesPinOnlyModel(t *testing.T) {
 	const T = 0.5e-9
 	if d := m.DelayCtrl2(0, 1, T, T, 0, 0); d != m.CtrlPins[0].DelayAt(T, 0) {
 		t.Errorf("pin-only model should fall back to pin-to-pin, got %g", d)
+	}
+}
+
+// TestEachTestbenchSimulatedOnce counts the transients of a pin-only NAND2
+// on the golden grid: per pin and response, three grid points plus the
+// loaded mid-grid point, 16 in all. The unloaded mid-grid point that the
+// load slope is taken against is the memoised grid sample, not a rerun.
+func TestEachTestbenchSimulatedOnce(t *testing.T) {
+	opts := nand2Options()
+	opts.SkipPairs = true
+	opts.Metrics = engine.NewMetrics()
+	if _, err := Characterize(opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := opts.Metrics.Get(engine.CharJobs); got != 16 {
+		t.Errorf("charlib/jobs = %d, want 16 (2 pins x 2 responses x (3 grid points + 1 loaded))", got)
 	}
 }
 

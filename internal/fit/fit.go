@@ -10,13 +10,17 @@
 //     a*x*y + b*x + c*y + d with x = Tx^(1/3), y = Ty^(1/3))
 //   - SR(Tx,Ty)    = full quadratic in (Tx, Ty)                (6 terms)
 //
-// so ordinary least squares over a characterisation grid recovers them.
+// so ordinary least squares over a characterisation grid recovers them. The
+// Fit functions return the fitted core surfaces, so the order of each basis's
+// coefficients is known here only.
 package fit
 
 import (
 	"errors"
 	"fmt"
 	"math"
+
+	"sstiming/internal/core"
 )
 
 // ErrSingular is returned when the normal equations are (numerically)
@@ -193,51 +197,61 @@ func Quad2Basis(tx, ty float64) []float64 {
 	return []float64{tx * tx, ty * ty, tx * ty, tx, ty, 1}
 }
 
-// FitQuad fits y = a*t^2 + b*t + c and returns (coefficients, stats).
-func FitQuad(ts, ys []float64) ([]float64, Stats, error) {
+// FitQuad fits y = a*t^2 + b*t + c and returns it with its fit statistics.
+func FitQuad(ts, ys []float64) (core.Quad, Stats, error) {
 	rows := make([][]float64, len(ts))
 	for i, t := range ts {
 		rows[i] = QuadBasis(t)
 	}
-	k, err := LeastSquares(rows, ys)
+	k, st, err := solve(rows, ys)
 	if err != nil {
-		return nil, Stats{}, err
+		return core.Quad{}, Stats{}, err
 	}
-	return k, Residuals(rows, ys, k), nil
+	return core.Quad{K: [3]float64{k[0], k[1], k[2]}}, st, nil
 }
 
 // FitCross fits the extended D0R form over (tx, ty) samples.
-func FitCross(txs, tys, ys []float64) ([]float64, Stats, error) {
-	rows := make([][]float64, len(txs))
-	for i := range txs {
-		rows[i] = CrossBasis(txs[i], tys[i])
-	}
-	k, err := LeastSquares(rows, ys)
+func FitCross(txs, tys, ys []float64) (core.Cross, Stats, error) {
+	k, st, err := solve2(txs, tys, ys, CrossBasis)
 	if err != nil {
-		return nil, Stats{}, err
+		return core.Cross{}, Stats{}, err
 	}
-	return k, Residuals(rows, ys, k), nil
+	return core.Cross{
+		Kxy: k[0], Kx: k[1], Ky: k[2], K1: k[3],
+		Kxx: k[4], Kyy: k[5], Kxxy: k[6], Kxyy: k[7],
+	}, st, nil
 }
 
-// FitCrossPaper fits the paper's exact 4-term D0R form.
-func FitCrossPaper(txs, tys, ys []float64) ([]float64, Stats, error) {
-	rows := make([][]float64, len(txs))
-	for i := range txs {
-		rows[i] = CrossBasisPaper(txs[i], tys[i])
-	}
-	k, err := LeastSquares(rows, ys)
+// FitCrossPaper fits the paper's exact 4-term D0R form; the correction
+// terms of the returned surface are zero.
+func FitCrossPaper(txs, tys, ys []float64) (core.Cross, Stats, error) {
+	k, st, err := solve2(txs, tys, ys, CrossBasisPaper)
 	if err != nil {
-		return nil, Stats{}, err
+		return core.Cross{}, Stats{}, err
 	}
-	return k, Residuals(rows, ys, k), nil
+	return core.Cross{Kxy: k[0], Kx: k[1], Ky: k[2], K1: k[3]}, st, nil
 }
 
 // FitQuad2 fits the full two-variable quadratic over (tx, ty) samples.
-func FitQuad2(txs, tys, ys []float64) ([]float64, Stats, error) {
+func FitQuad2(txs, tys, ys []float64) (core.Quad2, Stats, error) {
+	k, st, err := solve2(txs, tys, ys, Quad2Basis)
+	if err != nil {
+		return core.Quad2{}, Stats{}, err
+	}
+	return core.Quad2{Kxx: k[0], Kyy: k[1], Kxy: k[2], Kx: k[3], Ky: k[4], K1: k[5]}, st, nil
+}
+
+// solve2 fits the two-variable basis over (tx, ty) samples.
+func solve2(txs, tys, ys []float64, basis func(tx, ty float64) []float64) ([]float64, Stats, error) {
 	rows := make([][]float64, len(txs))
 	for i := range txs {
-		rows[i] = Quad2Basis(txs[i], tys[i])
+		rows[i] = basis(txs[i], tys[i])
 	}
+	return solve(rows, ys)
+}
+
+// solve returns the least-squares coefficients and their fit statistics.
+func solve(rows [][]float64, ys []float64) ([]float64, Stats, error) {
 	k, err := LeastSquares(rows, ys)
 	if err != nil {
 		return nil, Stats{}, err

@@ -20,8 +20,8 @@ func TestLeastSquaresExactQuadratic(t *testing.T) {
 	}
 	want := []float64{2, -3, 0.5}
 	for i := range want {
-		if math.Abs(k[i]-want[i]) > 1e-9 {
-			t.Errorf("k[%d] = %g, want %g", i, k[i], want[i])
+		if math.Abs(k.K[i]-want[i]) > 1e-9 {
+			t.Errorf("K[%d] = %g, want %g", i, k.K[i], want[i])
 		}
 	}
 	if st.RMS > 1e-9 {
@@ -75,7 +75,7 @@ func TestCrossBasisRecoversPaperForm(t *testing.T) {
 		t.Errorf("max residual = %g, want ~0 (form is exactly representable)", st.MaxAbs)
 	}
 	// Check a prediction at an off-grid point.
-	pred := k[0]*math.Cbrt(0.45)*math.Cbrt(0.8) + k[1]*math.Cbrt(0.45) + k[2]*math.Cbrt(0.8) + k[3]
+	pred := k.Kxy*math.Cbrt(0.45)*math.Cbrt(0.8) + k.Kx*math.Cbrt(0.45) + k.Ky*math.Cbrt(0.8) + k.K1
 	if math.Abs(pred-f(0.45, 0.8)) > 1e-9 {
 		t.Errorf("off-grid prediction = %g, want %g", pred, f(0.45, 0.8))
 	}
@@ -106,9 +106,9 @@ func TestQuad2Exact(t *testing.T) {
 	if st.MaxAbs > 1e-9 {
 		t.Errorf("max residual = %g, want ~0", st.MaxAbs)
 	}
-	for i := range coef {
-		if math.Abs(k[i]-coef[i]) > 1e-8 {
-			t.Errorf("k[%d] = %g, want %g", i, k[i], coef[i])
+	for i, got := range []float64{k.Kxx, k.Kyy, k.Kxy, k.Kx, k.Ky, k.K1} {
+		if math.Abs(got-coef[i]) > 1e-8 {
+			t.Errorf("coefficient %d = %g, want %g", i, got, coef[i])
 		}
 	}
 }
@@ -150,7 +150,7 @@ func TestLeastSquaresInterpolatesExactlyProperty(t *testing.T) {
 			return false
 		}
 		const x = 0.77
-		pred := k[0]*x*x + k[1]*x + k[2]
+		pred := k.K[0]*x*x + k.K[1]*x + k.K[2]
 		return math.Abs(pred-(a*x*x+b*x+c)) < 1e-7
 	}
 	if err := quick.Check(f, nil); err != nil {

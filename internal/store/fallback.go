@@ -225,18 +225,18 @@ func (a analyticCell) fitPin(ctrl bool) (core.PinTiming, error) {
 		dNs = append(dNs, d/1e-9)
 		trNs = append(trNs, a.trans(ctrl, 1, 0)/1e-9)
 	}
-	kd, _, err := fit.FitQuad(tsNs, dNs)
+	delay, _, err := fit.FitQuad(tsNs, dNs)
 	if err != nil {
 		return core.PinTiming{}, fmt.Errorf("store: analytic delay fit: %w", err)
 	}
-	kt, _, err := fit.FitQuad(tsNs, trNs)
+	trans, _, err := fit.FitQuad(tsNs, trNs)
 	if err != nil {
 		return core.PinTiming{}, fmt.Errorf("store: analytic transition fit: %w", err)
 	}
 	p, _ := a.drive(ctrl, 1)
 	return core.PinTiming{
-		Delay: core.Quad{K: [3]float64{kd[0], kd[1], kd[2]}},
-		Trans: core.Quad{K: [3]float64{kt[0], kt[1], kt[2]}},
+		Delay: delay,
+		Trans: trans,
 		// d(drive term)/d(CL) of the alpha-power delay and slew formulas.
 		DelayLoadSlope: p.Vdd / (2 * p.ID0),
 		TransLoadSlope: 0.8 * p.Vdd / p.ID0,
@@ -266,24 +266,18 @@ func (a analyticCell) fitPairTiming() (core.PairTiming, error) {
 			srNs = append(srNs, (d1+0.5*a.trans(true, 1, 0))/1e-9)
 		}
 	}
-	kd0, _, err := fit.FitCrossPaper(txNs, tyNs, d0Ns)
-	if err != nil {
+	// The analytic class has no skew structure for the transition minimum;
+	// SKmin stays zero.
+	var pt core.PairTiming
+	var err error
+	if pt.D0, _, err = fit.FitCrossPaper(txNs, tyNs, d0Ns); err != nil {
 		return core.PairTiming{}, fmt.Errorf("store: analytic D0 fit: %w", err)
 	}
-	kt0, _, err := fit.FitCrossPaper(txNs, tyNs, t0Ns)
-	if err != nil {
+	if pt.T0, _, err = fit.FitCrossPaper(txNs, tyNs, t0Ns); err != nil {
 		return core.PairTiming{}, fmt.Errorf("store: analytic T0 fit: %w", err)
 	}
-	ksr, _, err := fit.FitQuad2(txNs, tyNs, srNs)
-	if err != nil {
+	if pt.SX, _, err = fit.FitQuad2(txNs, tyNs, srNs); err != nil {
 		return core.PairTiming{}, fmt.Errorf("store: analytic SR fit: %w", err)
 	}
-	return core.PairTiming{
-		D0: core.Cross{Kxy: kd0[0], Kx: kd0[1], Ky: kd0[2], K1: kd0[3]},
-		T0: core.Cross{Kxy: kt0[0], Kx: kt0[1], Ky: kt0[2], K1: kt0[3]},
-		SX: core.Quad2{Kxx: ksr[0], Kyy: ksr[1], Kxy: ksr[2], Kx: ksr[3], Ky: ksr[4], K1: ksr[5]},
-		// The analytic class has no skew structure for the transition
-		// minimum; keep it at zero skew.
-		SKmin: core.Quad2{},
-	}, nil
+	return pt, nil
 }
