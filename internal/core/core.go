@@ -35,28 +35,57 @@
 // beyond them at the pin-to-pin values. DelayCtrl2 is the V with its
 // minimum at zero skew; TransCtrl2 is the same V with its apex at SKmin;
 // DelayNonCtrl2 and TransNonCtrl2 are the Λ of the Section 3.6 extension,
-// peaking at zero skew. The V is evaluated by CtrlResponse (timing
-// simulation), by STA/ITR's earliest-arrival and shortest-transition corners
-// and by the backward pass's fastest arc; the Λ by NonCtrlResponseExt and
-// the NCExtension latest corners. The pin-to-pin rules are written here
-// once too: PinTiming.Range is Figure 9's extremum over a transition-time
-// range, and one earliest-or-latest combine backs CtrlResponse's
-// single-event case, NonCtrlResponse and PinToPinCtrlResponse. The timing
-// layers (twindow, tgraph, sta, logicsim) call these and read no surface
-// themselves; make vet enforces it.
+// peaking at zero skew. pairAt builds and reads the shape, and nothing else
+// does. The V is evaluated by CtrlResponse (timing simulation) and by the
+// Figure 8 corner rules written here, one function each: EarliestCtrl
+// (STA/ITR's earliest-arrival and shortest-transition corners) and
+// FastestCtrl (the backward pass's fastest arc); the Λ by
+// NonCtrlResponseExt and LatestNonCtrl (the NCExtension latest corners).
+// The pin-to-pin rules are written here once too: PinTiming.Bounds and
+// Range are Figure 9's extrema over a transition-time range, and one
+// earliest-or-latest combine backs CtrlResponse's single-event case,
+// NonCtrlResponse and PinToPinCtrlResponse. The timing layers (twindow,
+// tgraph, sta, logicsim) call these and read no surface themselves; make
+// vet enforces it.
 //
 // # Cube roots once per input
 //
 // The zero-skew surfaces D0 and T0 read the cube roots of both transition
-// times, and nothing else in the model does. Root takes a transition
-// time's root once; Cross.EvalRoots and the pair evaluators' Rooted forms
-// (DelayCtrl2Rooted and its three siblings) read roots the caller holds,
-// so a gate evaluation roots each input's bounds once for every pair and
-// corner that reads them. DelayCtrl2, TransCtrl2, DelayNonCtrl2,
-// TransNonCtrl2 and Cross.Eval root per call and give the same bits: the
-// root of one float64 is one float64, and the arithmetic after it is
-// unchanged. Without pair surfaces (NAND4) a pair evaluation is the
-// pin-to-pin step, which reads no root, so none is taken.
+// times, and nothing else in the model does. A corner rule roots each
+// candidate's transition-time bounds once for every pair and corner that
+// reads them; CtrlResponse roots each event's transition time once. The
+// per-call evaluators (DelayCtrl2 and its three siblings) and Cross.Eval
+// root per call and give the same bits: the root of one float64 is one
+// float64, and the arithmetic after it is unchanged. Without pair surfaces
+// a pair evaluation is the pin-to-pin step, which reads no root, so none
+// is taken.
+//
+// # Each surface once per gate
+//
+// A corner rule evaluates each surface once per gate evaluation and no
+// more. It resolves each ordered pair once (a scan of the cell's pairs).
+// The candidates carry their pin-to-pin values at both transition-time
+// bounds, which PinTiming.Bounds evaluates once per pin beside Figure 9's
+// extrema; these are the arm values of every pair shape the pin takes part
+// in. SX is evaluated once per ordered pair and corner, and the mirror
+// pair (y, x) at the mirrored corner reads the same two values. SKmin is
+// evaluated once per ordered pair, for both the clamped skew and the apex.
+// At zero skew the V returns its apex value, so FastestCtrl reads D0 and
+// the two arm values and no threshold. Per evaluation of a NAND2
+// to-controlling arc under ModeProposed, both inputs switching:
+//
+//	                     Quad.Eval  Quad2.Eval  pair lookups
+//	forward, before          36         24          22
+//	forward, after            8         10           2
+//	backward, before         20          4           4
+//	backward, after           4          0           2
+//
+// Every float is unchanged at finite transition times. Each value is
+// computed by the same expression from the same operands as before, and
+// the min and max over pairs and corners see the same set of values, in
+// another order that a strict comparison cannot tell apart (no NaN wins
+// it, and no two candidates are zeros of opposite sign). FastestCtrl's
+// apex value is what the shape returned at zero skew, atApex plus a zero.
 //
 // All public methods take and return SI seconds; coefficients are stored in
 // nanosecond units for numerical conditioning of the fits.
@@ -143,37 +172,20 @@ type Cross struct {
 
 // Eval evaluates the surface at (txSec, tySec) and returns seconds.
 func (c Cross) Eval(txSec, tySec float64) float64 {
-	return c.EvalRoots(Root(txSec).Root, Root(tySec).Root)
+	return c.EvalRoots(root(txSec), root(tySec))
 }
 
 // EvalRoots evaluates the surface at x = Tx^⅓ and y = Ty^⅓ (Tx, Ty in
-// nanoseconds), the roots Root takes, and returns seconds.
+// nanoseconds) and returns seconds.
 func (c Cross) EvalRoots(x, y float64) float64 {
 	v := c.Kxy*x*y + c.Kx*x + c.Ky*y + c.K1
 	v += c.Kxx*x*x + c.Kyy*y*y + c.Kxxy*x*x*y + c.Kxyy*x*y*y
 	return v * ns
 }
 
-// Rooted is an input transition time, Sec in seconds, beside its cube root
-// in nanoseconds, Root = (Sec/1 ns)^⅓: the argument the zero-skew surfaces
-// D0 and T0 read. A caller that evaluates one transition time at several
-// pairs or corners takes the root once, through Root, and passes it on.
-type Rooted struct {
-	Sec, Root float64
-}
-
-// Root returns transition time tSec with its cube root taken.
-func Root(tSec float64) Rooted { return Rooted{Sec: tSec, Root: math.Cbrt(tSec / ns)} }
-
-// rooted returns tSec with its cube root taken when pairs holds surfaces
-// that read it. Without them (NAND4) every pair evaluation is the
-// pin-to-pin step, which reads no root.
-func rooted(pairs []PairEntry, tSec float64) Rooted {
-	if len(pairs) == 0 {
-		return Rooted{Sec: tSec}
-	}
-	return Root(tSec)
-}
+// root returns the cube root of transition time tSec in nanoseconds,
+// (tSec/1 ns)^⅓: the argument the zero-skew surfaces D0 and T0 read.
+func root(tSec float64) float64 { return math.Cbrt(tSec / ns) }
 
 // Quad2 is the paper's SR formula family: a full two-variable quadratic
 // K30·Tx² + K31·Ty² + K32·Tx·Ty + K33·Tx + K34·Ty + K35 (nanoseconds).
@@ -215,16 +227,71 @@ func (p *PinTiming) TransAt(tSec, extraLoad float64) float64 {
 	return p.Trans.Eval(tSec) + p.TransLoadSlope*extraLoad
 }
 
+// extrema returns the quadratic's values at loSec and hiSec and its
+// minimum and maximum over [loSec, hiSec]: MinOver's and MaxOver's values,
+// bit for bit, with each endpoint evaluated once.
+func (q Quad) extrema(loSec, hiSec float64) (atLo, atHi, min, max float64) {
+	atLo, atHi = q.Eval(loSec), q.Eval(hiSec)
+	min, max = atLo, atLo
+	if atHi < min {
+		min = atHi
+	}
+	if atHi > max {
+		max = atHi
+	}
+	if q.K[0] != 0 {
+		// The interior valley (convex) or peak (concave, PeakT).
+		if t := -q.K[1] / (2 * q.K[0]) * ns; t > loSec && t < hiSec {
+			if v := q.Eval(t); q.K[0] > 0 && v < min {
+				min = v
+			} else if q.K[0] < 0 && v > max {
+				max = v
+			}
+		}
+	}
+	return atLo, atHi, min, max
+}
+
 // Range returns the extrema of the pin-to-pin delay and output transition
 // time over input transition times in [tsSec, tlSec] at the reference load
 // (Figure 9: an endpoint, or the interior peak or valley when it falls
 // inside the range). Callers add the load terms.
 func (p *PinTiming) Range(tsSec, tlSec float64) (dMin, dMax, tMin, tMax float64) {
-	_, dMin = p.Delay.MinOver(tsSec, tlSec)
-	_, dMax = p.Delay.MaxOver(tsSec, tlSec)
-	_, tMin = p.Trans.MinOver(tsSec, tlSec)
-	_, tMax = p.Trans.MaxOver(tsSec, tlSec)
+	_, _, dMin, dMax = p.Delay.extrema(tsSec, tlSec)
+	_, _, tMin, tMax = p.Trans.extrema(tsSec, tlSec)
 	return dMin, dMax, tMin, tMax
+}
+
+// PinBounds is one pin's timing over an input transition-time range
+// [TS, TL] at one load, the load terms included: Figure 9's extrema, and
+// the values at TS and TL, which are the arm values of every pair shape
+// the pin takes part in (DelayAt and TransAt there, bit for bit).
+type PinBounds struct {
+	DMin, DMax, TMin, TMax             float64
+	DelayTS, DelayTL, TransTS, TransTL float64
+	// LoadD and LoadT are the load terms included in every delay and
+	// every transition time above.
+	LoadD, LoadT float64
+}
+
+// Bounds sets *b to the pin's bounds over input transition times in
+// [tsSec, tlSec] with extraLoad farads beyond the reference load, in one
+// pass: each quadratic is evaluated once at each end. It writes through b
+// because a returned PinBounds was copied through memory, at about 12% of
+// a c7552 build (go test -bench, 2-vCPU x86-64 host).
+func (p *PinTiming) Bounds(b *PinBounds, tsSec, tlSec, extraLoad float64) {
+	p.DelayBounds(b, tsSec, tlSec, extraLoad)
+	b.LoadT = p.TransLoadSlope * extraLoad
+	tS, tL, tMin, tMax := p.Trans.extrema(tsSec, tlSec)
+	b.TMin, b.TMax, b.TransTS, b.TransTL = tMin+b.LoadT, tMax+b.LoadT, tS+b.LoadT, tL+b.LoadT
+}
+
+// DelayBounds is Bounds for the delays alone; it leaves the transition
+// times in *b as they were. The backward pass reads delays only.
+func (p *PinTiming) DelayBounds(b *PinBounds, tsSec, tlSec, extraLoad float64) {
+	b.LoadD = p.DelayLoadSlope * extraLoad
+	dS, dL, dMin, dMax := p.Delay.extrema(tsSec, tlSec)
+	b.DMin, b.DMax, b.DelayTS, b.DelayTL = dMin+b.LoadD, dMax+b.LoadD, dS+b.LoadD, dL+b.LoadD
 }
 
 // PairTiming holds the simultaneous-switching timing surfaces for one
@@ -376,11 +443,28 @@ func (s skewShape) at(skewSec float64) float64 {
 	}
 }
 
-// pairAt evaluates quantity q of ordered pair (x, y) at input transition
-// times tx and ty, skew skewSec and extraLoad farads beyond the reference
-// load: it builds the pair's skew shape and reads it at the skew. The
-// zero-skew surface reads the roots tx.Root and ty.Root, and nothing else
-// does, so a step (no pair surfaces) needs none.
+// resolve returns the surfaces of ordered pair (x, y) in pairs and of its
+// mirror (y, x), or two nils unless both orders were characterised: the
+// pair is then the pin-to-pin step.
+func resolve(pairs []PairEntry, x, y int) (xy, yx *PairTiming) {
+	xy, yx = lookup(pairs, x, y), lookup(pairs, y, x)
+	if xy == nil || yx == nil {
+		return nil, nil
+	}
+	return xy, yx
+}
+
+// pairAt evaluates quantity q of ordered pair (x, y) at skew skewSec: it
+// builds the pair's skew shape and reads it. xy holds the pair's surfaces,
+// or nil for the pin-to-pin step (either order not characterised), which
+// reads nothing but vx and vy. The caller evaluates everything else once
+// for every shape that reads it: vx and vy, the two pins' pin-to-pin values
+// of q at their transition times tx and ty (the arm values); load, x's load
+// term for q; sxXY = SX_xy(tx, ty) and sxYX = SX_yx(ty, tx), the two
+// orders' raw thresholds, which the mirror pair (y, x) at (ty, tx) reads
+// swapped; rx and ry, the roots of tx and ty; and skm = SKmin_xy(tx, ty),
+// read by ctrlTrans only. They are arguments, not a struct, so they stay
+// in registers.
 // The arms are the pair's SX thresholds, at least minSkewWidth from zero;
 // beyond them the earlier input alone sets a to-controlling response and
 // the later one a to-non-controlling response, so each arm settles to that
@@ -389,41 +473,52 @@ func (s skewShape) at(skewSec float64) float64 {
 // built and read in one frame: returned to the caller, it was copied
 // through memory and the evaluators ran about 20% slower (go test -bench,
 // 2-vCPU x86-64 host).
-func (m *CellModel) pairAt(q quantity, x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
-	nc, trans := q >= ncDelay, q == ctrlTrans || q == ncTrans
-	pins, pairs := m.CtrlPins, m.Pairs
-	if nc {
-		pins, pairs = m.NonCtrlPins, m.NCPairs
-	}
-	px, py := &pins[x], &pins[y]
-	var vx, vy, slope float64
-	if trans {
-		vx, vy, slope = px.TransAt(tx.Sec, extraLoad), py.TransAt(ty.Sec, extraLoad), px.TransLoadSlope
-	} else {
-		vx, vy, slope = px.DelayAt(tx.Sec, extraLoad), py.DelayAt(ty.Sec, extraLoad), px.DelayLoadSlope
-	}
+func pairAt(q quantity, xy *PairTiming, sxXY, sxYX, rx, ry, skm, vx, vy, load, skewSec float64) float64 {
+	nc := q >= ncDelay
 	atLo, atHi := vy, vx
 	if nc {
 		atLo, atHi = vx, vy
 	}
-	pXY, pYX := lookup(pairs, x, y), lookup(pairs, y, x)
-	if pXY == nil || pYX == nil {
+	if xy == nil {
 		return skewShape{atLo: atLo, atHi: atHi, step: true}.at(skewSec)
 	}
 
-	hi := pXY.SX.Eval(tx.Sec, ty.Sec)
+	hi := sxXY
 	if hi < minSkewWidth {
 		hi = minSkewWidth
 	}
-	lo := -pYX.SX.Eval(ty.Sec, tx.Sec)
+	lo := -sxYX
 	if lo > -minSkewWidth {
 		lo = -minSkewWidth
 	}
-	surf := &pXY.D0
-	if trans {
-		surf = &pXY.T0
+	surf := &xy.D0
+	if q == ctrlTrans || q == ncTrans {
+		surf = &xy.T0
 	}
-	v0 := surf.EvalRoots(tx.Root, ty.Root) + slope*extraLoad
+	v0 := apexValue(nc, surf, rx, ry, load, vx, vy)
+	apex := 0.0
+	if q == ctrlTrans {
+		// The transition-time minimum sits at SKmin, kept strictly inside
+		// the arms, and stays positive.
+		apex = skm
+		if apex > hi-minSkewWidth {
+			apex = hi - minSkewWidth
+		}
+		if apex < lo+minSkewWidth {
+			apex = lo + minSkewWidth
+		}
+		if v0 <= 0 {
+			v0 = minSkewWidth
+		}
+	}
+	return skewShape{lo: lo, apex: apex, hi: hi, atLo: atLo, atApex: v0, atHi: atHi}.at(skewSec)
+}
+
+// apexValue is a pair shape's value at its apex: the zero-skew surface at
+// roots rx and ry plus load, clamped to be at most both arm values (the
+// V's minimum, Claim 1) or, for a Λ (nc), at least both (its peak).
+func apexValue(nc bool, surf *Cross, rx, ry, load, vx, vy float64) float64 {
+	v0 := surf.EvalRoots(rx, ry) + load
 	if nc {
 		if v0 < vx {
 			v0 = vx
@@ -439,22 +534,32 @@ func (m *CellModel) pairAt(q quantity, x, y int, tx, ty Rooted, skewSec, extraLo
 			v0 = vy
 		}
 	}
-	apex := 0.0
-	if q == ctrlTrans {
-		// The transition-time minimum sits at SKmin, kept strictly inside
-		// the arms, and stays positive.
-		apex = pXY.SKmin.Eval(tx.Sec, ty.Sec)
-		if apex > hi-minSkewWidth {
-			apex = hi - minSkewWidth
-		}
-		if apex < lo+minSkewWidth {
-			apex = lo + minSkewWidth
-		}
-		if v0 <= 0 {
-			v0 = minSkewWidth
-		}
+	return v0
+}
+
+// evalPair is the per-call evaluation of quantity q of ordered pair (x, y)
+// at input transition times tx and ty, skew skewSec and extraLoad farads
+// beyond the reference load: it resolves the pair, evaluates both arm
+// values and reads the shape.
+func (m *CellModel) evalPair(q quantity, x, y int, tx, ty, skewSec, extraLoad float64) float64 {
+	pins, pairs := m.CtrlPins, m.Pairs
+	if q >= ncDelay {
+		pins, pairs = m.NonCtrlPins, m.NCPairs
 	}
-	return skewShape{lo: lo, apex: apex, hi: hi, atLo: atLo, atApex: v0, atHi: atHi}.at(skewSec)
+	px, py := &pins[x], &pins[y]
+	xy, yx := resolve(pairs, x, y)
+	var sxXY, sxYX, rx, ry float64
+	if xy != nil {
+		sxXY, sxYX, rx, ry = xy.SX.Eval(tx, ty), yx.SX.Eval(ty, tx), root(tx), root(ty)
+	}
+	if q == ctrlTrans || q == ncTrans {
+		skm := 0.0
+		if q == ctrlTrans && xy != nil {
+			skm = xy.SKmin.Eval(tx, ty)
+		}
+		return pairAt(q, xy, sxXY, sxYX, rx, ry, skm, px.TransAt(tx, extraLoad), py.TransAt(ty, extraLoad), px.TransLoadSlope*extraLoad, skewSec)
+	}
+	return pairAt(q, xy, sxXY, sxYX, rx, ry, 0, px.DelayAt(tx, extraLoad), py.DelayAt(ty, extraLoad), px.DelayLoadSlope*extraLoad, skewSec)
 }
 
 // DelayCtrl2 evaluates the V-shape model for the ordered pair (x, y): the
@@ -466,14 +571,7 @@ func (m *CellModel) pairAt(q quantity, x, y int, tx, ty Rooted, skewSec, extraLo
 // If the pair was not characterised the result degrades to the pin-to-pin
 // delay of the earlier input (the pin-to-pin model's answer).
 func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ctrlDelay, x, y, rooted(m.Pairs, txSec), rooted(m.Pairs, tySec), skewSec, extraLoad)
-}
-
-// DelayCtrl2Rooted is DelayCtrl2 at transition times whose roots the
-// caller took (Root), bit for bit. A cell without pair surfaces reads no
-// root, so tx and ty may then carry Sec alone.
-func (m *CellModel) DelayCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ctrlDelay, x, y, tx, ty, skewSec, extraLoad)
+	return m.evalPair(ctrlDelay, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
 // TransCtrl2 evaluates the output transition time of the to-controlling
@@ -481,13 +579,7 @@ func (m *CellModel) DelayCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad
 // DelayCtrl2. The V-shape minimum T0 sits at skew SKmin, which may be
 // non-zero.
 func (m *CellModel) TransCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ctrlTrans, x, y, rooted(m.Pairs, txSec), rooted(m.Pairs, tySec), skewSec, extraLoad)
-}
-
-// TransCtrl2Rooted is TransCtrl2 at rooted transition times, under
-// DelayCtrl2Rooted's conventions.
-func (m *CellModel) TransCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ctrlTrans, x, y, tx, ty, skewSec, extraLoad)
+	return m.evalPair(ctrlTrans, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
 // SKminAt returns the transition-time-minimising skew for pair (x, y) as
@@ -535,17 +627,21 @@ func (m *CellModel) CtrlResponse(events []InputEvent, extraLoad float64) (Respon
 	// Each event's transition time is rooted once for all its pairs.
 	type rootedEvent struct {
 		InputEvent
-		t Rooted
+		root float64
 	}
 	evs := make([]rootedEvent, len(events))
 	for i, e := range events {
-		evs[i] = rootedEvent{e, rooted(m.Pairs, e.Trans)}
+		evs[i].InputEvent = e
+		if len(m.Pairs) > 0 {
+			evs[i].root = root(e.Trans)
+		}
 	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Arrival < evs[j].Arrival })
 
 	// Pairwise minimum over all ordered pairs: each pair's candidate
 	// output arrival is min(Ax,Ay) + dpair. Track the winning pair for
-	// the output transition time.
+	// the output transition time. Each pair is resolved once, for its
+	// delay and its transition time.
 	bestArr := math.Inf(1)
 	bestTrans := 0.0
 	var bestDelay float64
@@ -553,14 +649,24 @@ func (m *CellModel) CtrlResponse(events []InputEvent, extraLoad float64) (Respon
 	for i := 0; i < len(evs); i++ {
 		for j := i + 1; j < len(evs); j++ {
 			x, y := &evs[i], &evs[j]
+			px, py := &m.CtrlPins[x.Pin], &m.CtrlPins[y.Pin]
+			xy, yx := resolve(m.Pairs, x.Pin, y.Pin)
+			var sxXY, sxYX float64
+			if xy != nil {
+				sxXY, sxYX = xy.SX.Eval(x.Trans, y.Trans), yx.SX.Eval(y.Trans, x.Trans)
+			}
 			skew := y.Arrival - x.Arrival
-			d := m.pairAt(ctrlDelay, x.Pin, y.Pin, x.t, y.t, skew, extraLoad)
+			d := pairAt(ctrlDelay, xy, sxXY, sxYX, x.root, y.root, 0, px.DelayAt(x.Trans, extraLoad), py.DelayAt(y.Trans, extraLoad), px.DelayLoadSlope*extraLoad, skew)
 			base := math.Min(x.Arrival, y.Arrival)
 			if cand := base + d; cand < bestArr {
 				bestArr = cand
 				bestDelay = d
 				bestBase = base
-				bestTrans = m.pairAt(ctrlTrans, x.Pin, y.Pin, x.t, y.t, skew, extraLoad)
+				skm := 0.0
+				if xy != nil {
+					skm = xy.SKmin.Eval(x.Trans, y.Trans)
+				}
+				bestTrans = pairAt(ctrlTrans, xy, sxXY, sxYX, x.root, y.root, skm, px.TransAt(x.Trans, extraLoad), py.TransAt(y.Trans, extraLoad), px.TransLoadSlope*extraLoad, skew)
 			}
 		}
 	}

@@ -284,53 +284,3 @@ func TestModelGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestRootedEvaluatorsMatch: each pair evaluator at transition times rooted
-// once by the caller gives its per-call form's float bits, over the golden
-// sweep; a surface's EvalRoots matches its Eval. A cell without the pair
-// surfaces an evaluator reads needs no roots at all.
-func TestRootedEvaluatorsMatch(t *testing.T) {
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, cell := range goldenCells() {
-		for x := 0; x < cell.N; x++ {
-			for y := 0; y < cell.N; y++ {
-				if x == y {
-					continue
-				}
-				for _, txNs := range goldenTrans {
-					for _, tyNs := range goldenTrans {
-						tx, ty := txNs*1e-9, tyNs*1e-9
-						rx, ry := core.Root(tx), core.Root(ty)
-						if p := cell.Pair(x, y); p != nil && !same(p.D0.Eval(tx, ty), p.D0.EvalRoots(rx.Root, ry.Root)) {
-							t.Fatalf("%s %d:%d D0 at (%g, %g) ns: EvalRoots differs from Eval", cell.Name, x, y, txNs, tyNs)
-						}
-						sx, sy := core.Rooted{Sec: tx}, core.Rooted{Sec: ty}
-						for _, s := range []float64{0, 0.1e-9, -0.1e-9, 2e-9, -2e-9} {
-							for _, load := range []float64{0, cell.RefLoad} {
-								for _, f := range []struct {
-									name       string
-									perCall    float64
-									rootedFn   func(x, y int, tx, ty core.Rooted, skew, load float64) float64
-									needsRoots bool
-								}{
-									{"DelayCtrl2", cell.DelayCtrl2(x, y, tx, ty, s, load), cell.DelayCtrl2Rooted, len(cell.Pairs) > 0},
-									{"TransCtrl2", cell.TransCtrl2(x, y, tx, ty, s, load), cell.TransCtrl2Rooted, len(cell.Pairs) > 0},
-									{"DelayNonCtrl2", cell.DelayNonCtrl2(x, y, tx, ty, s, load), cell.DelayNonCtrl2Rooted, len(cell.NCPairs) > 0},
-									{"TransNonCtrl2", cell.TransNonCtrl2(x, y, tx, ty, s, load), cell.TransNonCtrl2Rooted, len(cell.NCPairs) > 0},
-								} {
-									if got := f.rootedFn(x, y, rx, ry, s, load); !same(got, f.perCall) {
-										t.Fatalf("%s %s(%d, %d, %g ns, %g ns, skew %g, load %g): rooted %x, per call %x",
-											cell.Name, f.name, x, y, txNs, tyNs, s, load, math.Float64bits(got), math.Float64bits(f.perCall))
-									}
-									if got := f.rootedFn(x, y, sx, sy, s, load); !f.needsRoots && !same(got, f.perCall) {
-										t.Fatalf("%s %s without surfaces reads a root", cell.Name, f.name)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}

@@ -38,26 +38,14 @@ func (m *CellModel) NCPair(x, y int) *PairTiming { return lookup(m.NCPairs, x, y
 // with skewSec = Ay − Ax. Falls back to the pin-to-pin delay of the later
 // input when the pair was not characterised.
 func (m *CellModel) DelayNonCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ncDelay, x, y, rooted(m.NCPairs, txSec), rooted(m.NCPairs, tySec), skewSec, extraLoad)
-}
-
-// DelayNonCtrl2Rooted is DelayNonCtrl2 at rooted transition times, under
-// DelayCtrl2Rooted's conventions (here the NC pair surfaces read the roots).
-func (m *CellModel) DelayNonCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ncDelay, x, y, tx, ty, skewSec, extraLoad)
+	return m.evalPair(ncDelay, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
 // TransNonCtrl2 evaluates the output transition time of the
 // to-non-controlling response under the same conventions (Λ-shaped, peak T0
 // at zero skew).
 func (m *CellModel) TransNonCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ncTrans, x, y, rooted(m.NCPairs, txSec), rooted(m.NCPairs, tySec), skewSec, extraLoad)
-}
-
-// TransNonCtrl2Rooted is TransNonCtrl2 at rooted transition times, under
-// DelayNonCtrl2Rooted's conventions.
-func (m *CellModel) TransNonCtrl2Rooted(x, y int, tx, ty Rooted, skewSec, extraLoad float64) float64 {
-	return m.pairAt(ncTrans, x, y, tx, ty, skewSec, extraLoad)
+	return m.evalPair(ncTrans, x, y, txSec, tySec, skewSec, extraLoad)
 }
 
 // NonCtrlResponseExt computes the output response for simultaneous
@@ -83,9 +71,15 @@ func (m *CellModel) NonCtrlResponseExt(events []InputEvent, extraLoad float64) (
 	y := evs[len(evs)-1] // latest
 	skew := y.Arrival - x.Arrival
 	latest := math.Max(x.Arrival, y.Arrival)
-	tx, ty := Root(x.Trans), Root(y.Trans)
-	d := m.pairAt(ncDelay, x.Pin, y.Pin, tx, ty, skew, extraLoad)
-	tr := m.pairAt(ncTrans, x.Pin, y.Pin, tx, ty, skew, extraLoad)
+	// One resolution serves the delay and the transition time.
+	xy, yx := resolve(m.NCPairs, x.Pin, y.Pin)
+	var sxXY, sxYX, rx, ry float64
+	if xy != nil {
+		sxXY, sxYX, rx, ry = xy.SX.Eval(x.Trans, y.Trans), yx.SX.Eval(y.Trans, x.Trans), root(x.Trans), root(y.Trans)
+	}
+	px, py := &m.NonCtrlPins[x.Pin], &m.NonCtrlPins[y.Pin]
+	d := pairAt(ncDelay, xy, sxXY, sxYX, rx, ry, 0, px.DelayAt(x.Trans, extraLoad), py.DelayAt(y.Trans, extraLoad), px.DelayLoadSlope*extraLoad, skew)
+	tr := pairAt(ncTrans, xy, sxXY, sxYX, rx, ry, 0, px.TransAt(x.Trans, extraLoad), py.TransAt(y.Trans, extraLoad), px.TransLoadSlope*extraLoad, skew)
 
 	// The pin-to-pin answer is a lower bound; the Λ model can only add
 	// the simultaneous-switching penalty on top of it.

@@ -206,7 +206,7 @@ func (s *Snapshot) Required(cons Constraint) []LineRequired {
 
 	order := c.TopoOrder()
 	var pins [maxPins]*LineInfo
-	var buf [maxPins]ctrlInput
+	var buf [maxPins]core.Candidate
 	for i := len(order) - 1; i >= 0; i-- {
 		gi := order[i]
 		gb := &s.Gates[gi]
@@ -226,7 +226,7 @@ func (s *Snapshot) Required(cons Constraint) []LineRequired {
 			allowed := s.arcBounds(&buf, gb, a, ins)
 			for k := range allowed {
 				in := &allowed[k]
-				req[inIDs[in.pin]].dir(a.InRise).tighten(out.QS-in.dMin, out.QL-in.dMax)
+				req[inIDs[in.Pin]].dir(a.InRise).tighten(out.QS-in.DMin, out.QL-in.DMax)
 			}
 		}
 	}
@@ -253,29 +253,14 @@ func (s *Snapshot) RequiredMap(req []LineRequired) map[string]*LineRequired {
 }
 
 // arcBounds returns the inputs of gate gb that can transition along arc a,
-// each with [dMin, dMax] of its delay to the gate output, in buf's storage.
+// each with [DMin, DMax] of its delay to the gate output, in buf's storage.
 // Under ModeProposed the minimum of a to-controlling arc additionally
 // considers zero-skew simultaneous switching with each other such input
-// (the fastest achievable corner); each input's shortest transition time
-// is rooted once for all its partners.
-func (s *Snapshot) arcBounds(buf *[maxPins]ctrlInput, gb *Gate, a Arc, ins []*LineInfo) []ctrlInput {
-	allowed := collect(buf, ins, a.InRise, arcPins(gb.Cell, a), gb.ExtraLoad)
-	if !a.Ctrl || s.Mode != ModeProposed || len(allowed) < 2 {
-		return allowed
-	}
-	if len(gb.Cell.Pairs) > 0 {
-		rootTrans(allowed, false)
-	}
-	for i := range allowed {
-		ax := &allowed[i]
-		for j := range allowed {
-			if i == j {
-				continue
-			}
-			if d := gb.Cell.DelayCtrl2Rooted(ax.pin, allowed[j].pin, ax.ts, allowed[j].ts, 0, gb.ExtraLoad); d < ax.dMin {
-				ax.dMin = d
-			}
-		}
+// (the fastest achievable corner, core's FastestCtrl).
+func (s *Snapshot) arcBounds(buf *[maxPins]core.Candidate, gb *Gate, a Arc, ins []*LineInfo) []core.Candidate {
+	allowed := collect(buf, ins, a.InRise, arcPins(gb.Cell, a), gb.ExtraLoad, true)
+	if a.Ctrl && s.Mode == ModeProposed && len(allowed) >= 2 {
+		gb.Cell.FastestCtrl(allowed)
 	}
 	return allowed
 }
