@@ -174,10 +174,11 @@ type measurement struct {
 	trans float64
 }
 
-// characterizer carries shared state for one cell. The memo map is guarded
-// by mu: pair characterisation runs concurrently across ordered pairs, and
-// simulations are deterministic, so racing goroutines that miss the cache at
-// the same key simply recompute the identical value.
+// characterizer carries shared state for one cell. The memo and inflight
+// maps are guarded by mu: pair characterisation runs concurrently across
+// ordered pairs, and (x, y) and (y, x) share testbenches, so a goroutine
+// that misses the memo at a key another is simulating waits for that
+// result instead of simulating it again.
 type characterizer struct {
 	opts Options
 	cfg  cells.Config
@@ -188,6 +189,9 @@ type characterizer struct {
 	// memo caches every simulated characterisation point at the
 	// reference load.
 	memo map[point]measurement
+	// inflight holds, for each point being simulated, a channel closed
+	// when that simulation has finished (and, if it succeeded, is in memo).
+	inflight map[point]chan struct{}
 	// quality accumulates per-surface fit statistics (ns domain).
 	quality map[string]core.FitQuality
 	// health accumulates resilience bookkeeping: attempted points, retried
@@ -281,11 +285,12 @@ func characterizeCell(ctx context.Context, opts Options, cfg cells.Config) (*cor
 		n = 1
 	}
 	ch := &characterizer{
-		opts:    opts,
-		cfg:     cfg,
-		ctx:     ctx,
-		memo:    make(map[point]measurement),
-		quality: make(map[string]core.FitQuality),
+		opts:     opts,
+		cfg:      cfg,
+		ctx:      ctx,
+		memo:     make(map[point]measurement),
+		inflight: make(map[point]chan struct{}),
+		quality:  make(map[string]core.FitQuality),
 	}
 
 	model := &core.CellModel{
@@ -435,19 +440,39 @@ func (ch *characterizer) drives(p point) map[int]cells.Drive {
 	}
 }
 
-// measure simulates (and memoises) point p at the reference load.
+// measure simulates (and memoises) point p at the reference load. Each
+// point is simulated once at any Jobs: a goroutine that finds p being
+// simulated waits for it. A failed simulation is not memoised, so a waiter
+// that then finds no result simulates p itself, as a serial run would.
 func (ch *characterizer) measure(p point) (measurement, error) {
 	if p.y >= 0 && p.x > p.y {
 		// Canonical key, ordered by pin index, so both pin orders of a pair
 		// hit the same simulation.
 		p = point{ctrl: p.ctrl, x: p.y, y: p.x, tx: p.ty, ty: p.tx, dps: -p.dps}
 	}
-	ch.mu.Lock()
-	m, ok := ch.memo[p]
-	ch.mu.Unlock()
-	if ok {
-		return m, nil
+	for {
+		ch.mu.Lock()
+		if m, ok := ch.memo[p]; ok {
+			ch.mu.Unlock()
+			return m, nil
+		}
+		wait, busy := ch.inflight[p]
+		if !busy {
+			break // with mu held
+		}
+		ch.mu.Unlock()
+		<-wait
 	}
+	done := make(chan struct{})
+	ch.inflight[p] = done
+	ch.mu.Unlock()
+	defer func() {
+		// Also on a panic, so no waiter blocks for good.
+		ch.mu.Lock()
+		delete(ch.inflight, p)
+		ch.mu.Unlock()
+		close(done)
+	}()
 	m, err := ch.simulate(p.ctrl, ch.drives(p), 0)
 	if err != nil {
 		return measurement{}, err

@@ -65,15 +65,26 @@ func TestSkipPairsProducesPinOnlyModel(t *testing.T) {
 // on the golden grid: per pin and response, three grid points plus the
 // loaded mid-grid point, 16 in all. The unloaded mid-grid point that the
 // load slope is taken against is the memoised grid sample, not a rerun.
+// With the pairs characterised, whose ordered pairs (x, y) and (y, x) run
+// concurrently and share testbenches, Jobs 4 must simulate exactly the
+// transients Jobs 1 does: a testbench missed by both at once runs once.
 func TestEachTestbenchSimulatedOnce(t *testing.T) {
-	opts := nand2Options()
-	opts.SkipPairs = true
-	opts.Metrics = engine.NewMetrics()
-	if _, err := Characterize(opts); err != nil {
-		t.Fatal(err)
+	transients := func(jobs int, skipPairs bool) int64 {
+		opts := nand2Options()
+		opts.Jobs, opts.SkipPairs = jobs, skipPairs
+		opts.Metrics = engine.NewMetrics()
+		if _, err := Characterize(opts); err != nil {
+			t.Fatal(err)
+		}
+		return opts.Metrics.Get(engine.CharJobs)
 	}
-	if got := opts.Metrics.Get(engine.CharJobs); got != 16 {
-		t.Errorf("charlib/jobs = %d, want 16 (2 pins x 2 responses x (3 grid points + 1 loaded))", got)
+	for _, jobs := range []int{1, 4} {
+		if got := transients(jobs, true); got != 16 {
+			t.Errorf("Jobs %d: charlib/jobs = %d, want 16 (2 pins x 2 responses x (3 grid points + 1 loaded))", jobs, got)
+		}
+	}
+	if serial, parallel := transients(1, false), transients(4, false); parallel != serial {
+		t.Errorf("with pairs: charlib/jobs = %d at Jobs 4, %d at Jobs 1", parallel, serial)
 	}
 }
 
