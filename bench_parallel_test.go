@@ -4,13 +4,15 @@
 // pipeline (hundreds of independent SPICE transients), so it is the
 // canonical measure of the engine's speed-up. The timing graph converges
 // serially: BenchmarkBuild prices one full c7552 build, and
-// BenchmarkRequired the backward pass on the same circuit. Incremental
+// BenchmarkRequired the backward pass on the same circuit. BenchmarkRefine
+// prices one ITR refinement and its violation check, both passes under a
+// cube's transition states. Incremental
 // edits: BenchmarkSwapGate prices one gate swap on a persistent graph
 // against the size of the cone it re-converges.
 //
 // Run with:
 //
-//	go test -run '^$' -bench='CharacterizeParallel|Build$|Required|SwapGate' -benchtime=3x
+//	go test -run '^$' -bench='CharacterizeParallel|Build$|Required|Refine|SwapGate' -benchtime=3x
 //
 // or `make bench-parallel`.
 package sstiming_test
@@ -19,11 +21,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sstiming/internal/benchgen"
 	"sstiming/internal/charlib"
 	"sstiming/internal/netlist"
+	"sstiming/internal/nineval"
 	"sstiming/internal/prechar"
 	"sstiming/internal/sta"
 	"sstiming/internal/tgraph"
@@ -91,6 +95,46 @@ func BenchmarkRequired(b *testing.B) {
 		cons := conss[i%2]
 		res.RequiredTimes(cons)
 		viols += len(res.CheckViolations(cons))
+	}
+	b.ReportMetric(float64(viols)/float64(b.N), "violations/op")
+}
+
+// BenchmarkRefine runs refinement as a sign-off flow does, over 120 seeded
+// cubes on c1908 that imply without conflict: an op refines the circuit
+// under one cube (sta.Refine: implication, then a full forward pass under
+// the implied transition states) and checks its violations against a
+// constraint 5% inside its PO arrival range (the backward pass). It
+// encodes nothing, so the timing layers' share of the op is all of it.
+func BenchmarkRefine(b *testing.B) {
+	c, err := benchgen.Load("c1908")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.EnsureBuilt(); err != nil {
+		b.Fatal(err)
+	}
+	vals := []nineval.Value{nineval.V01, nineval.V10, nineval.V00, nineval.V11, nineval.VX1, nineval.V1X}
+	rng := rand.New(rand.NewSource(1))
+	var cubes []nineval.Cube
+	for len(cubes) < 120 {
+		cube := nineval.Cube{}
+		for k := 2 + rng.Intn(6); k > 0; k-- {
+			cube[c.PIs[rng.Intn(len(c.PIs))]] = vals[rng.Intn(len(vals))]
+		}
+		if _, ok := nineval.Imply(c, cube); ok {
+			cubes = append(cubes, cube)
+		}
+	}
+	opts := sta.Options{Lib: prechar.MustLibrary(), Mode: sta.ModeProposed}
+	b.ReportAllocs()
+	b.ResetTimer()
+	viols := 0
+	for i := 0; i < b.N; i++ {
+		res, err := sta.Refine(c, cubes[i%len(cubes)], opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		viols += len(res.CheckViolations(sta.Constraint{MinTime: 1.05 * res.MinPOArrival(), MaxTime: 0.95 * res.MaxPOArrival()}))
 	}
 	b.ReportMetric(float64(viols)/float64(b.N), "violations/op")
 }
