@@ -128,6 +128,20 @@ func TestInstrumenterWrap(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking endpoint: HTTP %d, want 500", rec.Code)
 	}
+	// The whole 500 body, byte for byte: the panic value stays server-side
+	// and the minted request ID is the only variable part.
+	boomID := rec.Header().Get("X-Request-Id")
+	wantBody := "{\n" +
+		"  \"request_id\": \"" + boomID + "\",\n" +
+		"  \"error\": \"internal error (request " + boomID + ")\",\n" +
+		"  \"kind\": \"panic\"\n" +
+		"}\n"
+	if got := rec.Body.String(); got != wantBody {
+		t.Fatalf("panic body\n  got  %q\n  want %q", got, wantBody)
+	}
+	if got := rec.Header().Get("Content-Type"); got != "application/json" {
+		t.Fatalf("panic Content-Type %q, want application/json", got)
+	}
 
 	if got := met.Get(engine.SvcRequests); got != 2 {
 		t.Fatalf("SvcRequests = %d, want 2", got)
