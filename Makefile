@@ -7,7 +7,7 @@ GO ?= go
 # genuinely improves; never lower it to make a PR pass.
 COVER_FLOOR ?= 75.0
 
-.PHONY: build test race vet verify conformance cache-conformance chaos store-chaos session-chaos shard-chaos net-chaos lib-check service-smoke cover bench-go bench-parallel clean
+.PHONY: build test race vet verify conformance conformance-campaign cache-conformance chaos store-chaos session-chaos shard-chaos net-chaos lib-check service-smoke cover bench-go bench-parallel clean
 
 # perfbench is its own module, so ./... at the root never reaches it; it is
 # compiled (not run) here so an API break surfaces in verify.
@@ -40,6 +40,12 @@ MODEL_RULES := MinOver|MaxOver|Cbrt|\.Pair\(|\.NCPair\(|\.SX\.|\.D0\.|\.T0\.|\.S
 # reader and each other — never the transistor simulator.
 CORE_LAYERS := ./internal/twindow ./internal/tgraph ./internal/sta
 CORE_DEPS := core|engine|jsonread|netlist|nineval|twindow|tgraph|sta
+# The daemon serves STA and ITR from a characterised library: its non-test
+# dependencies inside this module must not reach the transistor simulator,
+# the differential checker or the generators and oracles they use. Nor may
+# the shard coordinator depend on the daemon; the two share only
+# internal/httpmw.
+SERVICE_DEPS := spice|flatsim|logicsim|conformance|benchgen|baseline|faultinject|waveform
 
 vet:
 	$(GO) vet ./...
@@ -57,12 +63,21 @@ vet:
 	@deps=$$($(GO) list -deps $(CORE_LAYERS) | grep '^sstiming/' | grep -vxE 'sstiming/internal/($(CORE_DEPS))'); \
 	if [ -n "$$deps" ]; then \
 		echo "the timing core (twindow, tgraph, sta) depends on these packages outside its allowed set:"; echo "$$deps"; exit 1; fi
+	@deps=$$($(GO) list -deps ./internal/service | grep -xE 'sstiming/internal/($(SERVICE_DEPS))'); \
+	if [ -n "$$deps" ]; then \
+		echo "the timing daemon (internal/service) depends on these forbidden packages:"; echo "$$deps"; exit 1; fi
+	@if $(GO) list -deps ./internal/shardnet | grep -qx 'sstiming/internal/service'; then \
+		echo "the shard coordinator (internal/shardnet) depends on the timing daemon (internal/service)"; exit 1; fi
 
 # Tier-1 verification loop (see ROADMAP.md). Runs every stage through a
 # timing wrapper and prints a per-stage wall-clock summary at the end, so
-# a slow stage is visible instead of buried in test output.
-VERIFY_STAGES := build vet test race conformance cache-conformance chaos \
-	store-chaos session-chaos shard-chaos net-chaos lib-check service-smoke cover
+# a slow stage is visible instead of buried in test output. The race stage
+# runs every test of the module under the race detector, so the suites below
+# that rerun subsets of it with the same flags (conformance's go test line,
+# cache-conformance, chaos, store-chaos, session-chaos, shard-chaos,
+# net-chaos) are not stages: they stay as targets for running one suite
+# alone or replaying a CHAOS_SEED.
+VERIFY_STAGES := build vet test race conformance-campaign lib-check service-smoke cover
 
 verify:
 	@set -e; times=""; total_start=$$(date +%s); \
@@ -80,8 +95,12 @@ verify:
 # Short randomized differential campaign: cross-checks flatsim, logicsim,
 # STA, ITR and the delay-model structure against each other on random
 # circuits (see internal/conformance and DESIGN.md "Verification strategy").
-conformance:
+# conformance-campaign is the CLI half alone, the part the race stage does
+# not already run.
+conformance: conformance-campaign
 	$(GO) test -run TestConformance -race ./internal/conformance
+
+conformance-campaign:
 	$(GO) run ./cmd/conformance -seeds 8 -jobs 4
 
 # Cache-equivalence campaign: random circuits POSTed twice to /analyze and

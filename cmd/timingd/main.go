@@ -1,6 +1,6 @@
 // Command timingd is the timing-analysis service daemon: it loads a
-// characterised cell library once and serves STA, ITR and conformance
-// spot-check jobs over HTTP/JSON (see internal/service and DESIGN.md §10).
+// characterised cell library once and serves STA and ITR jobs over
+// HTTP/JSON (see internal/service and DESIGN.md §10).
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //
 //	POST /analyze      run STA on a posted netlist
 //	POST /refine       run ITR under a partial two-frame cube
-//	POST /conformance  run a randomized differential spot check
 //	POST /session      build a persistent timing graph (delta-STA session)
 //	POST /session/{id}/delta    apply cube/PI/gate edits incrementally
 //	GET  /session/{id}/windows  snapshot the session's current windows
@@ -23,7 +22,7 @@
 //	POST /reload       hot-swap the library (re-verified; old one keeps
 //	                   serving on failure, 409 on tech-tag mismatch)
 //	GET  /healthz      liveness
-//	GET  /readyz       readiness (drain state; breaker state is informational)
+//	GET  /readyz       readiness (drain state and library load)
 //	GET  /metrics      engine counters + per-endpoint latency histograms
 //
 // A -lib file is loaded through the verifying store (internal/store): its
@@ -88,8 +87,6 @@ func main() {
 	sessionDir := flag.String("session-dir", "", "directory for durable session journals (empty = in-memory sessions)")
 	sessionSnapshotEvery := flag.Int("session-snapshot-every", 0, "deltas between snapshot compactions (0 = default 64, negative = never)")
 	sessionSnapshotBytes := flag.Int64("session-snapshot-bytes", 0, "journal bytes triggering snapshot compaction (0 = default 1MiB, negative = never)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "solver failures tripping the circuit breaker (0 = default 5, -1 = disabled)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "breaker open duration before a half-open probe (0 = default 10s)")
 	strictLib := flag.Bool("strict-lib", false, "refuse degraded or unverified libraries instead of serving analytic fallbacks")
 	stats := flag.Bool("stats", false, "dump engine metrics to stderr on exit")
 	selfcheck := flag.Bool("selfcheck", false, "run the service smoke test and exit")
@@ -119,11 +116,7 @@ func main() {
 		SessionDir:           *sessionDir,
 		SessionSnapshotEvery: *sessionSnapshotEvery,
 		SessionSnapshotBytes: *sessionSnapshotBytes,
-		Breaker: service.BreakerConfig{
-			Threshold: *breakerThreshold,
-			Cooldown:  *breakerCooldown,
-		},
-		Metrics: met,
+		Metrics:              met,
 	})
 	if err != nil {
 		fail(err)

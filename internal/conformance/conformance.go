@@ -131,12 +131,6 @@ type Options struct {
 	// per flattened transient (see internal/faultinject.Plan.NextHook).
 	// Chaos testing only; production campaigns leave it nil.
 	NewFaultHook func() spice.FaultHook
-	// OnSolverError, when non-nil, observes every flattened trial the
-	// solver gave up on (an error satisfying spice.IsRecoverable) before
-	// the campaign absorbs it as a skip. The timing service's circuit
-	// breaker feeds on these events; must be safe for concurrent use when
-	// Jobs > 1.
-	OnSolverError func(error)
 	// Metrics, when non-nil, accumulates campaign counters.
 	Metrics *engine.Metrics
 }

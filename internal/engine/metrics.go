@@ -91,12 +91,6 @@ const (
 	// SvcPanics counts handler or job panics converted into 500 responses
 	// instead of killing the daemon.
 	SvcPanics
-	// SvcBreakerTrips counts circuit-breaker transitions into the open
-	// state after a solver-failure burst.
-	SvcBreakerTrips
-	// SvcDegraded counts solver-backed requests answered with a degraded
-	// 503 response while the breaker was open.
-	SvcDegraded
 	// SvcReloads counts successful hot reloads of the served timing
 	// library.
 	SvcReloads
@@ -211,8 +205,6 @@ var counterNames = [numCounters]string{
 	SvcShed:               "service/shed",
 	SvcTimeouts:           "service/timeouts",
 	SvcPanics:             "service/panics",
-	SvcBreakerTrips:       "service/breaker_trips",
-	SvcDegraded:           "service/degraded_responses",
 	SvcReloads:            "service/reloads",
 	SvcReloadFails:        "service/reload_failures",
 	StoreQuarantined:      "store/quarantined_cells",

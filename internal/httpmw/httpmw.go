@@ -1,7 +1,15 @@
-package service
+// Package httpmw is the HTTP middleware the codebase's embedded front ends
+// share (the timing daemon in internal/service, the shard coordinator in
+// internal/shardnet): request-ID minting, per-endpoint latency histograms,
+// panic containment, deadline derivation and a load-shedding admission
+// gate, so operational behaviour is uniform across services. It depends on
+// nothing but the engine's counters, so neither server pulls in the
+// other's layers.
+package httpmw
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,12 +21,23 @@ import (
 	"sstiming/internal/engine"
 )
 
-// This file is the reusable slice of the daemon's HTTP middleware: any
-// embedded HTTP front end in this codebase (timingd here, the shard
-// coordinator in internal/shardnet) gets the same request-ID minting,
-// per-endpoint latency histograms, panic containment, deadline derivation
-// and load-shedding admission gate, so operational behaviour is uniform
-// across services.
+// ErrorJSON is the uniform error payload.
+type ErrorJSON struct {
+	RequestID string `json:"request_id,omitempty"`
+	Error     string `json:"error"`
+	// Kind classifies the failure: "bad-request", "not-found", "cancelled",
+	// "shed", "draining", "panic" or "internal".
+	Kind string `json:"kind"`
+}
+
+// WriteJSON writes v as the indented JSON body of a status response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
 
 // numLatencyBuckets is len(latencyBuckets); Go needs a constant for the
 // atomic counts array.
@@ -148,7 +167,7 @@ func (in *Instrumenter) Wrap(endpoint string, h http.HandlerFunc) http.Handler {
 				in.met.Add(engine.SvcPanics, 1)
 				// Headers may already be out; this is best-effort. The panic
 				// value stays server-side; clients correlate via the ID.
-				writeJSON(w, http.StatusInternalServerError, ErrorJSON{
+				WriteJSON(w, http.StatusInternalServerError, ErrorJSON{
 					RequestID: id,
 					Error:     fmt.Sprintf("internal error (request %s)", id),
 					Kind:      "panic",

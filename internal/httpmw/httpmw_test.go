@@ -1,11 +1,13 @@
-package service
+package httpmw
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sstiming/internal/engine"
 )
@@ -150,5 +152,32 @@ func TestInstrumenterWrap(t *testing.T) {
 	in.WriteLatencies(&sb)
 	if !strings.Contains(sb.String(), "ok") || !strings.Contains(sb.String(), "boom") {
 		t.Fatalf("latency dump missing endpoints:\n%s", sb.String())
+	}
+}
+
+func TestHistogramCumulativeBuckets(t *testing.T) {
+	h := &histogram{}
+	for _, d := range []time.Duration{
+		500 * time.Microsecond, // le=1ms
+		3 * time.Millisecond,   // le=5ms
+		4 * time.Millisecond,   // le=5ms
+		2 * time.Second,        // le=2.5s
+		30 * time.Second,       // +Inf
+	} {
+		h.observe(d)
+	}
+	var b bytes.Buffer
+	h.writeText(&b, "test")
+	out := b.String()
+	for _, want := range []string{
+		`service/latency{endpoint="test",le="1ms"} 1`,
+		`service/latency{endpoint="test",le="5ms"} 3`,
+		`service/latency{endpoint="test",le="2.5s"} 4`,
+		`service/latency{endpoint="test",le="+Inf"} 5`,
+		`service/latency_count{endpoint="test"} 5`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("histogram output misses %q:\n%s", want, out)
+		}
 	}
 }

@@ -8,11 +8,10 @@ import (
 	"net/http"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"sstiming/internal/conformance"
 	"sstiming/internal/engine"
+	"sstiming/internal/httpmw"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
 	"sstiming/internal/reqcache"
@@ -38,16 +37,8 @@ type WindowJSON struct {
 
 func windowJSON(w sta.Window) WindowJSON { return WindowJSON{AS: w.AS, AL: w.AL, TS: w.TS, TL: w.TL} }
 
-// ErrorJSON is the uniform error payload.
-type ErrorJSON struct {
-	RequestID string `json:"request_id,omitempty"`
-	Error     string `json:"error"`
-	// Kind classifies the failure: "bad-request", "not-found", "cancelled",
-	// "shed", "degraded", "draining", "panic" or "internal".
-	Kind string `json:"kind"`
-	// Breaker is the breaker state on degraded responses.
-	Breaker string `json:"breaker,omitempty"`
-}
+// ErrorJSON is the uniform error payload (see httpmw.ErrorJSON).
+type ErrorJSON = httpmw.ErrorJSON
 
 // AnalyzeRequest is the POST /analyze body.
 type AnalyzeRequest struct {
@@ -110,34 +101,6 @@ type RefineResponse struct {
 	ElapsedMs float64                   `json:"elapsed_ms"`
 }
 
-// ConformanceRequest is the POST /conformance body: a randomized
-// differential spot check (see internal/conformance) sized for a request.
-type ConformanceRequest struct {
-	// Seeds is the number of campaign seeds (default 2, capped by the
-	// server's MaxConformanceSeeds).
-	Seeds int `json:"seeds"`
-	// SeedBase is the first seed (default 1).
-	SeedBase int64 `json:"seed_base"`
-	// Checks filters the checks; empty runs all of them.
-	Checks []string `json:"checks"`
-	// FlatTrials is the number of transistor-level trials per seed
-	// (default 1; -1 disables the expensive flattened oracle).
-	FlatTrials int `json:"flat_trials"`
-	TimeoutMs  int `json:"timeout_ms"`
-}
-
-// ConformanceResponse is the POST /conformance result.
-type ConformanceResponse struct {
-	RequestID      string                            `json:"request_id"`
-	Passed         bool                              `json:"passed"`
-	Seeds          int                               `json:"seeds"`
-	Stats          map[string]*conformance.CheckStat `json:"stats"`
-	Violations     []string                          `json:"violations,omitempty"`
-	SolverFailures int64                             `json:"solver_failures"`
-	Breaker        string                            `json:"breaker"`
-	ElapsedMs      float64                           `json:"elapsed_ms"`
-}
-
 // readJSON decodes the request body with a size cap.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
@@ -148,20 +111,8 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) erro
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, requestID string, err error, extra map[string]string) {
-	payload := ErrorJSON{RequestID: requestID, Error: err.Error(), Kind: errorKind(err)}
-	if extra != nil {
-		payload.Breaker = extra["breaker"]
-	}
-	writeJSON(w, status, payload)
+func writeError(w http.ResponseWriter, status int, requestID string, err error) {
+	httpmw.WriteJSON(w, status, ErrorJSON{RequestID: requestID, Error: err.Error(), Kind: errorKind(err)})
 }
 
 // errorKind classifies an error for the JSON payload.
@@ -172,8 +123,6 @@ func errorKind(err error) string {
 		return "cancelled"
 	case errors.Is(err, ErrShedLoad):
 		return "shed"
-	case errors.Is(err, ErrDegraded):
-		return "degraded"
 	case errors.Is(err, ErrDraining):
 		return "draining"
 	case errors.Is(err, ErrSessionNotFound):
@@ -192,7 +141,6 @@ func errorKind(err error) string {
 //
 //	deadline / cancel  -> 504 (engine.ErrCancelled in the chain)
 //	queue full         -> 429 + Retry-After
-//	breaker open       -> 503 + Retry-After (degraded)
 //	draining           -> 503 (ErrDraining)
 //	job panic          -> 500 (contained; the daemon keeps serving)
 //	journal write lost -> 500 (the delta was applied but never made
@@ -205,28 +153,31 @@ func (s *Server) respondJobError(w http.ResponseWriter, id string, err error) {
 	switch {
 	case errors.Is(err, engine.ErrCancelled):
 		s.met.Add(engine.SvcTimeouts, 1)
-		writeError(w, http.StatusGatewayTimeout, id, err, nil)
+		writeError(w, http.StatusGatewayTimeout, id, err)
 	case errors.Is(err, ErrSessionDurability):
-		writeError(w, http.StatusInternalServerError, id, err, nil)
+		writeError(w, http.StatusInternalServerError, id, err)
 	case errors.Is(err, ErrShedLoad):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, id, err, nil)
-	case errors.Is(err, ErrDegraded):
-		s.met.Add(engine.SvcDegraded, 1)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.breaker.RetryAfter().Seconds())))
-		writeError(w, http.StatusServiceUnavailable, id, err,
-			map[string]string{"breaker": s.breaker.State().String()})
+		writeError(w, http.StatusTooManyRequests, id, err)
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, id, err, nil)
+		writeError(w, http.StatusServiceUnavailable, id, err)
 	case errors.As(err, &pe):
 		s.met.Add(engine.SvcPanics, 1)
 		// The stack stays in the job error (operator-side); clients get
 		// the request ID to correlate.
 		writeError(w, http.StatusInternalServerError, id,
-			fmt.Errorf("internal error while running the job (request %s)", id), nil)
+			fmt.Errorf("internal error while running the job (request %s)", id))
 	default:
-		writeError(w, http.StatusUnprocessableEntity, id, err, nil)
+		writeError(w, http.StatusUnprocessableEntity, id, err)
 	}
+}
+
+// withDeadline derives the request's working context: an explicit
+// per-request timeout (JSON timeout_ms or X-Timeout-Ms header, the JSON
+// field winning) overrides the server default; zero/negative means "no
+// deadline beyond the client connection".
+func (s *Server) withDeadline(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
+	return httpmw.RequestDeadline(r, s.opts.DefaultTimeout, timeoutMs)
 }
 
 // parseCircuit builds the posted netlist ("bench" or "verilog" format).
@@ -382,7 +333,7 @@ type addressed struct {
 // cached response is byte-identical to the cold run modulo the re-stamped
 // request_id and elapsed_ms.
 func (s *Server) serveAddressed(w http.ResponseWriter, r *http.Request, start time.Time, a addressed) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	address := func(schema string, tail ...string) reqcache.Key {
 		return reqcache.KeyFrom(slices.Concat([]string{schema, a.fp}, a.parts, tail)...)
 	}
@@ -391,7 +342,7 @@ func (s *Server) serveAddressed(w http.ResponseWriter, r *http.Request, start ti
 	raw := address(a.endpoint+"-raw/1", strings.ToLower(a.format), a.netlist)
 	respond := func(v any, status reqcache.Status) {
 		w.Header().Set("X-Cache", status.String())
-		writeJSON(w, http.StatusOK, v.(identified).withIdentity(id, float64(time.Since(start))/float64(time.Millisecond)))
+		httpmw.WriteJSON(w, http.StatusOK, v.(identified).withIdentity(id, float64(time.Since(start))/float64(time.Millisecond)))
 	}
 	if s.cache != nil {
 		if v, ok := s.cache.GetVia(raw); ok {
@@ -435,16 +386,16 @@ func (s *Server) serveAddressed(w http.ResponseWriter, r *http.Request, start ti
 // handleAnalyze serves POST /analyze: one STA job, content-addressed (see
 // serveAddressed) by the canonical netlist, the mode and the options.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	start := time.Now()
 	var req AnalyzeRequest
 	if err := s.readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	ls := s.libstate()
@@ -490,23 +441,23 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // /analyze, with the canonical cube and net filter added to both
 // addresses.
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	start := time.Now()
 	var req RefineRequest
 	if err := s.readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	// A cube that parses cannot have been cached, so checking it before
 	// the raw lookup changes no answer; it costs a handful of nets.
 	cube, err := parseCube(req.Cube)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	// parseCube accepts 'x' and 'X' alike; fold case so both spellings
@@ -551,104 +502,6 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleConformance serves POST /conformance: a randomized differential
-// spot check. This is the daemon's only solver-backed endpoint, so it is
-// the one the circuit breaker guards: while the breaker is open the job is
-// refused with a degraded 503 and the daemon keeps serving the read-only
-// analyses.
-func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
-	var req ConformanceRequest
-	if err := s.readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
-		return
-	}
-	if req.Seeds <= 0 {
-		req.Seeds = 2
-	}
-	if req.Seeds > s.opts.MaxConformanceSeeds {
-		writeError(w, http.StatusBadRequest, id,
-			fmt.Errorf("seeds %d above the per-request cap %d", req.Seeds, s.opts.MaxConformanceSeeds), nil)
-		return
-	}
-	if req.SeedBase == 0 {
-		req.SeedBase = 1
-	}
-	if req.FlatTrials == 0 {
-		req.FlatTrials = 1
-	}
-	release, err := s.breaker.Allow()
-	if err != nil {
-		s.respondJobError(w, id, err)
-		return
-	}
-	// A half-open probe holds the breaker's only probe slot; it must be
-	// returned on EVERY outcome — shed, draining, deadline 504, 422, panic —
-	// not just on solver success/failure, or the breaker wedges half-open
-	// refusing all future probes. Settled probes make this a no-op.
-	defer release()
-	ctx, cancel := s.withDeadline(r, req.TimeoutMs)
-	defer cancel()
-
-	start := time.Now()
-	var resp *ConformanceResponse
-	// Atomic to honour OnSolverError's "safe for concurrent use" contract:
-	// the handler pins Jobs:1 today, but the hook must not be the thing
-	// that breaks when that changes.
-	var solverFailures atomic.Int64
-	err = s.submit(ctx, func(ctx context.Context) error {
-		onErr := func(error) {
-			solverFailures.Add(1)
-			s.breaker.RecordFailure()
-		}
-		rep, err := conformance.Run(conformance.Options{
-			Lib:           s.library(),
-			Seeds:         conformance.SeedRange(req.Seeds, req.SeedBase),
-			Jobs:          1, // request-level concurrency comes from the queue
-			Checks:        req.Checks,
-			FlatTrials:    req.FlatTrials,
-			Ctx:           ctx,
-			NewFaultHook:  s.faultHook(),
-			OnSolverError: onErr,
-			Metrics:       s.met,
-		})
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return engine.Cancelled(cerr)
-			}
-			return err
-		}
-		// Explicit accounting: a run that completed with zero unrecovered
-		// solver failures is the success the breaker counts (closing a
-		// half-open probe); one that completed despite failures already fed
-		// each of them to RecordFailure above, and if it was a probe the
-		// first failure reopened the breaker on the spot.
-		if solverFailures.Load() == 0 {
-			s.breaker.RecordSuccess()
-		}
-		var viols []string
-		for _, v := range rep.Violations {
-			viols = append(viols, v.String())
-		}
-		resp = &ConformanceResponse{
-			RequestID:  id,
-			Passed:     rep.Passed(),
-			Seeds:      rep.Seeds,
-			Stats:      rep.Stats,
-			Violations: viols,
-		}
-		return nil
-	})
-	if err != nil {
-		s.respondJobError(w, id, err)
-		return
-	}
-	resp.SolverFailures = solverFailures.Load()
-	resp.Breaker = s.breaker.State().String()
-	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // ReloadResponse is the POST /reload result.
 type ReloadResponse struct {
 	RequestID string `json:"request_id"`
@@ -658,14 +511,14 @@ type ReloadResponse struct {
 }
 
 // handleReload serves POST /reload: hot-swaps the serving library through
-// the configured loader. Refusals are breaker-style — the previous library
-// keeps serving untouched: 409 when the fresh library's technology tag
+// the configured loader. A refused reload leaves the previous library
+// serving untouched: 409 when the fresh library's technology tag
 // differs from the serving one, 422 when it fails to load or verify, 503
 // while draining.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, id, ErrDraining, nil)
+		writeError(w, http.StatusServiceUnavailable, id, ErrDraining)
 		return
 	}
 	fresh, err := s.Reload()
@@ -674,10 +527,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrTechMismatch) {
 			status = http.StatusConflict
 		}
-		writeError(w, status, id, err, nil)
+		writeError(w, status, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, &ReloadResponse{
+	httpmw.WriteJSON(w, http.StatusOK, &ReloadResponse{
 		RequestID: id,
 		Reloaded:  true,
 		Tech:      fresh.TechName,
@@ -686,9 +539,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz serves GET /healthz: liveness only — 200 while the process
-// can answer HTTP at all, even when degraded or draining.
+// can answer HTTP at all, even while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpmw.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"uptime": time.Since(s.started).Round(time.Millisecond).String(),
 	})
@@ -696,14 +549,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz serves GET /readyz: readiness for new work. It fails (503)
 // while draining — before in-flight jobs finish, so load balancers stop
-// routing first — and while the library is missing. The breaker state is
-// reported informationally but deliberately does NOT gate readiness: an
-// open breaker degrades only the solver-backed /conformance endpoint while
-// /analyze and /refine keep serving, so pulling the whole instance from
-// rotation would escalate a fleet-wide solver brown-out into an outage of
-// the healthy read-only analyses too.
+// routing first — and while the library is missing.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	state := s.breaker.State()
 	lib := s.library()
 	ready := !s.draining.Load() && lib != nil
 	var reasons []string
@@ -717,10 +564,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	httpmw.WriteJSON(w, status, map[string]any{
 		"ready":    ready,
 		"reasons":  reasons,
-		"breaker":  state.String(),
 		"inflight": s.queue.Inflight(),
 	})
 }
@@ -731,7 +577,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_ = s.met.WriteText(w)
 	s.inst.WriteLatencies(w)
-	fmt.Fprintf(w, "service/breaker_state %q\n", s.breaker.State().String())
 	fmt.Fprintf(w, "service/inflight %d\n", s.queue.Inflight())
 	if s.cache != nil {
 		fmt.Fprintf(w, "service/cache_entries %d\n", s.cache.Len())

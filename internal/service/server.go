@@ -1,12 +1,12 @@
 // Package service is the timing-analysis daemon: a long-running HTTP/JSON
-// front end that loads a characterised cell library once and serves STA,
-// ITR and conformance-spot-check jobs over POSTed netlists.
+// front end that loads a characterised cell library once and serves STA and
+// ITR jobs over POSTed netlists.
 //
 // The request path is built for robustness (DESIGN.md §10):
 //
 //   - every request runs under a context carrying its deadline; the
-//     deadline reaches sta.Analyze, sta.Refine and ultimately the spice
-//     Newton loop, so a cancelled request answers 504 with
+//     deadline reaches sta.Analyze, sta.Refine and the timing graph's
+//     converge loop, so a cancelled request answers 504 with
 //     engine.ErrCancelled in the chain and never holds a worker;
 //   - admission control is a bounded job queue (queue.go): at most
 //     `workers` jobs run at once, and beyond workers+depth admitted jobs
@@ -14,25 +14,16 @@
 //     unboundedly;
 //   - job and handler panics are contained per request and answered as
 //     500s carrying a request ID — a crash never takes the daemon down;
-//   - a circuit breaker watches the solver error taxonomy on the
-//     solver-backed endpoint (/conformance) and trips to degraded 503
-//     responses after a failure burst, while the read-only analyses keep
-//     serving; its half-open probe slot is released on every probe
-//     outcome, so a probe that dies without a solver verdict can never
-//     wedge the breaker;
 //   - stateful timing sessions (POST /session, see session.go) keep a
 //     persistent incremental timing graph alive across requests so a
 //     delta pays only for its edited cone; per-session locks serialize
 //     concurrent deltas, an LRU cap plus idle TTL bound resident graphs
 //     (evicted IDs answer 404 naming the eviction reason), and a drain
 //     refuses new sessions and deltas while in-flight ones complete;
-//   - /healthz is liveness, /readyz gates on drain state and library load
-//     (the breaker state is reported there informationally — an open
-//     breaker degrades one endpoint and must not pull the instance, and
-//     its healthy read-only analyses, out of rotation), /metrics exposes
-//     the engine counters plus per-endpoint latency histograms; Drain
-//     stops admission first (readiness fails), then waits for in-flight
-//     jobs — admitted-but-still-queued jobs included.
+//   - /healthz is liveness, /readyz gates on drain state and library load,
+//     /metrics exposes the engine counters plus per-endpoint latency
+//     histograms; Drain stops admission first (readiness fails), then waits
+//     for in-flight jobs — admitted-but-still-queued jobs included.
 package service
 
 import (
@@ -45,15 +36,15 @@ import (
 
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
+	"sstiming/internal/httpmw"
 	"sstiming/internal/reqcache"
-	"sstiming/internal/spice"
 	"sstiming/internal/store"
 )
 
 // endpointOrder lists the instrumented endpoints (histogram render order).
 // The four /session routes share one "session" histogram: their latency
 // profile is dominated by the same incremental-converge work.
-var endpointOrder = []string{"analyze", "refine", "conformance", "session", "reload", "healthz", "readyz", "metrics"}
+var endpointOrder = []string{"analyze", "refine", "session", "reload", "healthz", "readyz", "metrics"}
 
 // ErrTechMismatch refuses a hot reload whose library was characterised for a
 // different process technology than the one being served: requests in flight
@@ -83,9 +74,6 @@ type Options struct {
 	// MaxGates rejects posted netlists above this size (admission
 	// control); zero selects 100000, negative disables the cap.
 	MaxGates int
-	// MaxConformanceSeeds caps the per-request conformance campaign size;
-	// zero selects 16.
-	MaxConformanceSeeds int
 	// MaxSessions caps concurrently live timing sessions; creating one
 	// more evicts the least-recently-used session. Zero selects 64,
 	// negative disables the cap.
@@ -126,13 +114,13 @@ type Options struct {
 	// SessionLogFaultHook injects deterministic faults into session
 	// journal operations (chaos testing; see sessionlog.Options).
 	SessionLogFaultHook func(op string) error
-	// Breaker tunes the solver circuit breaker.
-	Breaker BreakerConfig
 	// Metrics is the instrumentation sink; nil creates a private one.
 	Metrics *engine.Metrics
-	// NewFaultHook, when non-nil, injects deterministic solver faults
-	// into conformance jobs (chaos testing; see internal/faultinject).
-	NewFaultHook func() spice.FaultHook
+	// LevelHook, when non-nil, is the tgraph.Options.LevelHook of every
+	// session POST /session creates: it runs before each level of each
+	// convergence pass, and an error it returns fails that pass (chaos
+	// testing; see faultinject.LevelHook).
+	LevelHook func(level int) error
 }
 
 func (o *Options) fill() error {
@@ -151,9 +139,6 @@ func (o *Options) fill() error {
 	}
 	if o.MaxGates == 0 {
 		o.MaxGates = 100000
-	}
-	if o.MaxConformanceSeeds <= 0 {
-		o.MaxConformanceSeeds = 16
 	}
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 64
@@ -192,11 +177,10 @@ type Server struct {
 	libst    atomic.Pointer[libState]
 	met      *engine.Metrics
 	queue    *jobQueue
-	breaker  *breaker
 	sessions *sessionStore
 	cache    *reqcache.Cache // nil when CacheEntries <= 0
 	mux      *http.ServeMux
-	inst     *Instrumenter
+	inst     *httpmw.Instrumenter
 
 	started  time.Time
 	draining atomic.Bool
@@ -212,10 +196,9 @@ func New(opts Options) (*Server, error) {
 		opts:     opts,
 		met:      opts.Metrics,
 		queue:    newJobQueue(opts.Workers, opts.QueueDepth, opts.Metrics),
-		breaker:  newBreaker(opts.Breaker, opts.Metrics),
 		sessions: newSessionStore(opts.MaxSessions, opts.SessionIdleTTL, opts.Metrics),
 		mux:      http.NewServeMux(),
-		inst:     NewInstrumenter(opts.Metrics, endpointOrder),
+		inst:     httpmw.NewInstrumenter(opts.Metrics, endpointOrder),
 		started:  time.Now(),
 	}
 	fp, err := store.LibraryFingerprint(opts.Lib)
@@ -227,17 +210,16 @@ func New(opts Options) (*Server, error) {
 		s.cache = reqcache.New(opts.CacheEntries, opts.CacheBytes, opts.Metrics)
 		s.cache.SetMaxEntryBytes(opts.CacheMaxEntryBytes)
 	}
-	s.mux.Handle("POST /analyze", s.instrument("analyze", s.handleAnalyze))
-	s.mux.Handle("POST /refine", s.instrument("refine", s.handleRefine))
-	s.mux.Handle("POST /conformance", s.instrument("conformance", s.handleConformance))
-	s.mux.Handle("POST /session", s.instrument("session", s.handleSessionCreate))
-	s.mux.Handle("POST /session/{id}/delta", s.instrument("session", s.handleSessionDelta))
-	s.mux.Handle("GET /session/{id}/windows", s.instrument("session", s.handleSessionWindows))
-	s.mux.Handle("DELETE /session/{id}", s.instrument("session", s.handleSessionDelete))
-	s.mux.Handle("POST /reload", s.instrument("reload", s.handleReload))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /readyz", s.instrument("readyz", s.handleReadyz))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	s.mux.Handle("POST /analyze", s.inst.Wrap("analyze", s.handleAnalyze))
+	s.mux.Handle("POST /refine", s.inst.Wrap("refine", s.handleRefine))
+	s.mux.Handle("POST /session", s.inst.Wrap("session", s.handleSessionCreate))
+	s.mux.Handle("POST /session/{id}/delta", s.inst.Wrap("session", s.handleSessionDelta))
+	s.mux.Handle("GET /session/{id}/windows", s.inst.Wrap("session", s.handleSessionWindows))
+	s.mux.Handle("DELETE /session/{id}", s.inst.Wrap("session", s.handleSessionDelete))
+	s.mux.Handle("POST /reload", s.inst.Wrap("reload", s.handleReload))
+	s.mux.Handle("GET /healthz", s.inst.Wrap("healthz", s.handleHealthz))
+	s.mux.Handle("GET /readyz", s.inst.Wrap("readyz", s.handleReadyz))
+	s.mux.Handle("GET /metrics", s.inst.Wrap("metrics", s.handleMetrics))
 	return s, nil
 }
 
@@ -251,7 +233,7 @@ func (s *Server) library() *core.Library { return s.libstate().lib }
 func (s *Server) libstate() *libState { return s.libst.Load() }
 
 // Reload re-runs the configured LibLoader and atomically swaps the serving
-// library in. Failure is breaker-style: the reload is refused (typed error,
+// library in. On failure the reload is refused (typed error,
 // service/reload_failures incremented) and the previous library keeps
 // serving untouched. A library characterised for a different technology tag
 // than the serving one is refused with ErrTechMismatch.
@@ -302,10 +284,6 @@ func (s *Server) submit(ctx context.Context, fn func(ctx context.Context) error)
 	}
 	return s.queue.Submit(ctx, fn)
 }
-
-// faultHook returns the per-transient fault hook factory (nil in
-// production).
-func (s *Server) faultHook() func() spice.FaultHook { return s.opts.NewFaultHook }
 
 // Draining reports whether Drain has been initiated.
 func (s *Server) Draining() bool { return s.draining.Load() }

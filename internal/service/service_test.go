@@ -390,7 +390,7 @@ func TestJobPanicContainedAndDaemonKeepsServing(t *testing.T) {
 
 func TestHandlerPanicBecomes500(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
-	h := s.instrument("healthz", func(http.ResponseWriter, *http.Request) {
+	h := s.inst.Wrap("healthz", func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	})
 	rec := httptest.NewRecorder()
@@ -448,38 +448,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"service/requests",
 		`service/latency{endpoint="analyze"`,
 		`service/latency_count{endpoint="analyze"}`,
-		"service/breaker_state",
 		"service/inflight",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics output misses %q:\n%s", want, text)
-		}
-	}
-}
-
-func TestHistogramCumulativeBuckets(t *testing.T) {
-	h := &histogram{}
-	for _, d := range []time.Duration{
-		500 * time.Microsecond, // le=1ms
-		3 * time.Millisecond,   // le=5ms
-		4 * time.Millisecond,   // le=5ms
-		2 * time.Second,        // le=2.5s
-		30 * time.Second,       // +Inf
-	} {
-		h.observe(d)
-	}
-	var b bytes.Buffer
-	h.writeText(&b, "test")
-	out := b.String()
-	for _, want := range []string{
-		`service/latency{endpoint="test",le="1ms"} 1`,
-		`service/latency{endpoint="test",le="5ms"} 3`,
-		`service/latency{endpoint="test",le="2.5s"} 4`,
-		`service/latency{endpoint="test",le="+Inf"} 5`,
-		`service/latency_count{endpoint="test"} 5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("histogram output misses %q:\n%s", want, out)
 		}
 	}
 }

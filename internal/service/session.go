@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"sstiming/internal/engine"
-	"sstiming/internal/faultinject"
+	"sstiming/internal/httpmw"
 	"sstiming/internal/netlist"
 	"sstiming/internal/nineval"
 	"sstiming/internal/sessionlog"
@@ -587,20 +587,20 @@ func (s *Server) maybeCompact(sess *session) {
 // options and seed cube — before it is visible, so a crash after the 201
 // never loses it.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	var req SessionCreateRequest
 	if err := s.readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	cube, err := parseCube(req.Cube)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	ctx, cancel := s.withDeadline(r, req.TimeoutMs)
@@ -620,20 +620,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		// creation: the graph is built against the same library whose
 		// fingerprint the journal meta pins.
 		ls := s.libstate()
-		// One fault hook per session: every convergence pass of this graph
-		// (build, deltas, heals) consults it, mirroring the per-job hook
-		// on /conformance.
-		var levelHook func(level int) error
-		if nf := s.faultHook(); nf != nil {
-			levelHook = faultinject.LevelHook(nf())
-		}
 		g, err := tgraph.NewWithCube(c, cube, tgraph.Options{
 			Lib:         ls.lib,
 			Mode:        mode,
 			NCExtension: req.NCExtension,
 			Ctx:         ctx,
 			Metrics:     s.met,
-			LevelHook:   levelHook,
+			LevelHook:   s.opts.LevelHook,
 		})
 		if err != nil {
 			return err
@@ -684,7 +677,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusCreated, resp)
+	httpmw.WriteJSON(w, http.StatusCreated, resp)
 }
 
 // lookupSession resolves the {id} path segment, answering the 404 itself
@@ -693,7 +686,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string) *session {
 	sess, err := s.sessions.get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, id, err, nil)
+		writeError(w, http.StatusNotFound, id, err)
 		return nil
 	}
 	return sess
@@ -707,15 +700,15 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string
 // fsynced; the applied prefix of a mid-delta failure is journaled too, so
 // a restart replays to exactly the live (rolled-back) state.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	var req SessionDeltaRequest
 	if err := s.readJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	if len(req.Assign) == 0 && len(req.Retract) == 0 && req.SetPI == nil && req.SwapGate == nil {
 		writeError(w, http.StatusBadRequest, id,
-			fmt.Errorf("empty delta: want assign/retract, set_pi or swap_gate"), nil)
+			fmt.Errorf("empty delta: want assign/retract, set_pi or swap_gate"))
 		return
 	}
 	var setPI *sessionlog.PIRecord
@@ -734,7 +727,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	ops, err := parseDeltaOps(req.Assign, req.Retract, setPI, swap)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, id, err, nil)
+		writeError(w, http.StatusBadRequest, id, err)
 		return
 	}
 	sess := s.lookupSession(w, r, id)
@@ -784,7 +777,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionWindows serves GET /session/{id}/windows: the session's
@@ -793,7 +786,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 // successful read is always byte-identical to a from-scratch analysis of
 // the session's current cube.
 func (s *Server) handleSessionWindows(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	sess := s.lookupSession(w, r, id)
 	if sess == nil {
 		return
@@ -843,7 +836,7 @@ func (s *Server) handleSessionWindows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionDelete serves DELETE /session/{id}. Deletion frees
@@ -852,13 +845,13 @@ func (s *Server) handleSessionWindows(w http.ResponseWriter, r *http.Request) {
 // atomically (rename then remove), so a crash mid-delete never resurrects
 // the session half-way.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	id := RequestID(r.Context())
+	id := httpmw.RequestID(r.Context())
 	sid := r.PathValue("id")
 	sess, err := s.sessions.remove(sid)
 	if err != nil {
-		writeError(w, http.StatusNotFound, id, err, nil)
+		writeError(w, http.StatusNotFound, id, err)
 		return
 	}
 	sess.retireLog()
-	writeJSON(w, http.StatusOK, &SessionDeleteResponse{RequestID: id, SessionID: sid, Deleted: true})
+	httpmw.WriteJSON(w, http.StatusOK, &SessionDeleteResponse{RequestID: id, SessionID: sid, Deleted: true})
 }

@@ -14,6 +14,7 @@ import (
 
 	"sstiming/internal/benchgen"
 	"sstiming/internal/engine"
+	"sstiming/internal/faultinject"
 	"sstiming/internal/spice"
 )
 
@@ -429,7 +430,7 @@ func TestChaosSessionFaultMidDelta(t *testing.T) {
 		}
 	}
 	met := engine.NewMetrics()
-	_, hs := newTestServer(t, Options{Metrics: met, NewFaultHook: newHook})
+	_, hs := newTestServer(t, Options{Metrics: met, LevelHook: faultinject.LevelHook(newHook())})
 	src := benchText(t, benchgen.C17())
 	seed := map[string]string{"2": "11"}
 	sid := createSession(t, hs, src, seed)
@@ -485,7 +486,7 @@ func TestChaosSessionFaultDuringHealStaysPoisoned(t *testing.T) {
 			return spice.FaultNone
 		}
 	}
-	_, hs := newTestServer(t, Options{NewFaultHook: newHook})
+	_, hs := newTestServer(t, Options{LevelHook: faultinject.LevelHook(newHook())})
 	src := benchText(t, benchgen.C17())
 	sid := createSession(t, hs, src, nil)
 

@@ -27,6 +27,19 @@ import (
 // uninterrupted in-memory run of the same script. Untrustworthy journals
 // must quarantine with a reasoned 404 instead of wedging the restart.
 
+// chaosSeed resolves a suite seed — overridable via the CHAOS_SEED env var,
+// printed on failure so any run is reproducible.
+func chaosSeed(t *testing.T, def int64) int64 {
+	t.Helper()
+	seed := faultinject.SeedFromEnv(def)
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("reproduce with CHAOS_SEED=%d", seed)
+		}
+	})
+	return seed
+}
+
 // shutdownServer drains a durable test server mid-test (the cleanup drain
 // registered by newTestServer is idempotent), releasing its journal handles
 // so a second server can recover from the same session directory.

@@ -15,7 +15,7 @@ import (
 
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
-	"sstiming/internal/service"
+	"sstiming/internal/httpmw"
 	"sstiming/internal/shard"
 )
 
@@ -61,13 +61,13 @@ type claimEntry struct {
 
 // Server is the networked campaign coordinator: the shard.Tracker lease
 // state machine behind the wire protocol, with admission shedding and the
-// shared service instrumentation. Construct with NewServer, attach a
+// shared HTTP middleware (internal/httpmw). Construct with NewServer, attach a
 // listener with Start, then WaitResolved + MergeAndPublish.
 type Server struct {
 	tr   *shard.Tracker
 	met  *engine.Metrics
-	inst *service.Instrumenter
-	gate *service.Gate
+	inst *httpmw.Instrumenter
+	gate *httpmw.Gate
 	mux  *http.ServeMux
 	info []byte // pre-encoded CampaignInfo
 
@@ -108,8 +108,8 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	s := &Server{
 		tr:       tr,
 		met:      opts.Metrics,
-		inst:     service.NewInstrumenter(opts.Metrics, serverEndpoints),
-		gate:     service.NewGate(opts.MaxInflight, opts.Metrics),
+		inst:     httpmw.NewInstrumenter(opts.Metrics, serverEndpoints),
+		gate:     httpmw.NewGate(opts.MaxInflight, opts.Metrics),
 		mux:      http.NewServeMux(),
 		grants:   make(map[string]grantEntry),
 		claims:   make(map[string]*claimEntry),

@@ -21,7 +21,7 @@
 //     re-sends it), and a matching one goes straight to the tracker, which
 //     verifies and promotes it atomically;
 //   - the coordinator sheds load with 429 + Retry-After (the shared
-//     service.Gate) and expires vanished remote workers exactly as
+//     httpmw.Gate) and expires vanished remote workers exactly as
 //     in-process leases expire;
 //   - a coordinator restart resumes from the campaign directory: promoted
 //     artefacts are re-verified, every grant's attempt directory is on disk
