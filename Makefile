@@ -71,13 +71,15 @@ vet:
 
 # Tier-1 verification loop (see ROADMAP.md). Runs every stage through a
 # timing wrapper and prints a per-stage wall-clock summary at the end, so
-# a slow stage is visible instead of buried in test output. The race stage
-# runs every test of the module under the race detector, so the suites below
-# that rerun subsets of it with the same flags (conformance's go test line,
-# cache-conformance, chaos, store-chaos, session-chaos, shard-chaos,
-# net-chaos) are not stages: they stay as targets for running one suite
-# alone or replaying a CHAOS_SEED.
-VERIFY_STAGES := build vet test race conformance-campaign lib-check service-smoke cover
+# a slow stage is visible instead of buried in test output. Each suite runs
+# once per mode: the cover stage is the plain `go test ./...` run (the same
+# packages and tests as the test target, with a coverage profile), and the
+# race stage runs every test of the module under the race detector. So the
+# test target and the suites below that rerun subsets of the race stage with
+# the same flags (conformance's go test line, cache-conformance, chaos,
+# store-chaos, session-chaos, shard-chaos, net-chaos) are not stages: they
+# stay as targets for running one suite alone or replaying a CHAOS_SEED.
+VERIFY_STAGES := build vet race conformance-campaign lib-check service-smoke cover
 
 verify:
 	@set -e; times=""; total_start=$$(date +%s); \

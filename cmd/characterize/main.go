@@ -11,7 +11,6 @@
 //	             [-resume] [-journal DIR] [-no-journal]
 //	             [-shard-cells N] [-shard-workers M] [-shard-lease D]
 //	             [-shard-max-attempts K] [-shard-dir DIR]
-//	             [-shard-plan] [-shard-run ID]
 //	             [-shard-serve ADDR] [-shard-worker -coordinator URL [-worker-dir DIR]]
 //	             [-inject kind] [-inject-rate F] [-inject-seed S] [-inject-persist]
 //
@@ -29,18 +28,16 @@
 // retried (journals salvaged) up to -shard-max-attempts times before its
 // cells fall back to the analytic model under the -max-degraded budget. The
 // merged publish is byte-identical to an unsharded run, and -resume reuses
-// every verified shard artefact in the campaign directory. For
-// multi-process campaigns, -shard-plan writes the campaign plan and exits,
-// -shard-run characterises a single named shard standalone, and a final
-// -resume coordinator merges and publishes.
+// every verified shard artefact in the campaign directory. Every mode checks
+// each cell against the -max-degraded budget before it publishes anything.
 //
-// For multi-machine campaigns, -shard-serve starts the campaign coordinator
-// over HTTP (internal/shardnet) and -shard-worker runs a remote worker that
-// pulls shards from -coordinator, characterises them locally under
-// -worker-dir and sends verified artefacts back. Worker modes exit 0 when
-// the campaign resolved, 2 when a lease was lost or reassigned (restart the
-// worker), and 3 on fatal conditions retrying cannot fix (plan mismatch,
-// unknown shard); see README "remote workers".
+// For multi-process and multi-machine campaigns, -shard-serve starts the
+// campaign coordinator over HTTP (internal/shardnet) and -shard-worker runs
+// a remote worker that pulls shards from -coordinator, characterises them
+// locally under -worker-dir and sends verified artefacts back. Worker mode
+// exits 0 when the campaign resolved, 2 when a lease was lost or reassigned
+// (restart the worker), and 3 on fatal conditions retrying cannot fix (plan
+// mismatch, unknown shard); see README "remote workers".
 //
 // The -inject* flags drive the deterministic fault-injection harness
 // (internal/faultinject) for resilience testing: a seeded fraction of all
@@ -53,6 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sort"
@@ -89,8 +87,6 @@ func main() {
 	shardLease := flag.Duration("shard-lease", 0, "worker lease TTL before an unresponsive shard is reassigned (0 = 2m)")
 	shardAttempts := flag.Int("shard-max-attempts", 0, "per-shard lease budget before quarantine (0 = 3)")
 	shardDir := flag.String("shard-dir", "", "campaign directory for sharded runs (default <out>.campaign)")
-	shardPlanOnly := flag.Bool("shard-plan", false, "write the sharded campaign plan and exit (multi-process mode)")
-	shardRunID := flag.String("shard-run", "", "standalone worker mode: characterise one shard of an existing campaign")
 	shardServe := flag.String("shard-serve", "", "serve the campaign coordinator on this address (host:port) for remote workers")
 	shardWorker := flag.Bool("shard-worker", false, "remote worker mode: pull shards from -coordinator until the campaign resolves")
 	coordinator := flag.String("coordinator", "", "coordinator base URL for -shard-worker (e.g. http://host:7600)")
@@ -125,7 +121,7 @@ func main() {
 		opts.NewFaultHook = plan.NextHook
 	}
 
-	if *shardCells > 0 || *shardPlanOnly || *shardRunID != "" || *shardServe != "" || *shardWorker {
+	if *shardCells > 0 || *shardServe != "" || *shardWorker {
 		runSharded(opts, shardConfig{
 			out:         *out,
 			dir:         *shardDir,
@@ -135,8 +131,6 @@ func main() {
 			maxAttempts: *shardAttempts,
 			maxDegraded: *maxDegraded,
 			resume:      *resume,
-			planOnly:    *shardPlanOnly,
-			runID:       *shardRunID,
 			serveAddr:   *shardServe,
 			workerMode:  *shardWorker,
 			coordinator: *coordinator,
@@ -175,12 +169,7 @@ func main() {
 			journal, err = store.CreateJournal(dir, fp)
 		}
 		if err != nil {
-			if errors.Is(err, store.ErrStale) || errors.Is(err, store.ErrSchemaMismatch) {
-				fmt.Fprintf(os.Stderr, "characterize: %v\n", err)
-				fmt.Fprintln(os.Stderr, "characterize: rerun without -resume to discard the journal and start over")
-				os.Exit(1)
-			}
-			fatal(err)
+			fatalResume(err, "journal")
 		}
 		opts.Completed = replayed
 		opts.Checkpoint = journal.Append
@@ -205,7 +194,7 @@ func main() {
 	// Re-enforce the degradation budget over every cell, including the ones
 	// replayed from the journal: a cell that slid over the budget must fail
 	// the campaign with a non-zero exit, not ship a degraded artefact.
-	if err := checkDegradationBudget(lib, resolved.MaxDegradedFrac); err != nil {
+	if err := charlib.CheckDegradedBudget(lib, resolved.MaxDegradedFrac); err != nil {
 		fatal(err)
 	}
 
@@ -218,8 +207,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "characterize: removing journal:", err)
 		}
 	}
-	fmt.Printf("wrote %s (%d cells, tech %s, Vdd %.2f V) + manifest %s\n",
-		*out, len(lib.Cells), lib.TechName, lib.Vdd, store.ManifestPath(*out))
+	printWrote(*out, lib)
 
 	if *verbose {
 		fmt.Println("\nfit quality (ns domain):")
@@ -253,8 +241,6 @@ type shardConfig struct {
 	maxAttempts int
 	maxDegraded float64
 	resume      bool
-	planOnly    bool
-	runID       string
 	serveAddr   string
 	workerMode  bool
 	coordinator string
@@ -263,8 +249,8 @@ type shardConfig struct {
 	stats       bool
 }
 
-// Worker-mode exit codes (-shard-run, -shard-worker). Supervisors restart
-// on exitLeaseLost (transient: the coordinator reassigned work) and stop on
+// Worker-mode exit codes (-shard-worker). Supervisors restart on
+// exitLeaseLost (transient: the coordinator reassigned work) and stop on
 // exitFatal (plan mismatch, unknown shard — retrying cannot help).
 const (
 	exitOK        = 0
@@ -290,8 +276,9 @@ func workerExitCode(err error) int {
 	}
 }
 
-// runSharded dispatches the three sharded modes: plan-only, standalone
-// worker, and the full coordinator (plan + workers + merge + publish).
+// runSharded dispatches the sharded modes: the in-process coordinator
+// (plan + workers + merge + publish), the networked coordinator and the
+// remote worker.
 func runSharded(opts charlib.Options, cfg shardConfig) {
 	so := shard.Options{
 		Charlib:            opts,
@@ -306,44 +293,56 @@ func runSharded(opts charlib.Options, cfg shardConfig) {
 		Metrics:            opts.Metrics,
 		Progress:           opts.Progress,
 	}
-	if cfg.planOnly {
-		specs, err := shard.PlanCampaign(so)
-		if err != nil {
-			fatal(err)
-		}
-		dir := so.Dir
-		if dir == "" {
-			dir = cfg.out + ".campaign"
-		}
-		fmt.Printf("planned %d shard(s) in %s:\n", len(specs), dir)
-		for _, s := range specs {
-			fmt.Printf("  %s: %v\n", s.ID, s.Cells)
-		}
-		fmt.Println("run each with -shard-run <id>, then merge with -shard-cells ... -resume")
-		return
-	}
-	if cfg.runID != "" {
-		if err := shard.RunWorker(so, cfg.runID); err != nil {
-			fmt.Fprintf(os.Stderr, "characterize: %v\n", err)
-			if code := workerExitCode(err); code == exitFatal {
-				fmt.Fprintln(os.Stderr, "characterize: the worker's options must match the planning run exactly")
-				os.Exit(exitFatal)
-			}
-			os.Exit(exitError)
-		}
-		fmt.Printf("shard %s: artifact verified and promoted\n", cfg.runID)
-		return
-	}
-	if cfg.serveAddr != "" {
+	switch {
+	case cfg.serveAddr != "":
 		runServe(so, cfg)
-		return
-	}
-	if cfg.workerMode {
+	case cfg.workerMode:
 		runRemoteWorker(so, cfg)
-		return
+	default:
+		lib, rep, err := shard.Run(so)
+		finishCampaign(cfg, lib, rep, err, func(w io.Writer) { opts.Metrics.WriteText(w) })
 	}
+}
 
-	lib, rep, err := shard.Run(so)
+// runServe is the networked coordinator mode: the campaign's lease state
+// machine served over HTTP for remote -shard-worker processes, then the
+// merged, byte-identical publish once every shard resolves.
+func runServe(so shard.Options, cfg shardConfig) {
+	srv, err := shardnet.NewServer(shardnet.ServerOptions{Shard: so})
+	if err != nil {
+		fatalResume(err, "campaign directory")
+	}
+	ln, err := net.Listen("tcp", cfg.serveAddr)
+	if err != nil {
+		fatal(err)
+	}
+	srv.Start(ln)
+	fmt.Fprintf(os.Stderr, "characterize: coordinator serving on http://%s (point workers at it with -coordinator)\n",
+		ln.Addr())
+	if err := srv.WaitResolved(context.Background()); err != nil {
+		fatal(err)
+	}
+	lib, err := srv.MergeAndPublish()
+	if err == nil {
+		// Keep answering Done until every polling worker has heard it
+		// (bounded by the lease TTL — a vanished worker must not wedge the
+		// exit), so workers exit 0 instead of dying on connection-refused.
+		dctx, cancel := context.WithTimeout(context.Background(), srv.Tracker().LeaseTTL())
+		if derr := srv.DrainWorkers(dctx); derr != nil {
+			fmt.Fprintln(os.Stderr, "characterize: coordinator exiting with workers still polling:", derr)
+		}
+		cancel()
+		if serr := srv.Shutdown(context.Background()); serr != nil {
+			fmt.Fprintln(os.Stderr, "characterize: coordinator shutdown:", serr)
+		}
+	}
+	finishCampaign(cfg, lib, srv.Report(), err, srv.WriteMetrics)
+}
+
+// finishCampaign ends both coordinator modes alike: the campaign report,
+// the health summary and counters when asked for, then the error (exit 1)
+// or the published library.
+func finishCampaign(cfg shardConfig, lib *core.Library, rep *shard.Report, err error, writeStats func(io.Writer)) {
 	if rep != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %d shard(s), %d completed (%d reused), %d lease(s), "+
 			"%d expired, %d retries, %d corrupt, %d duplicate(s) discarded\n",
@@ -358,78 +357,13 @@ func runSharded(opts charlib.Options, cfg shardConfig) {
 			fmt.Fprintln(os.Stderr, "characterize:", werr)
 		}
 	}
-	if cfg.stats && opts.Metrics != nil {
-		opts.Metrics.WriteText(os.Stderr)
-	}
-	if err != nil {
-		if errors.Is(err, store.ErrStale) || errors.Is(err, store.ErrSchemaMismatch) {
-			fmt.Fprintf(os.Stderr, "characterize: %v\n", err)
-			fmt.Fprintln(os.Stderr, "characterize: rerun without -resume to discard the campaign directory and start over")
-			os.Exit(1)
-		}
-		fatal(err)
-	}
-	if err := checkDegradationBudget(lib, opts.Resolved().MaxDegradedFrac); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d cells, tech %s, Vdd %.2f V) + manifest %s\n",
-		cfg.out, len(lib.Cells), lib.TechName, lib.Vdd, store.ManifestPath(cfg.out))
-}
-
-// runServe is the networked coordinator mode: the campaign's lease state
-// machine served over HTTP for remote -shard-worker processes, then the
-// merged, byte-identical publish once every shard resolves.
-func runServe(so shard.Options, cfg shardConfig) {
-	srv, err := shardnet.NewServer(shardnet.ServerOptions{Shard: so})
-	if err != nil {
-		if errors.Is(err, store.ErrStale) || errors.Is(err, store.ErrSchemaMismatch) {
-			fmt.Fprintf(os.Stderr, "characterize: %v\n", err)
-			fmt.Fprintln(os.Stderr, "characterize: rerun without -resume to discard the campaign directory and start over")
-			os.Exit(1)
-		}
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", cfg.serveAddr)
-	if err != nil {
-		fatal(err)
-	}
-	srv.Start(ln)
-	fmt.Fprintf(os.Stderr, "characterize: coordinator serving on http://%s (point workers at it with -coordinator)\n",
-		ln.Addr())
-	if err := srv.WaitResolved(context.Background()); err != nil {
-		fatal(err)
-	}
-	lib, err := srv.MergeAndPublish()
-	rep := srv.Report()
-	fmt.Fprintf(os.Stderr, "campaign: %d shard(s), %d completed (%d reused), %d lease(s), "+
-		"%d expired, %d retries, %d corrupt, %d duplicate(s) discarded\n",
-		rep.Shards, rep.Completed, rep.Reused, rep.Leases,
-		rep.Expired, rep.Retries, rep.CorruptArtifacts, rep.DuplicatesDiscarded)
-	for _, id := range rep.Quarantined {
-		fmt.Fprintf(os.Stderr, "campaign: shard %s quarantined; cells served from the analytic fallback\n", id)
-	}
 	if cfg.stats {
-		srv.WriteMetrics(os.Stderr)
+		writeStats(os.Stderr)
 	}
 	if err != nil {
-		fatal(err)
+		fatalResume(err, "campaign directory")
 	}
-	// Keep answering Done until every polling worker has heard it (bounded
-	// by the lease TTL — a vanished worker must not wedge the exit), so
-	// workers exit 0 instead of dying on connection-refused.
-	dctx, cancel := context.WithTimeout(context.Background(), srv.Tracker().LeaseTTL())
-	if derr := srv.DrainWorkers(dctx); derr != nil {
-		fmt.Fprintln(os.Stderr, "characterize: coordinator exiting with workers still polling:", derr)
-	}
-	cancel()
-	if serr := srv.Shutdown(context.Background()); serr != nil {
-		fmt.Fprintln(os.Stderr, "characterize: coordinator shutdown:", serr)
-	}
-	if err := checkDegradationBudget(lib, so.Charlib.Resolved().MaxDegradedFrac); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d cells, tech %s, Vdd %.2f V) + manifest %s\n",
-		cfg.out, len(lib.Cells), lib.TechName, lib.Vdd, store.ManifestPath(cfg.out))
+	printWrote(cfg.out, lib)
 }
 
 // runRemoteWorker is the remote worker mode: pull shards from the
@@ -479,25 +413,21 @@ func runRemoteWorker(so shard.Options, cfg shardConfig) {
 	os.Exit(workerExitCode(err))
 }
 
-// checkDegradationBudget fails when any cell — freshly characterised or
-// replayed from the journal — exceeds the per-cell degraded-point budget.
-func checkDegradationBudget(lib *core.Library, budget float64) error {
-	names := make([]string, 0, len(lib.Cells))
-	for name := range lib.Cells {
-		names = append(names, name)
+// printWrote reports a published library and its manifest.
+func printWrote(out string, lib *core.Library) {
+	fmt.Printf("wrote %s (%d cells, tech %s, Vdd %.2f V) + manifest %s\n",
+		out, len(lib.Cells), lib.TechName, lib.Vdd, store.ManifestPath(out))
+}
+
+// fatalResume is fatal for an error that resumed state can cause: a journal
+// or campaign directory written by another campaign or build adds the hint
+// to start over.
+func fatalResume(err error, state string) {
+	fmt.Fprintln(os.Stderr, "characterize:", err)
+	if errors.Is(err, store.ErrStale) || errors.Is(err, store.ErrSchemaMismatch) {
+		fmt.Fprintf(os.Stderr, "characterize: rerun without -resume to discard the %s and start over\n", state)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := lib.Cells[name]
-		if m.Health == nil {
-			continue
-		}
-		if frac := m.Health.DegradedFrac(); frac > budget {
-			return fmt.Errorf("%s: %.1f%% of points degraded, budget %.1f%% (-max-degraded)",
-				name, 100*frac, 100*budget)
-		}
-	}
-	return nil
+	os.Exit(1)
 }
 
 func fatal(err error) {

@@ -88,7 +88,7 @@ func main() {
 	}
 
 	if *sdfOut != "" {
-		sf, err := sdf.FromLibrary(c, lib, sdf.Options{})
+		sf, err := sdf.FromLibrary(c, lib)
 		if err != nil {
 			fail(err)
 		}

@@ -96,6 +96,15 @@ type TwoPattern struct {
 	V1, V2 logicsim.Vector
 }
 
+const (
+	// faultDelay is the slowdown the excited crosstalk fault adds to the
+	// victim's transition.
+	faultDelay = 150e-12
+	// detectThreshold is the smallest primary-output arrival shift that
+	// counts as detection.
+	detectThreshold = faultDelay / 2
+)
+
 // Options configures the generator.
 type Options struct {
 	// Lib is the characterised cell library (required).
@@ -117,12 +126,6 @@ type Options struct {
 	MaxBacktracks int
 	// PI is the assumed primary input stimulus.
 	PI sta.PITiming
-	// FaultDelay is the slowdown the excited crosstalk fault adds to the
-	// victim's transition; zero selects 150 ps.
-	FaultDelay float64
-	// DetectThreshold is the minimum primary-output arrival shift that
-	// counts as detection; zero selects FaultDelay/2.
-	DetectThreshold float64
 	// Ctx, when non-nil, cancels the search; a cancelled fault reports
 	// Aborted.
 	Ctx context.Context
@@ -201,12 +204,6 @@ func GenerateTest(c *netlist.Circuit, f Fault, opts Options) (Result, error) {
 	}
 	if opts.MaxBacktracks <= 0 {
 		opts.MaxBacktracks = 64
-	}
-	if opts.FaultDelay <= 0 {
-		opts.FaultDelay = 150e-12
-	}
-	if opts.DetectThreshold <= 0 {
-		opts.DetectThreshold = opts.FaultDelay / 2
 	}
 	if _, okA := driverOrPI(c, f.Aggressor); !okA {
 		return Result{}, fmt.Errorf("atpg: unknown aggressor net %q", f.Aggressor)
@@ -704,7 +701,7 @@ func (g *generator) validate() *TwoPattern {
 		AggRising:  g.f.AggRising,
 		VicRising:  g.f.VicRising,
 		Window:     g.f.MaxSkew,
-		ExtraDelay: g.opts.FaultDelay,
+		ExtraDelay: faultDelay,
 	}, logicsim.Options{
 		Lib:       g.opts.Lib,
 		Mode:      sta.ModeProposed,
@@ -723,7 +720,7 @@ func (g *generator) validate() *TwoPattern {
 		if !okF || !okC {
 			continue
 		}
-		if fe.Arrival-ce.Arrival >= g.opts.DetectThreshold {
+		if fe.Arrival-ce.Arrival >= detectThreshold {
 			return &TwoPattern{V1: v1, V2: v2}
 		}
 	}

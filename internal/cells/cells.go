@@ -255,11 +255,6 @@ type SimOptions struct {
 	// MaxNewton bounds Newton iterations per time point; zero keeps the
 	// solver default. The characterisation retry path raises it.
 	MaxNewton int
-	// VTol is the Newton convergence tolerance; zero keeps the default.
-	VTol float64
-	// MaxStepHalvings bounds the solver's non-convergence recovery ladder;
-	// zero keeps the default, negative disables recovery.
-	MaxStepHalvings int
 	// FaultHook, when non-nil, injects deterministic solver faults for
 	// chaos testing (see internal/faultinject).
 	FaultHook spice.FaultHook
@@ -299,16 +294,14 @@ func (c Config) SimulateOutput(drives []Drive, opts SimOptions) (*waveform.Wavef
 	}
 
 	res, err := ckt.Transient(spice.TransientOpts{
-		TStop:           tstop,
-		TStep:           tstep,
-		MaxNewton:       opts.MaxNewton,
-		VTol:            opts.VTol,
-		Method:          opts.Method,
-		Record:          []string{"out"},
-		Ctx:             opts.Ctx,
-		MaxStepHalvings: opts.MaxStepHalvings,
-		FaultHook:       opts.FaultHook,
-		Metrics:         opts.Metrics,
+		TStop:     tstop,
+		TStep:     tstep,
+		MaxNewton: opts.MaxNewton,
+		Method:    opts.Method,
+		Record:    []string{"out"},
+		Ctx:       opts.Ctx,
+		FaultHook: opts.FaultHook,
+		Metrics:   opts.Metrics,
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("cells: %s simulation: %w", c.Name(), err)

@@ -1,6 +1,7 @@
 package charlib
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -106,6 +107,32 @@ func (ch *characterizer) finish(model *core.CellModel) error {
 	if frac := h.DegradedFrac(); frac > ch.opts.MaxDegradedFrac {
 		return fmt.Errorf("charlib: %d of %d characterisation points degraded (%.1f%%), budget is %.1f%%",
 			len(h.Degraded), h.Points, 100*frac, 100*ch.opts.MaxDegradedFrac)
+	}
+	return nil
+}
+
+// ErrDegradedBudget marks a library holding a cell whose degraded-point
+// fraction exceeds the per-cell budget.
+var ErrDegradedBudget = errors.New("charlib: degraded points over budget")
+
+// CheckDegradedBudget fails, naming the first such cell in name order, when
+// any cell's degraded-point fraction exceeds budget (the resolved
+// Options.MaxDegradedFrac). Publishers call it before writing anything:
+// cells replayed from a journal or reused from a campaign directory were
+// characterised under whatever budget that run had, so Characterize's own
+// per-cell check does not cover them. Cells without a health record (clean
+// ones, analytic fallbacks) always pass.
+func CheckDegradedBudget(lib *core.Library, budget float64) error {
+	names := make([]string, 0, len(lib.Cells))
+	for name := range lib.Cells {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if frac := lib.Cells[name].Health.DegradedFrac(); frac > budget {
+			return fmt.Errorf("%w: cell %s has %.1f%% of points degraded, budget %.1f%% (-max-degraded)",
+				ErrDegradedBudget, name, 100*frac, 100*budget)
+		}
 	}
 	return nil
 }

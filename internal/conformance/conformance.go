@@ -97,6 +97,10 @@ func (t *Tolerances) fill() {
 	}
 }
 
+// simTrials is the number of random vector pairs simulated per seed for the
+// gate-level checks.
+const simTrials = 4
+
 // Options configures a campaign.
 type Options struct {
 	// Lib is the characterised cell library (required).
@@ -112,9 +116,6 @@ type Options struct {
 	Tol Tolerances
 	// Checks filters the checks run, by name; nil runs all of them.
 	Checks []string
-	// SimTrials is the number of random vector pairs simulated per seed
-	// for the gate-level checks; zero selects 4.
-	SimTrials int
 	// FlatTrials is the number of vector pairs per seed additionally
 	// simulated at transistor level (the expensive oracle); zero selects
 	// 1. Negative disables flattened simulation entirely.
@@ -139,9 +140,6 @@ func (o *Options) fill() {
 	o.Tol.fill()
 	if len(o.Seeds) == 0 {
 		o.Seeds = SeedRange(10, 1)
-	}
-	if o.SimTrials <= 0 {
-		o.SimTrials = 4
 	}
 	if o.FlatTrials == 0 {
 		o.FlatTrials = 1
@@ -401,7 +399,7 @@ func (e *seedEnv) circuit() (*netlist.Circuit, error) {
 	return e.c, e.cErr
 }
 
-// vectors draws (once) the seed's SimTrials random vector pairs.
+// vectors draws (once) the seed's simTrials random vector pairs.
 func (e *seedEnv) vectors() ([][2]logicsim.Vector, error) {
 	if e.vecs != nil {
 		return e.vecs, nil
@@ -411,7 +409,7 @@ func (e *seedEnv) vectors() ([][2]logicsim.Vector, error) {
 		return nil, err
 	}
 	rng := e.rng(2)
-	e.vecs = make([][2]logicsim.Vector, e.opts.SimTrials)
+	e.vecs = make([][2]logicsim.Vector, simTrials)
 	for i := range e.vecs {
 		e.vecs[i] = [2]logicsim.Vector{
 			logicsim.RandomVector(c, rng.Intn),

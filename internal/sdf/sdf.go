@@ -63,37 +63,24 @@ type File struct {
 	Cells []Cell
 }
 
-// Options controls library-to-SDF export.
-type Options struct {
-	// TransMin and TransMax bound the input transition times over which
-	// min/max delays are taken; zero selects [0.1 ns, 1.0 ns].
-	TransMin, TransMax float64
-	// TransTyp is the typical transition time; zero selects 0.2 ns.
-	TransTyp float64
-}
-
-func (o *Options) fill() {
-	if o.TransMin <= 0 {
-		o.TransMin = 0.1e-9
-	}
-	if o.TransMax <= 0 {
-		o.TransMax = 1.0e-9
-	}
-	if o.TransTyp <= 0 {
-		o.TransTyp = 0.2e-9
-	}
-}
+// The input transition times an exported delay is taken over: min/max
+// delays are the extrema over [transMin, transMax], the typical delay is at
+// transTyp.
+const (
+	transMin = 0.1e-9
+	transMax = 1.0e-9
+	transTyp = 0.2e-9
+)
 
 // FromLibrary builds the SDF annotation of a circuit from a characterised
 // library: for every gate instance and input pin, the output rise and fall
 // delays are the extrema of the pin-to-pin timing functions over the
 // transition-time range (core.PinTiming.Range, which honours bi-tonic
 // interior peaks).
-func FromLibrary(c *netlist.Circuit, lib *core.Library, opts Options) (*File, error) {
+func FromLibrary(c *netlist.Circuit, lib *core.Library) (*File, error) {
 	if err := c.EnsureBuilt(); err != nil {
 		return nil, fmt.Errorf("sdf: %w", err)
 	}
-	opts.fill()
 	f := &File{Design: c.Name}
 	for i := range c.Gates {
 		g := &c.Gates[i]
@@ -119,8 +106,8 @@ func FromLibrary(c *netlist.Circuit, lib *core.Library, opts Options) (*File, er
 				risePins, fallPins = cell.NonCtrlPins, cell.CtrlPins
 			}
 
-			rise := tripleOf(&risePins[libPin], opts, extraLoad)
-			fall := tripleOf(&fallPins[libPin], opts, extraLoad)
+			rise := tripleOf(&risePins[libPin], extraLoad)
+			fall := tripleOf(&fallPins[libPin], extraLoad)
 			inst.Paths = append(inst.Paths, IOPath{
 				From: fmt.Sprintf("in%d", pin),
 				To:   "out",
@@ -133,12 +120,12 @@ func FromLibrary(c *netlist.Circuit, lib *core.Library, opts Options) (*File, er
 	return f, nil
 }
 
-func tripleOf(p *core.PinTiming, opts Options, extraLoad float64) Triple {
+func tripleOf(p *core.PinTiming, extraLoad float64) Triple {
 	loadD := p.DelayLoadSlope * extraLoad
-	dMin, dMax, _, _ := p.Range(opts.TransMin, opts.TransMax)
+	dMin, dMax, _, _ := p.Range(transMin, transMax)
 	return Triple{
 		Min: dMin + loadD,
-		Typ: p.Delay.Eval(opts.TransTyp) + loadD,
+		Typ: p.Delay.Eval(transTyp) + loadD,
 		Max: dMax + loadD,
 	}
 }

@@ -14,7 +14,7 @@ import (
 func c17File(t *testing.T) *File {
 	t.Helper()
 	lib := prechar.MustLibrary()
-	f, err := FromLibrary(benchgen.C17(), lib, Options{})
+	f, err := FromLibrary(benchgen.C17(), lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFromLibraryUnknownCell(t *testing.T) {
 	if err := c.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromLibrary(c, lib, Options{}); err == nil {
+	if _, err := FromLibrary(c, lib); err == nil {
 		t.Error("expected error for NAND8 (not in library)")
 	}
 }

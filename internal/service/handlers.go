@@ -103,7 +103,7 @@ type RefineResponse struct {
 
 // readJSON decodes the request body with a size cap.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)

@@ -46,6 +46,9 @@ import (
 // profile is dominated by the same incremental-converge work.
 var endpointOrder = []string{"analyze", "refine", "session", "reload", "healthz", "readyz", "metrics"}
 
+// maxBodyBytes caps request bodies; a larger one answers 400 bad-request.
+const maxBodyBytes = 8 << 20
+
 // ErrTechMismatch refuses a hot reload whose library was characterised for a
 // different process technology than the one being served: requests in flight
 // assume one technology, and silently swapping it under them is the timing
@@ -69,8 +72,6 @@ type Options struct {
 	// DefaultTimeout is the per-request deadline when the client sets
 	// none; zero means no server-imposed deadline.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes caps request bodies; zero selects 8 MiB.
-	MaxBodyBytes int64
 	// MaxGates rejects posted netlists above this size (admission
 	// control); zero selects 100000, negative disables the cap.
 	MaxGates int
@@ -133,9 +134,6 @@ func (o *Options) fill() error {
 	}
 	if o.QueueDepth < 0 {
 		o.QueueDepth = 0
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
 	}
 	if o.MaxGates == 0 {
 		o.MaxGates = 100000

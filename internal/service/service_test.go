@@ -257,6 +257,38 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyCap: a request body just over the 8 MiB cap answers 400
+// bad-request before any job runs; a small body on the same server runs
+// one, so the gate counter would show a job had the oversized one run.
+func TestBodyCap(t *testing.T) {
+	met := engine.NewMetrics()
+	_, hs := newTestServer(t, Options{Metrics: met})
+	body := `{"netlist":"` + strings.Repeat("x", 8<<20) + `"}`
+	resp, err := http.Post(hs.URL+"/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %.200s", resp.StatusCode, raw)
+	}
+	var ej ErrorJSON
+	if err := json.Unmarshal(raw, &ej); err != nil || ej.Kind != "bad-request" {
+		t.Fatalf("error payload %.200s (%v), want kind bad-request", raw, err)
+	}
+	if n := met.Get(engine.STAGates); n != 0 {
+		t.Fatalf("oversized body ran a job: %d STA gates", n)
+	}
+
+	if resp, raw := postJSON(t, hs.URL+"/analyze", map[string]any{"netlist": benchText(t, benchgen.C17())}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("small body: status %d: %s", resp.StatusCode, raw)
+	}
+	if met.Get(engine.STAGates) == 0 {
+		t.Fatal("a job ran without counting STA gates")
+	}
+}
+
 func mustQuote(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)

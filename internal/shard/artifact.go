@@ -133,8 +133,8 @@ func decodeArtifact(b []byte, fp store.Fingerprint, spec Spec) (map[string]*core
 	return a.Cells, nil
 }
 
-// campaignMeta is the durable campaign plan: the shard table every restart
-// and every standalone worker must agree on.
+// campaignMeta is the durable campaign plan: the shard table every
+// coordinator restart must agree on.
 type campaignMeta struct {
 	SchemaVersion int
 	Fingerprint   string

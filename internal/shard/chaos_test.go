@@ -157,6 +157,23 @@ func (k *campaignKiller) onComplete(string) {
 	}
 }
 
+// killAfterLastPromotion runs opts' campaign and kills its coordinator
+// right after the last shard promotion: every shard artefact is promoted in
+// the campaign directory and nothing is published at opts.Out.
+func killAfterLastPromotion(t *testing.T, opts Options) {
+	t.Helper()
+	kill := newCampaignKiller(int64(len(Plan(opts.Charlib, opts.ShardCells))))
+	defer kill.cancel()
+	opts.Charlib.Ctx = kill.ctx
+	opts.OnShardComplete = kill.onComplete
+	if _, _, err := Run(opts); err == nil {
+		t.Fatal("killed coordinator reported success")
+	}
+	if _, err := os.Stat(opts.Out); !os.IsNotExist(err) {
+		t.Fatalf("killed coordinator published anyway: %v", err)
+	}
+}
+
 // TestShardChaosResumeAfterCoordinatorCrashMidCampaign kills the
 // coordinator after the FIRST shard completes, then resumes: completed work
 // is reused, only the remainder re-runs, and the publish is byte-identical.
@@ -211,14 +228,7 @@ func TestShardChaosResumeDiscardsCorruptPromotedArtifact(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "lib.json")
 	opts := Options{Charlib: campaignCharlib(), Out: out, ShardCells: 1}
-	if _, err := PlanCampaign(opts); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"s00", "s01", "s02"} {
-		if err := RunWorker(opts, id); err != nil {
-			t.Fatalf("worker %s: %v", id, err)
-		}
-	}
+	killAfterLastPromotion(t, opts)
 	// Rot the middle shard's committed artefact.
 	p := promotedPath(out+".campaign", "s01")
 	b, err := os.ReadFile(p)

@@ -59,8 +59,8 @@ var (
 	// ErrQuarantineBudget marks a campaign whose quarantined-cell fraction
 	// exceeded the configured budget.
 	ErrQuarantineBudget = errors.New("shard: quarantined cells exceed budget")
-	// ErrUnknownShard marks a worker asked to run a shard the campaign
-	// meta does not list.
+	// ErrUnknownShard marks a claim or request naming a shard the campaign
+	// plan does not list.
 	ErrUnknownShard = errors.New("shard: unknown shard id")
 	// ErrRejected marks a completion claim the coordinator resolved
 	// against the worker (the artefact failed verification or could not be
@@ -112,8 +112,8 @@ func shardFingerprint(campaign store.Fingerprint, spec Spec) store.Fingerprint {
 
 // Plan splits resolved campaign options into shards of at most cellsPer
 // cells each (cellsPer <= 0 selects 1). The plan is a pure function of the
-// options, so every coordinator restart and every standalone worker derives
-// the same shard table.
+// options, so every coordinator restart and every remote worker derives the
+// same shard table.
 func Plan(o charlib.Options, cellsPer int) []Spec {
 	if cellsPer <= 0 {
 		cellsPer = 1
@@ -194,9 +194,6 @@ type Options struct {
 	// the resolved charlib MaxDegradedFrac (the -max-degraded budget);
 	// negative forbids quarantine entirely.
 	MaxQuarantinedFrac float64
-	// KeepDir leaves the campaign directory in place after a successful
-	// publish (default: removed, like a spent journal).
-	KeepDir bool
 	// Fault, when non-nil, injects deterministic worker-level faults
 	// (kill/hang/corrupt; see faultinject.ShardPlan). Chaos testing only.
 	Fault *faultinject.ShardPlan

@@ -166,54 +166,13 @@ func TestShardedMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestStandaloneWorkersThenResume drives the multi-process protocol in one
-// process: plan, run each shard via the standalone worker mode, then a
-// resuming coordinator that only merges.
-func TestStandaloneWorkersThenResume(t *testing.T) {
-	wantLib, wantMan := singleProcessBaseline(t)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "lib.json")
-	opts := Options{Charlib: campaignCharlib(), Out: out, ShardCells: 2}
-	specs, err := PlanCampaign(opts)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	if len(specs) != 2 {
-		t.Fatalf("got %d shards, want 2", len(specs))
-	}
-	for _, s := range specs {
-		if err := RunWorker(opts, s.ID); err != nil {
-			t.Fatalf("worker %s: %v", s.ID, err)
-		}
-	}
-	if err := RunWorker(opts, "s99"); !errors.Is(err, ErrUnknownShard) {
-		t.Fatalf("unknown shard: got %v, want ErrUnknownShard", err)
-	}
-	met := engine.NewMetrics()
-	opts.Resume = true
-	opts.Metrics = met
-	_, rep, err := Run(opts)
-	if err != nil {
-		t.Fatalf("merge run: %v", err)
-	}
-	if rep.Reused != 2 || rep.Leases != 0 {
-		t.Fatalf("expected pure merge, got %+v", rep)
-	}
-	if got := met.Get(engine.CharCells); got != 0 {
-		t.Fatalf("merge run characterised %d cells, want 0", got)
-	}
-	requireIdenticalPublish(t, out, wantLib, wantMan)
-}
-
 // TestResumeRefusesChangedOptions: a campaign directory written under
 // different options must be ErrStale, not silently merged.
 func TestResumeRefusesChangedOptions(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "lib.json")
 	opts := Options{Charlib: campaignCharlib(), Out: out, ShardCells: 1}
-	if _, err := PlanCampaign(opts); err != nil {
-		t.Fatal(err)
-	}
+	killAfterLastPromotion(t, opts)
 	changed := opts
 	changed.Charlib.Grid = []float64{0.2e-9, 0.6e-9, 1.0e-9}
 	changed.Resume = true
@@ -355,6 +314,60 @@ func TestCoordinatorKillResumeMidMerge(t *testing.T) {
 		t.Fatalf("resume recharacterised %d cells, want 0", got)
 	}
 	requireIdenticalPublish(t, out, wantLib, wantMan)
+}
+
+// TestResumeChecksDegradedBudgetBeforePublish: the campaign fingerprint
+// does not pin the per-cell degradation budget, so a resume under a
+// stricter -max-degraded reuses artefacts characterised under a looser one.
+// The merge must refuse such a cell before anything is written, and keep
+// the campaign directory for a rerun.
+func TestResumeChecksDegradedBudgetBeforePublish(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "lib.json")
+	opts := Options{Charlib: campaignCharlib(), Out: out, ShardCells: 1}
+	killAfterLastPromotion(t, opts)
+
+	// Give INV's promoted artefact 2 degraded points in 10: inside the
+	// default 25% budget, over the 10% one the resume asks for.
+	o := campaignCharlib().Resolved()
+	fp, spec := Fingerprint(o), Plan(o, 1)[0]
+	p := promotedPath(out+".campaign", spec.ID)
+	b, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := decodeArtifact(b, fp, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models["INV"].Health = &core.CellHealth{Points: 10, Degraded: []core.DegradedPoint{
+		{Surface: "pin0/ctrl", Tx: 0.2e-9, Reason: "injected"},
+		{Surface: "pin0/ctrl", Tx: 0.5e-9, Reason: "injected"},
+	}}
+	if b, err = encodeArtifact(fp, spec, models); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Resume = true
+	opts.Charlib.MaxDegradedFrac = 0.1
+	_, rep, err := Run(opts)
+	if !errors.Is(err, charlib.ErrDegradedBudget) {
+		t.Fatalf("resume over budget: got %v, want ErrDegradedBudget", err)
+	}
+	if rep.Reused != 3 {
+		t.Fatalf("resume reused %d shards, want 3 (the rewritten artefact must verify)", rep.Reused)
+	}
+	for _, f := range []string{out, store.ManifestPath(out)} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("over-budget campaign wrote %s: %v", f, err)
+		}
+	}
+	if _, err := os.Stat(out + ".campaign"); err != nil {
+		t.Fatalf("campaign directory gone after a failed merge: %v", err)
+	}
 }
 
 // TestArtifactVerificationTaxonomy pins the typed-error contract of

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"sstiming/internal/charlib"
 	"sstiming/internal/core"
 	"sstiming/internal/engine"
 	"sstiming/internal/store"
@@ -571,9 +572,10 @@ func (t *Tracker) Snapshot() *Report {
 }
 
 // MergeAndPublish reads every promoted artefact, substitutes analytic
-// fallbacks for quarantined shards under the campaign budget, and publishes
-// the merged library atomically at the campaign's Out path. The campaign
-// must be resolved.
+// fallbacks for quarantined shards under the campaign budget, checks every
+// cell against the per-cell degradation budget, and only then publishes the
+// merged library atomically at the campaign's Out path. The campaign must be
+// resolved.
 func (t *Tracker) MergeAndPublish() (*core.Library, error) {
 	t.mu.Lock()
 	states := make([]Status, len(t.shards))
@@ -606,6 +608,9 @@ func (t *Tracker) MergeAndPublish() (*core.Library, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := charlib.CheckDegradedBudget(lib, t.opts.Charlib.MaxDegradedFrac); err != nil {
+		return nil, err
+	}
 	if _, err := store.WriteLibrary(t.opts.Out, lib, t.opts.Charlib.Grid, t.opts.Charlib.NCPairs); err != nil {
 		return nil, err
 	}
@@ -613,11 +618,8 @@ func (t *Tracker) MergeAndPublish() (*core.Library, error) {
 }
 
 // RemoveDir removes the campaign directory (the publish is durable; the
-// scaffolding is spent). Respects KeepDir.
+// scaffolding is spent).
 func (t *Tracker) RemoveDir() error {
-	if t.opts.KeepDir {
-		return nil
-	}
 	if err := os.RemoveAll(t.opts.Dir); err != nil {
 		return fmt.Errorf("shard: removing campaign dir: %w", err)
 	}

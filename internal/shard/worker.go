@@ -238,22 +238,6 @@ func RunAttempt(opts Options, spec Spec, attempt int) ([]byte, error) {
 		opts.Fault.Decide(spec.Index, attempt))
 }
 
-// NextAttemptGen returns the next free attempt generation for a shard: one
-// past the highest attempt directory any previous worker (finished or not)
-// created under dir.
-func NextAttemptGen(dir, shardID string) int {
-	attempt := 1
-	if entries, err := os.ReadDir(shardDir(dir, shardID)); err == nil {
-		for _, e := range entries {
-			var g int
-			if n, _ := fmt.Sscanf(e.Name(), "a%d", &g); n == 1 && g >= attempt {
-				attempt = g + 1
-			}
-		}
-	}
-	return attempt
-}
-
 // ComparePlan verifies a remotely-advertised campaign — its fingerprint
 // hash and shard table — against the plan this process derives from its own
 // options. A mismatch is store.ErrStale: the worker and coordinator were
@@ -285,72 +269,4 @@ func ComparePlan(opts Options, fpHash string, remote []Spec) error {
 		}
 	}
 	return nil
-}
-
-// PlanFor derives the campaign shard table from options without touching
-// any directory (remote workers resolve lease grants against it).
-func PlanFor(opts Options) ([]Spec, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
-	return Plan(opts.Charlib, opts.ShardCells), nil
-}
-
-// PlanCampaign prepares a campaign directory for multi-process operation:
-// the directory and its campaign.json plan are created (discarding any
-// previous campaign there) and the shard table is returned. Separate
-// processes then run RunWorker per shard, and a final Run with Resume set
-// merges and publishes.
-func PlanCampaign(opts Options) ([]Spec, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
-	fp := Fingerprint(opts.Charlib)
-	specs := Plan(opts.Charlib, opts.ShardCells)
-	if err := os.RemoveAll(opts.Dir); err != nil {
-		return nil, fmt.Errorf("shard: clearing campaign dir: %w", err)
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("shard: creating campaign dir: %w", err)
-	}
-	if err := writeCampaignMeta(opts.Dir, fp, specs); err != nil {
-		return nil, err
-	}
-	return specs, nil
-}
-
-// RunWorker is the standalone worker mode: it characterises one shard of an
-// existing campaign directory (verifying the plan matches this process's
-// options first) under a fresh attempt generation, verifies the artefact
-// and promotes it to the shard's committed slot. The options must match
-// the planning process's bit-for-bit — anything else is refused with
-// store.ErrStale before any work happens.
-func RunWorker(opts Options, shardID string) error {
-	if err := opts.fill(); err != nil {
-		return err
-	}
-	fp := Fingerprint(opts.Charlib)
-	specs := Plan(opts.Charlib, opts.ShardCells)
-	if err := loadCampaignMeta(opts.Dir, fp, specs); err != nil {
-		return err
-	}
-	var spec *Spec
-	for i := range specs {
-		if specs[i].ID == shardID {
-			spec = &specs[i]
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownShard, shardID)
-	}
-
-	b, err := RunAttempt(opts, *spec, NextAttemptGen(opts.Dir, spec.ID))
-	if err != nil {
-		return err
-	}
-	if _, err := decodeArtifact(b, fp, *spec); err != nil {
-		return err
-	}
-	return store.AtomicWrite(promotedPath(opts.Dir, spec.ID), b)
 }

@@ -37,6 +37,9 @@ var (
 	ErrLeaseLost = errors.New("shardnet: lease lost")
 )
 
+// perTryTimeout bounds each attempt of a call.
+const perTryTimeout = 10 * time.Second
+
 // ClientOptions configures the resilient coordinator client.
 type ClientOptions struct {
 	// Base is the coordinator base URL (e.g. "http://127.0.0.1:7600").
@@ -49,8 +52,6 @@ type ClientOptions struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps one retry delay; 0 selects 2s.
 	MaxBackoff time.Duration
-	// PerTryTimeout bounds each attempt; 0 selects 10s.
-	PerTryTimeout time.Duration
 	// Seed seeds the backoff jitter (deterministic tests).
 	Seed int64
 	// Transport overrides the HTTP transport (fault injection); nil
@@ -87,9 +88,6 @@ func NewClient(opts ClientOptions) (*Client, error) {
 	}
 	if opts.MaxBackoff <= 0 {
 		opts.MaxBackoff = 2 * time.Second
-	}
-	if opts.PerTryTimeout <= 0 {
-		opts.PerTryTimeout = 10 * time.Second
 	}
 	if opts.Progress == nil {
 		opts.Progress = func(string, ...any) {}
@@ -173,7 +171,7 @@ func (e *replyError) Error() string {
 // attempt issues one HTTP exchange.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out wireMessage) error {
 	c.met.Add(engine.NetRequests, 1)
-	actx, cancel := context.WithTimeout(ctx, c.opts.PerTryTimeout)
+	actx, cancel := context.WithTimeout(ctx, perTryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, method, c.opts.Base+path, bytes.NewReader(body))
 	if err != nil {

@@ -211,8 +211,7 @@ func (s *Server) DrainWorkers(ctx context.Context) error {
 }
 
 // MergeAndPublish publishes the resolved campaign (see
-// shard.Tracker.MergeAndPublish) and removes the campaign scaffolding
-// (unless KeepDir).
+// shard.Tracker.MergeAndPublish) and removes the campaign scaffolding.
 func (s *Server) MergeAndPublish() (*core.Library, error) {
 	lib, err := s.tr.MergeAndPublish()
 	if err != nil {

@@ -88,8 +88,6 @@ func TestServerLeaseIdempotency(t *testing.T) {
 	}
 }
 
-// workerArtifact characterises one granted shard in a private work dir and
-// returns its verified artefact bytes (what an honest worker would upload).
 // TestServerDrainWorkers: a resolved coordinator must not close its
 // listener before every polling worker has been answered Done — otherwise
 // the final completer's next lease poll dies on connection-refused and a
@@ -121,7 +119,7 @@ func TestServerDrainWorkers(t *testing.T) {
 	// The worker finishes the campaign; its final poll is answered Done.
 	grant := r.Grant
 	for seq := 2; ; seq++ {
-		b := workerArtifact(t, grant)
+		b := workerArtifact(t, srv, grant)
 		sum := sha256.Sum256(b)
 		reply, err := c.Complete(ctx, &CompleteRequest{
 			ShardID:        grant.ShardID,
@@ -150,14 +148,13 @@ func TestServerDrainWorkers(t *testing.T) {
 	}
 }
 
-func workerArtifact(t *testing.T, grant *LeaseGrant) []byte {
+// workerArtifact characterises one granted shard of srv's campaign in a
+// private work dir and returns its verified artefact bytes (what an honest
+// worker would upload).
+func workerArtifact(t *testing.T, srv *Server, grant *LeaseGrant) []byte {
 	t.Helper()
 	wopts := workerOptions(t, "http://unused", "art", 1, nil).Shard
-	specs, err := shard.PlanFor(wopts)
-	if err != nil {
-		t.Fatalf("PlanFor: %v", err)
-	}
-	b, err := shard.RunAttempt(wopts, specs[grant.Index], grant.Attempt)
+	b, err := shard.RunAttempt(wopts, srv.Tracker().Specs()[grant.Index], grant.Attempt)
 	if err != nil {
 		t.Fatalf("RunAttempt: %v", err)
 	}
@@ -179,7 +176,7 @@ func TestServerClaimProtocol(t *testing.T) {
 		t.Fatalf("lease: %+v, %v", r, err)
 	}
 	g := r.Grant
-	art := workerArtifact(t, g)
+	art := workerArtifact(t, srv, g)
 	sum := sha256.Sum256(art)
 	claim := &CompleteRequest{
 		ShardID: g.ShardID, Attempt: g.Attempt, Artifact: art,
@@ -232,7 +229,7 @@ func TestServerClaimProtocol(t *testing.T) {
 	if err != nil || r.Grant == nil {
 		t.Fatalf("second lease: %+v, %v", r, err)
 	}
-	art2 := workerArtifact(t, r.Grant)
+	art2 := workerArtifact(t, srv, r.Grant)
 	sum2 := sha256.Sum256(art2)
 	racing := &CompleteRequest{
 		ShardID: r.Grant.ShardID, Attempt: r.Grant.Attempt, Artifact: art2,

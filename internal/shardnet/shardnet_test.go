@@ -145,13 +145,12 @@ func workerOptions(t *testing.T, base, name string, seed int64, plan *faultinjec
 	wdir := filepath.Join(t.TempDir(), name)
 	opts := WorkerOptions{
 		Client: ClientOptions{
-			Base:          base,
-			MaxAttempts:   12,
-			BaseBackoff:   10 * time.Millisecond,
-			MaxBackoff:    250 * time.Millisecond,
-			PerTryTimeout: 10 * time.Second,
-			Seed:          seed,
-			Progress:      t.Logf,
+			Base:        base,
+			MaxAttempts: 12,
+			BaseBackoff: 10 * time.Millisecond,
+			MaxBackoff:  250 * time.Millisecond,
+			Seed:        seed,
+			Progress:    t.Logf,
 		},
 		Shard: shard.Options{
 			Charlib:    campaignCharlib(),

@@ -28,6 +28,9 @@ const Ground = "0"
 // Jacobian non-singular when devices are cut off.
 const gmin = 1e-12
 
+// vtol is the Newton convergence tolerance in volts.
+const vtol = 1e-6
+
 // Circuit is a netlist under construction. Add elements, then call Transient.
 type Circuit struct {
 	nodeIndex map[string]int
@@ -149,8 +152,6 @@ type TransientOpts struct {
 	TStep float64
 	// MaxNewton bounds Newton iterations per time point. Zero selects 60.
 	MaxNewton int
-	// VTol is the Newton convergence tolerance in volts. Zero selects 1 uV.
-	VTol float64
 	// Method selects the integration scheme (default BackwardEuler).
 	Method Method
 	// Record lists node names to record. Nil records every node.
@@ -200,10 +201,6 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 	if maxNewton <= 0 {
 		maxNewton = 60
 	}
-	vtol := opts.VTol
-	if vtol <= 0 {
-		vtol = 1e-6
-	}
 
 	nn := len(c.nodeNames) // includes ground
 	nv := len(c.vsrcs)
@@ -248,7 +245,6 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 	sc := &solveCtx{
 		s:         s,
 		maxNewton: maxNewton,
-		vtol:      vtol,
 		method:    opts.Method,
 		ctx:       opts.Ctx,
 		hook:      opts.FaultHook,
@@ -423,7 +419,6 @@ func (c *Circuit) solveDCGmin(sc *solveCtx, volt, branch, voltPrev, capCur []flo
 type solveCtx struct {
 	s         *solver
 	maxNewton int
-	vtol      float64
 	method    Method
 	ctx       context.Context
 	hook      FaultHook
@@ -466,7 +461,7 @@ func (c *Circuit) solvePoint(sc *solveCtx, volt, branch, voltPrev, capCur []floa
 	}
 
 	s := sc.s
-	maxNewton, vtol, method := sc.maxNewton, sc.vtol, sc.method
+	maxNewton, method := sc.maxNewton, sc.method
 	nn := len(c.nodeNames)
 	worst := 0
 	residual := 0.0

@@ -157,8 +157,6 @@ type (
 	// SDFFile is a parsed or generated Standard Delay Format file
 	// (pin-to-pin subset).
 	SDFFile = sdf.File
-	// SDFOptions controls library-to-SDF export.
-	SDFOptions = sdf.Options
 	// HoldFixResult summarises a hold-fix buffer-insertion run.
 	HoldFixResult = holdfix.Result
 )
@@ -231,8 +229,8 @@ func SimulateFaulty(c *Circuit, v1, v2 Vector, f FaultInjection, opts SimOptions
 // ExportSDF builds the SDF annotation of a circuit from a characterised
 // library (pin-to-pin delays only — the simultaneous-switching surfaces
 // have no SDF representation).
-func ExportSDF(c *Circuit, lib *Library, opts SDFOptions) (*SDFFile, error) {
-	return sdf.FromLibrary(c, lib, opts)
+func ExportSDF(c *Circuit, lib *Library) (*SDFFile, error) {
+	return sdf.FromLibrary(c, lib)
 }
 
 // ParseSDF reads the SDF subset emitted by SDFFile.Write.

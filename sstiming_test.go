@@ -127,7 +127,7 @@ func TestPublicAPIInterchangeAndApplications(t *testing.T) {
 	}
 
 	// SDF export + re-import.
-	sf, err := sstiming.ExportSDF(c, lib, sstiming.SDFOptions{})
+	sf, err := sstiming.ExportSDF(c, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
